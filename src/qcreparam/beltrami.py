@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     CoefficientTooLarge,
@@ -193,8 +192,8 @@ def mollify(mu, eta):
     """Convolution with the unit-mass radial bump of radius eta.
 
     Requires eta < distance(support, unit circle) so the smoothed support
-    stays compactly inside the disc.  A radius below the grid spacing reduces
-    to the identity (single-node kernel); the sup norm never increases.
+    stays compactly inside the disc.  A radius below the grid spacing, or a
+    zero coefficient, reduces to the identity; the sup norm never increases.
     """
     if eta <= 0:
         raise ValueError("mollification radius must be positive")
@@ -206,7 +205,7 @@ def mollify(mu, eta):
             f"radius {eta} exceeds distance {1.0 - rad:.3g} from support to the circle")
     d = mu.spacing
     r_cells = int(math.floor(eta / d))
-    if r_cells < 1:
+    if r_cells < 1 or not np.any(mu.values):
         return ComplexField(S=mu.S, values=mu.values.copy())
     offs = np.arange(-r_cells, r_cells + 1) * d
     ox, oy = np.meshgrid(offs, offs, indexing="ij")
@@ -216,9 +215,10 @@ def mollify(mu, eta):
     from scipy.signal import fftconvolve
 
     out = fftconvolve(mu.values, kernel, mode="same")
-    # confine to the eta-neighborhood of the input support (kills fft dust)
-    footprint = rr < 1.0
-    region = ndimage.binary_dilation(mu.values != 0, structure=footprint)
+    # confine to the eta-neighborhood of the input support (kills fft dust);
+    # counting support nodes under the footprint dilates exactly at any radius
+    footprint = (rr < 1.0).astype(float)
+    region = fftconvolve((mu.values != 0).astype(float), footprint, mode="same") > 0.5
     out = np.where(region, out, 0.0)
     return ComplexField(S=mu.S, values=out)
 

@@ -17,6 +17,10 @@ class DegenerateSemiNorm(QcreparamError):
     """Operation requires a norm but the semi-norm vanishes on a direction."""
 
 
+class EllipseNotCertified(QcreparamError):
+    """An inscribed ellipse failed its containment or optimality certificate."""
+
+
 class StencilOutOfDomain(QcreparamError):
     """A finite-difference stencil leaves the sampled domain."""
 

@@ -12,7 +12,6 @@ value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -310,79 +309,52 @@ class DerivativeField:
         """I_+^2 of the cell semi-norm, per cell (extended)."""
         p = self.packed_extended()
         if self.kind == "quadratic":
-            return _quad_lmax(p[..., 0], p[..., 1], p[..., 2])
+            return np.maximum(sn.packed_eig(p)[1], 0.0)
         return np.max(p, axis=-1) ** 2
+
+    def ellipse_field(self, delta=0.0):
+        """Packed M of the inscribed ellipse {v : v.Mv <= 1} of the (optionally
+        delta-regularized) cell semi-norm, per cell (extended); M = 0 where the
+        semi-norm is degenerate.  Quadratic cells: M = Q + delta^2 I.  Sampled
+        cells: one batched solve over the distinct rows, cached per delta."""
+        if self.kind == "quadratic":
+            p = self.packed_extended()
+            m = np.stack([p[..., 0] + delta**2, p[..., 1], p[..., 2] + delta**2], axis=-1)
+            if delta == 0.0:
+                m[sn.packed_degenerate(m)] = 0.0
+            return m
+        if ("ellipse", delta) not in self._cache:
+            uniq, inv = self.unique_rows()
+            rows = np.sqrt(np.maximum(uniq, 0.0) ** 2 + delta**2)     # as regularize()
+            self._cache["ellipse", delta] = sn.inscribed_ellipses(rows)[inv]
+        return self._cache["ellipse", delta]
 
     def jacobian_intrinsic_density(self, delta=0.0):
         """Inscribed-ellipse jacobian of the (optionally regularized) semi-norm."""
-        p = self.packed_extended()
-        if self.kind == "quadratic":
-            q11 = p[..., 0] + delta**2
-            q22 = p[..., 2] + delta**2
-            q12 = p[..., 1]
-            det = np.maximum(q11 * q22 - q12**2, 0.0)
-            out = np.sqrt(det)
-            if delta == 0.0:
-                out[~_quad_nondegenerate(q11, q12, q22)] = 0.0
-            return out
-        return self._sampled_cellwise(
-            lambda s: sn.jacobian_intrinsic(s if delta == 0.0 else sn.regularize(s, delta)),
-            key=("jint", delta))
+        return np.sqrt(np.maximum(sn.packed_det(self.ellipse_field(delta)), 0.0))
 
     def jacobian_hausdorff_density(self):
         """Unit-ball-area jacobian per cell (extended)."""
-        p = self.packed_extended()
         if self.kind == "quadratic":
-            det = np.maximum(p[..., 0] * p[..., 2] - p[..., 1] ** 2, 0.0)
-            out = np.sqrt(det)
-            out[~_quad_nondegenerate(p[..., 0], p[..., 1], p[..., 2])] = 0.0
-            return out
-        return self._sampled_cellwise(
-            lambda s: 0.0 if s.degenerate else math.pi / s.ball_area(),
-            key=("jh",))
+            # the unit ball is its own inscribed ellipse
+            return self.jacobian_intrinsic_density()
+        uniq, inv = self.unique_rows()
+        return sn.ball_jacobians(np.maximum(uniq, 0.0))[inv]
 
     def isotropy_defect_density(self):
         return self.energy_density() - self.jacobian_intrinsic_density()
 
     def beltrami_density(self, delta):
         """Beltrami coefficient of the delta-regularized cell semi-norm."""
-        p = self.packed_extended()
-        if self.kind == "quadratic":
-            q11 = p[..., 0] + delta**2
-            q22 = p[..., 2] + delta**2
-            q12 = p[..., 1]
-            tr = q11 + q22
-            gap = np.hypot(q11 - q22, 2.0 * q12)
-            lmin = np.maximum(0.5 * (tr - gap), 0.0)
-            lmax = 0.5 * (tr + gap)
-            rs = np.sqrt(lmax) + np.sqrt(lmin)
-            k = np.where(rs > 0, (np.sqrt(lmax) - np.sqrt(lmin)) / np.where(rs > 0, rs, 1.0), 0.0)
-            phi = 0.5 * np.arctan2(2.0 * q12, q11 - q22)
-            return k * np.exp(2j * phi)
-        return self._sampled_cellwise(
-            lambda s: sn.beltrami_of(sn.regularize(s, delta)),
-            key=("mu", delta), dtype=complex)
+        return sn.ellipse_beltrami(self.ellipse_field(delta))
 
     def unique_rows(self):
-        """Deduplicated packed rows and the per-cell inverse index (cached)."""
+        """Distinct packed rows (exact comparison), per-cell inverse index."""
         if "unique" not in self._cache:
             p = self.packed_extended()
-            flat = np.round(p.reshape(-1, p.shape[-1]), 12)
-            uniq, inv = np.unique(flat, axis=0, return_inverse=True)
+            uniq, inv = np.unique(p.reshape(-1, p.shape[-1]), axis=0, return_inverse=True)
             self._cache["unique"] = (uniq, inv.reshape(p.shape[:2]))
         return self._cache["unique"]
-
-    def _sampled_cellwise(self, fn, key, dtype=float):
-        """Apply fn per unique sampled semi-norm (cells are heavily repeated)."""
-        if key in self._cache:
-            return self._cache[key]
-        uniq, inv = self.unique_rows()
-        vals = np.empty(len(uniq), dtype=dtype)
-        for r, row in enumerate(uniq):
-            vals[r] = fn(SemiNorm2.sampled(np.maximum(row, 0.0)))
-        out = vals[inv]
-        self._cache[key] = out
-        return out
 
     # -- serialization --------------------------------------------------------
 
@@ -420,20 +392,6 @@ class DerivativeField:
                         samp = np.zeros((n, n, s.m))
                     samp[i, j] = s.values
         return DerivativeField(grid=grid, kind=kind, quad=quad, samp=samp)
-
-
-def _quad_lmax(q11, q12, q22):
-    tr = q11 + q22
-    gap = np.hypot(q11 - q22, 2.0 * q12)
-    return np.maximum(0.5 * (tr + gap), 0.0)
-
-
-def _quad_nondegenerate(q11, q12, q22):
-    tr = q11 + q22
-    gap = np.hypot(q11 - q22, 2.0 * q12)
-    lmax = 0.5 * (tr + gap)
-    lmin = 0.5 * (tr - gap)
-    return (lmax > 0) & (lmin >= sn.DEGEN_TOL * lmax)
 
 
 # -- derivative estimation -----------------------------------------------------
@@ -512,18 +470,13 @@ def _fit_quadratic(dirs, g):
 
 def _project_psd(coef):
     """Clamp negative eigenvalues of packed (q11, q12, q22) rows to zero."""
-    q11, q12, q22 = coef[:, 0], coef[:, 1], coef[:, 2]
-    tr = q11 + q22
-    gap = np.hypot(q11 - q22, 2.0 * q12)
-    lmin = 0.5 * (tr - gap)
-    lmax = 0.5 * (tr + gap)
+    lmin, lmax, phi = sn.packed_eig(coef)
     need = lmin < 0
     if not np.any(need):
         return coef
     out = coef.copy()
     lmaxc = np.maximum(lmax[need], 0.0)
-    phi = 0.5 * np.arctan2(2.0 * q12[need], (q11 - q22)[need])
-    c, s = np.cos(phi), np.sin(phi)
+    c, s = np.cos(phi[need]), np.sin(phi[need])
     out[need, 0] = lmaxc * c * c
     out[need, 1] = lmaxc * c * s
     out[need, 2] = lmaxc * s * s
@@ -591,7 +544,7 @@ def composed_energy(field_, phi):
         r11 = a * (q11 * a + q12 * c) + c * (q12 * a + q22 * c)
         r12 = a * (q11 * b + q12 * d) + c * (q12 * b + q22 * d)
         r22 = b * (q11 * b + q12 * d) + d * (q12 * b + q22 * d)
-        dens = _quad_lmax(r11, r12, r22)
+        dens = np.maximum(sn.packed_eig(np.stack([r11, r12, r22], axis=-1))[1], 0.0)
         return float(np.sum(dens) * cell_area)
     uniq, inv = field_.unique_rows()
     ids = inv[idx_i, idx_j]

@@ -12,27 +12,85 @@ The operations: the squared-maximal-stretch energy, the inscribed ellipse of
 maximal area, the two jacobians (inscribed-ellipse normalization and
 unit-ball-area normalization), the isotropy defect, quadratic regularization,
 and the Beltrami coefficient of a linear map rounding the inscribed ellipse.
+Both representations hand the inscribed ellipse over as the packed matrix
+(m11, m12, m22) of {v : v.Mv <= 1}; the jacobian and the Beltrami
+coefficient are read from it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSemiNorm, InputFormatError
+from .errors import DegenerateSemiNorm, EllipseNotCertified, InputFormatError
 
 DEGEN_TOL = 1e-10          # relative floor under which a direction counts as collapsed
-FEAS_TOL = 1e-6            # certified-containment allowance for inscribed ellipses
+FEAS_TOL = 1e-6            # certified containment: max_i c_i.P c_i <= 1 + FEAS_TOL
+GAP_TOL = 1e-7             # certified optimality: log-det duality gap of an inscribed ellipse
 DEFAULT_SAMPLES = 64       # default m for sampled semi-norms
-_CERT_POINTS = 512         # boundary points swept in the containment certificate
+
+# inscribed-ellipse solver (see inscribed_ellipses)
+_STAGE_GAPS = (1e-3, 1e-5, 1e-8)    # barrier gaps m/t at which a KKT polish is tried
+_T_FACTOR = 20.0                    # growth of t once a row is roughly centred
+_CENTRED = 2.0                      # half squared Newton decrement that allows t to grow
+_CONVERGED = 1e-7                   # half squared Newton decrement that ends the last stage
+_MAX_NEWTON = 200                   # Newton steps per stage; unfinished rows leave as they are
+_STEPS = 0.5 ** np.arange(6)        # trial step lengths of the Newton line search
+_DUP_TOL = 1e-9                     # edges this close (relative) coincide; slacks this close tie
+_POLISH_TOL = 1e-9                  # load excess a KKT candidate may carry into rescaling
+_TIGHTEST, _MINIMA = 5, 3           # candidate constraints: tightest, then local minima
+_SETS = [np.array(list(itertools.combinations(range(_TIGHTEST + _MINIMA), k))) for k in (2, 3)]
+_SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])   # 3x3 symmetric from its 6 entries
+_CHUNK = 512                        # rows solved together (bounds the candidate arrays)
 
 
 def half_circle_directions(m):
     """Unit vectors at angles j*pi/m, j = 0..m-1."""
     ang = np.arange(m) * (np.pi / m)
     return np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+# -- packed symmetric 2x2 matrices --------------------------------------------
+
+def packed_eig(p):
+    """(lmin, lmax, angle of the lmax eigenvector) of packed symmetric 2x2
+    matrices p[..., :3] = (q11, q12, q22), elementwise."""
+    q11, q12, q22 = p[..., 0], p[..., 1], p[..., 2]
+    tr = q11 + q22
+    gap = np.hypot(q11 - q22, 2.0 * q12)
+    return 0.5 * (tr - gap), 0.5 * (tr + gap), 0.5 * np.arctan2(2.0 * q12, q11 - q22)
+
+
+def packed_det(p):
+    return p[..., 0] * p[..., 2] - p[..., 1] ** 2
+
+
+def packed_degenerate(p):
+    """True where the packed form vanishes on a direction (relative DEGEN_TOL)."""
+    lmin, lmax, _ = packed_eig(p)
+    return ~((lmax > 0) & (lmin >= DEGEN_TOL * lmax))
+
+
+def ellipse_beltrami(m):
+    """Beltrami coefficient of the linear maps sending the ellipses {v.Mv <= 1}
+    (packed M; 0 where M = 0) to round balls; semi-axes a >= b at angle theta
+    and T = diag(1/a, 1/b) . R_{-theta} give mu = -(a - b)/(a + b) exp(2 i theta)."""
+    lmin, lmax, phi = packed_eig(m)
+    lmin = np.maximum(lmin, 0.0)
+    rs = np.sqrt(lmax) + np.sqrt(lmin)
+    k = np.where(rs > 0, (np.sqrt(lmax) - np.sqrt(lmin)) / np.where(rs > 0, rs, 1.0), 0.0)
+    return k * np.exp(2j * phi)
+
+
+def _pack(q):
+    return np.array([q[0, 0], q[0, 1], q[1, 1]])
+
+
+def _inv2(p):
+    return np.stack([p[..., 2], -p[..., 1], p[..., 0]], axis=-1) / packed_det(p)[..., None]
 
 
 @dataclass(frozen=True)
@@ -49,14 +107,6 @@ class Ellipse2:
         object.__setattr__(self, "theta", float(self.theta) % math.pi)
 
     @property
-    def area(self):
-        return math.pi * self.a * self.b
-
-    @property
-    def eccentricity_ratio(self):
-        return self.a / self.b
-
-    @property
     def matrix(self):
         """M with ellipse = {v : v.Mv <= 1}; area = pi / sqrt(det M)."""
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -64,7 +114,7 @@ class Ellipse2:
         d = np.diag([1.0 / self.a**2, 1.0 / self.b**2])
         return r @ d @ r.T
 
-    def boundary(self, num=_CERT_POINTS):
+    def boundary(self, num=512):
         """Points on the ellipse boundary (counterclockwise)."""
         t = np.linspace(0.0, 2.0 * np.pi, num, endpoint=False)
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -99,8 +149,8 @@ class SemiNorm2:
         if abs(q[0, 1] - q[1, 0]) > 1e-12 * (1.0 + np.abs(q).max()):
             raise ValueError("quadratic form must be symmetric")
         q = 0.5 * (q + q.T)
-        lmin = _eig2_min(q)
-        if lmin < -1e-9 * max(1.0, abs(_eig2_max(q))):
+        lmin, lmax, _ = packed_eig(_pack(q))
+        if lmin < -1e-9 * max(1.0, abs(lmax)):
             raise ValueError("quadratic form must be positive semi-definite")
         q.setflags(write=False)
         return SemiNorm2(kind="quadratic", matrix=q)
@@ -123,13 +173,6 @@ class SemiNorm2:
     def euclidean(scale=1.0):
         return SemiNorm2.quadratic(scale**2 * np.eye(2))
 
-    @staticmethod
-    def from_gauge(fn, m=DEFAULT_SAMPLES):
-        """Sample a gauge function fn(unit direction) -> value at m directions."""
-        dirs = half_circle_directions(m)
-        vals = np.array([float(fn(d)) for d in dirs])
-        return SemiNorm2.sampled(vals)
-
     # -- basic structure ----------------------------------------------------
 
     @property
@@ -139,14 +182,8 @@ class SemiNorm2:
     @property
     def degenerate(self):
         if self.kind == "quadratic":
-            lmax = _eig2_max(self.matrix)
-            if lmax <= 0:
-                return True
-            return _eig2_min(self.matrix) < DEGEN_TOL * lmax
-        vmax = float(self.values.max(initial=0.0))
-        if vmax <= 0:
-            return True
-        return float(self.values.min()) < DEGEN_TOL * vmax
+            return bool(packed_degenerate(_pack(self.matrix)))
+        return bool(_degenerate_rows(self.values))
 
     def __call__(self, v):
         """Evaluate the semi-norm at a vector (or an array of row vectors)."""
@@ -179,40 +216,22 @@ class SemiNorm2:
     # -- unit-ball polygon (sampled representation) --------------------------
 
     def _polygon(self):
-        """Vertices (2m, 2) and edge half-planes (normals, offsets) of the ball."""
-        if "polygon" in self._cache:
-            return self._cache["polygon"]
-        if self.kind != "sampled":
-            raise ValueError("polygon only defined for sampled semi-norms")
-        if self.degenerate:
-            raise DegenerateSemiNorm("unit ball of a degenerate semi-norm is unbounded")
-        dirs = half_circle_directions(self.m)
-        radii = 1.0 / self.values
-        verts = np.vstack([dirs * radii[:, None], -dirs * radii[:, None]])
-        edges = verts[np.r_[1 : len(verts), 0]] - verts
-        normals = np.column_stack([edges[:, 1], -edges[:, 0]])
-        norm = np.linalg.norm(normals, axis=1)
-        if np.any(norm <= 0):
-            raise DegenerateSemiNorm("repeated vertices in sampled unit ball")
-        normals /= norm[:, None]
-        offsets = np.einsum("ij,ij->i", normals, verts)
-        if np.any(offsets <= 0):
-            raise ValueError("sampled gauge is not convex (non-star polygon)")
-        out = (verts, normals, offsets, normals / offsets[:, None])
-        self._cache["polygon"] = out
-        return out
+        """Vertices (2m, 2) and edge rows c_i of the ball {|c_i . x| <= 1}."""
+        if "polygon" not in self._cache:
+            if self.kind != "sampled":
+                raise ValueError("polygon only defined for sampled semi-norms")
+            if self.degenerate:
+                raise DegenerateSemiNorm("unit ball of a degenerate semi-norm is unbounded")
+            self._cache["polygon"] = tuple(x[0] for x in _polygons(self.values[None]))
+        return self._cache["polygon"]
 
     def ball_area(self):
         """Lebesgue area of the unit ball {s <= 1}."""
-        if self.kind == "quadratic":
-            if self.degenerate:
-                return math.inf
-            return math.pi / math.sqrt(_det2(self.matrix))
         if self.degenerate:
             return math.inf
-        verts = self._polygon()[0]
-        x, y = verts[:, 0], verts[:, 1]
-        return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+        if self.kind == "quadratic":
+            return math.pi / math.sqrt(packed_det(_pack(self.matrix)))
+        return math.pi / float(ball_jacobians(self.values))
 
     def is_convex(self, tol=1e-9):
         """True if the sampled ball polygon is convex (quadratic: always)."""
@@ -232,8 +251,7 @@ class SemiNorm2:
     def record(self):
         """Plain-text record: 'Q a11 a12 a22' or 'S m v1 ... vm'."""
         if self.kind == "quadratic":
-            q = self.matrix
-            return "Q " + " ".join(format(x, ".17g") for x in (q[0, 0], q[0, 1], q[1, 1]))
+            return "Q " + " ".join(format(x, ".17g") for x in _pack(self.matrix))
         vals = " ".join(format(x, ".17g") for x in self.values)
         return f"S {self.m} {vals}"
 
@@ -268,7 +286,7 @@ def _sampled_gauge(s, pts):
         t = idx - np.floor(idx)
         ray = (1 - t) * s.values[i0] + t * s.values[i1]
         return ray * np.linalg.norm(pts, axis=1)
-    scaled = s._polygon()[3]
+    scaled = s._polygon()[1]
     # edges come in antipodal pairs; fold the second half into an abs and
     # chunk the matmul so large point sets stay memory-bounded
     half = scaled[: scaled.shape[0] // 2]
@@ -280,29 +298,192 @@ def _sampled_gauge(s, pts):
     return out
 
 
-# -- 2x2 symmetric eigen helpers ---------------------------------------------
-
-def _det2(q):
-    return q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
-
-
-def _eig2(q):
-    tr = q[0, 0] + q[1, 1]
-    gap = math.hypot(q[0, 0] - q[1, 1], 2.0 * q[0, 1])
-    return 0.5 * (tr - gap), 0.5 * (tr + gap)
+def _degenerate_rows(values):
+    vmax = values.max(axis=-1, initial=0.0)
+    return ~((vmax > 0) & (values.min(axis=-1) >= DEGEN_TOL * vmax))
 
 
-def _eig2_min(q):
-    return _eig2(q)[0]
+def _polygons(values):
+    """Vertices (..., 2m, 2) and edge rows c_i (..., 2m, 2) of the unit balls
+    {x : |c_i . x| <= 1} of non-degenerate gauge rows values (..., m)."""
+    dirs = half_circle_directions(values.shape[-1])
+    half = dirs * (1.0 / values)[..., None]
+    verts = np.concatenate([half, -half], axis=-2)
+    edges = np.roll(verts, -1, axis=-2) - verts
+    normals = np.stack([edges[..., 1], -edges[..., 0]], axis=-1)
+    norm = np.linalg.norm(normals, axis=-1)
+    if np.any(norm <= 0):
+        raise DegenerateSemiNorm("repeated vertices in sampled unit ball")
+    normals /= norm[..., None]
+    offsets = np.sum(normals * verts, axis=-1)
+    if np.any(offsets <= 0):
+        raise ValueError("sampled gauge is not convex (non-star polygon)")
+    return verts, normals / offsets[..., None]
 
 
-def _eig2_max(q):
-    return _eig2(q)[1]
+def ball_jacobians(values):
+    """pi / unit-ball area (2m triangles, vertex radii 1/values) per row; 0 if degenerate."""
+    with np.errstate(divide="ignore"):
+        r = 1.0 / values
+        area = math.sin(math.pi / values.shape[-1]) * np.sum(r * np.roll(r, -1, axis=-1), axis=-1)
+        return np.where(_degenerate_rows(values), 0.0, np.pi / area)
 
 
-def _principal_angle(q):
-    """Angle of the eigenvector for the largest eigenvalue of symmetric q."""
-    return 0.5 * math.atan2(2.0 * q[0, 1], q[0, 0] - q[1, 1])
+# -- inscribed ellipses of sampled unit balls ---------------------------------------
+
+def inscribed_ellipses(values):
+    """Packed M (R, 3) of the maximal ellipses {v.Mv <= 1} inscribed in the unit
+    balls {|c_i . x| <= 1} of gauge rows values (R, m); M = 0 for degenerate rows.
+
+    P = M^-1 maximizes log det P subject to c_i.P c_i <= 1 (Boyd & Vandenberghe,
+    Convex Optimization, 8.4.2): a log barrier with line-searched Newton steps and
+    an exact KKT polish on two or three tight edges at each gap of _STAGE_GAPS.
+    Each row is certified (max_i c_i.P c_i <= 1 + FEAS_TOL; multipliers >= 0, log-det
+    duality gap <= GAP_TOL; else EllipseNotCertified), independently of its batch."""
+    values = np.asarray(values, dtype=float)
+    out = np.zeros(values.shape[:-1] + (3,))
+    rows = np.nonzero(~_degenerate_rows(values))[0]
+    for k in range(0, rows.size, _CHUNK):
+        out[rows[k : k + _CHUNK]] = _inv2(_solve_rows(values[rows[k : k + _CHUNK]]))
+    return out
+
+
+def _outer(c):
+    """Packed c c^T of vectors c (..., 2)."""
+    return np.stack([c[..., 0] ** 2, c[..., 0] * c[..., 1], c[..., 1] ** 2], axis=-1)
+
+
+def _loads(a, p):
+    """c_i.P c_i for constraints a (R, 3, m) and packed P (R, ..., 3)."""
+    return np.einsum("rkm,r...k->r...m", a, p)
+
+
+def _solve3(a, b):
+    """Solutions of the 3x3 systems a x = b by Cramer's rule (nan if singular)."""
+    c0, c1, c2 = (np.cross(a[..., i, :], a[..., j, :]) for i, j in ((1, 2), (2, 0), (0, 1)))
+    det = np.sum(a[..., 0, :] * c0, axis=-1)
+    return (b[..., 0, None] * c0 + b[..., 1, None] * c1 + b[..., 2, None] * c2) / det[..., None]
+
+
+def _solve_rows(values):
+    """Certified packed P of the inscribed ellipses of non-degenerate rows."""
+    R, m = values.shape
+    verts, c = (x[:, :m] for x in _polygons(values))      # one edge per antipodal pair
+    prev = np.concatenate([-c[:, -1:], c[:, :-1]], axis=1)   # collinear edges repeat
+    distinct = np.abs(c - prev).max(axis=-1) > _DUP_TOL * np.abs(c).max(axis=-1)
+    # solve for P' = L^-1 P L^-T, with L L^T the vertex scatter: the ball is
+    # about round for P', and containment, multipliers and gap are unchanged
+    vx, vy = verts[..., 0], verts[..., 1]
+    l11 = np.sqrt(np.sum(vx * vx, axis=-1, keepdims=True))
+    l21 = np.sum(vx * vy, axis=-1, keepdims=True) / l11
+    l22 = np.sqrt(np.sum(vy * vy, axis=-1, keepdims=True) - l21**2)
+    c = np.stack([l11 * c[..., 0] + l21 * c[..., 1], l22 * c[..., 1]], axis=-1)
+    a = np.moveaxis(_outer(c) * [1.0, 2.0, 1.0], -1, 1)    # c.P c = a.(p11, p12, p22)
+    p = np.outer(0.5 / a[:, [0, 2]].sum(axis=1).max(axis=-1), [1.0, 0.0, 1.0])  # a disc
+    t = np.maximum(1.0, 0.5 * np.sum(1.0 / (1.0 - _loads(a, p)) - 1.0, axis=-1))  # ~centred
+
+    pbest, lam, todo = np.empty((R, 3)), np.empty((R, m)), np.arange(R)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for gap in _STAGE_GAPS:
+            # the last stage's point stands where no polish succeeds: centre it well
+            final = gap == _STAGE_GAPS[-1]
+            p, t = _barrier(a[todo], p, t, gap, _CONVERGED if final else _CENTRED)
+            pp, ll, ok = _polish(c[todo], a[todo], p, distinct[todo])
+            if final:
+                pp[~ok] = p[~ok]
+                ll[~ok] = 1.0 / (t[~ok, None] * (1.0 - _loads(a[todo[~ok]], p[~ok])))
+                ok[:] = True
+            pbest[todo[ok]], lam[todo[ok]] = pp[ok], ll[ok]
+            todo, p, t = todo[~ok], p[~ok], t[~ok]
+            if not todo.size:
+                break
+        worst = _loads(a, pbest).max(axis=-1)
+        w = np.sum(lam[:, None, :] * np.moveaxis(_outer(c), -1, 1), axis=-1)
+        dual_gap = np.sum(lam, axis=-1) - 2.0 - np.log(packed_det(w) * packed_det(pbest))
+    bad = ~((worst <= 1.0 + FEAS_TOL) & (dual_gap <= GAP_TOL) & np.all(lam >= 0, axis=-1))
+    if np.any(bad):
+        raise EllipseNotCertified(f"inscribed-ellipse certificate failed on {int(bad.sum())} of "
+                                  f"{R} rows (load {worst[bad][0]}, gap {dual_gap[bad][0]})")
+    p0, p1, p2 = np.split(pbest, 3, axis=-1)
+    return np.concatenate([l11**2 * p0, l11 * (l21 * p0 + l22 * p1),
+                           l21**2 * p0 + 2 * l21 * l22 * p1 + l22**2 * p2], axis=-1)
+
+
+def _barrier(a, p, t, gap, converged):
+    """Path-follow t*(-log det P) - sum log(1 - a.p) per row until m/t <= gap and half
+    the squared Newton decrement is <= converged.  Rows leave as they finish; after
+    _MAX_NEWTON steps (rounding can stall Newton at large t) the rest leave as they are."""
+    m = a.shape[-1]
+    idx, sa, sp, st = np.arange(len(p)), a, p, t
+    for _ in range(_MAX_NEWTON):
+        if not idx.size:
+            break
+        sp, dec = _newton(sa, sp, st)
+        reached = m / st <= gap
+        st = np.where(~reached & (dec <= _CENTRED), np.minimum(st * _T_FACTOR, 2 * m / gap), st)
+        keep = ~(reached & (dec <= converged))
+        p[idx[~keep]], t[idx[~keep]] = sp[~keep], st[~keep]
+        idx, sa, sp, st = idx[keep], sa[keep], sp[keep], st[keep]
+    p[idx], t[idx] = sp, st
+    return p, t
+
+
+def _newton(a, p, t):
+    """One line-searched Newton step per row; new points, half squared decrements."""
+    s = 1.0 - _loads(a, p)
+    aw = a / s[:, None, :]
+    u = _inv2(p)
+    u11, u12, u22 = u[:, 0], u[:, 1], u[:, 2]
+    g = np.sum(aw, axis=-1) - t[:, None] * u * [1.0, 2.0, 1.0]
+    # Hessian of -log det P in (p11, p12, p22): tr(U dP U dP) with U = P^-1
+    hl = np.stack([u11 * u11, 2.0 * u11 * u12, u12 * u12, 2.0 * (u12 * u12 + u11 * u22),
+                   2.0 * u12 * u22, u22 * u22], axis=-1)
+    h = aw @ np.swapaxes(aw, 1, 2) + t[:, None, None] * hl[:, _SYM]
+    d = -np.linalg.solve(h, g[..., None])[..., 0]
+    dec = -np.sum(g * d, axis=-1)
+    # first trial step with sufficient decrease, else the (self-concordant) damped step
+    trial = p[:, None, :] + _STEPS[:, None] * d[:, None, :]
+    st, dt = 1.0 - _loads(a, trial), packed_det(trial)
+    f0 = -t * np.log(packed_det(p)) - np.sum(np.log(s), axis=-1)
+    ft = -t[:, None] * np.log(dt) - np.sum(np.log(st), axis=-1)
+    good = ((dt > 0) & (trial[..., 0] > 0) & np.all(st > 0, axis=-1)      # P stays definite
+            & (ft <= f0[:, None] - 0.25 * _STEPS * dec[:, None]))
+    step = np.where(np.any(good, axis=-1), _STEPS[np.argmax(good, axis=-1)],
+                    1.0 / (1.0 + np.sqrt(dec)))
+    return p + step[:, None] * d, 0.5 * dec
+
+
+def _polish(c, a, p, distinct):
+    """Exact KKT points P^-1 = sum lam_l c_l c_l^T, the l tight, on pairs and triples of
+    the _TIGHTEST distinct constraints and the _MINIMA next local minima of the slack.
+    Those with lam >= 0 and feasible up to _POLISH_TOL are scaled into the ball and
+    the largest wins; returns (P, multipliers, found) per row."""
+    R, m = distinct.shape
+    s = 1.0 - _loads(a, p)
+    tight = np.argsort(np.where(distinct, s, np.inf), axis=-1, kind="stable")[:, :_TIGHTEST]
+    # cyclic neighbours; repeats of a constraint tie up to rounding
+    minimum = (distinct & (s <= np.roll(s, 1, axis=-1) + _DUP_TOL)
+               & (s <= np.roll(s, -1, axis=-1) + _DUP_TOL))
+    np.put_along_axis(minimum, tight, False, -1)
+    minima = np.argsort(np.where(minimum, s, np.inf), axis=-1, kind="stable")[:, :_MINIMA]
+    slots = np.concatenate([tight, minima], axis=-1)
+    cs = np.take_along_axis(c, slots[..., None], 1)
+
+    pairs, triples = _SETS
+    ct = cs[:, triples]                                   # (R, T, 3, 2)
+    ptri = _solve3(_outer(ct) * [1.0, 2.0, 1.0], np.ones(ct.shape[:-1]))
+    pc = np.concatenate([_inv2(_outer(cs[:, pairs[:, 0]]) + _outer(cs[:, pairs[:, 1]])),
+                         ptri], axis=1)
+    lc = np.zeros((R, len(pairs) + len(triples), slots.shape[1]))
+    lc[:, np.arange(len(pairs))[:, None], pairs] = 1.0
+    lc[:, len(pairs) + np.arange(len(triples))[:, None], triples] = _solve3(
+        np.swapaxes(_outer(ct), -1, -2), _inv2(ptri))
+    worst, det = _loads(a, pc).max(axis=-1), packed_det(pc)
+    valid = (worst <= 1.0 + _POLISH_TOL) & (det > 0) & np.all(lc >= 0, axis=-1)
+    best = np.argmax(np.where(valid, det / np.maximum(worst, 1.0) ** 2, -np.inf), axis=-1)
+    rows, lam = np.arange(R), np.zeros((R, m))
+    np.add.at(lam, (rows[:, None], slots), lc[rows, best])    # slots may repeat
+    return pc[rows, best] / np.maximum(worst[rows, best], 1.0)[:, None], lam, valid[rows, best]
 
 
 # -- operations ---------------------------------------------------------------
@@ -310,163 +491,32 @@ def _principal_angle(q):
 def energy_plus(s):
     """max of s(v)^2 over Euclidean unit vectors."""
     if s.kind == "quadratic":
-        return max(_eig2_max(s.matrix), 0.0)
+        return max(float(packed_eig(_pack(s.matrix))[1]), 0.0)
     return float(np.max(s.values) ** 2)
 
 
-def john_ellipse(s, feas_tol=FEAS_TOL):
-    """Maximal-area centered ellipse inscribed in the unit ball of s.
+def _ellipse_matrix(s):
+    """Packed M of the inscribed ellipse {v.Mv <= 1} of a non-degenerate s."""
+    if s.kind == "quadratic":
+        return _pack(s.matrix)
+    return inscribed_ellipses(s.values[None])[0]
 
-    Quadratic: the unit ball is itself an ellipse, returned exactly.
-    Sampled: 3-parameter maximization of the axis product over a coarse
-    angle grid with golden-section refinement; for a fixed angle the
-    problem is linear in the squared axes and is solved exactly by
-    enumerating constraint vertices and tangency points.  The result is
-    certified by sweeping boundary points against the gauge.
-    """
+
+def john_ellipse(s):
+    """Maximal-area centered ellipse inscribed in the unit ball of s: the ball
+    itself for quadratic s, a one-row inscribed_ellipses call for sampled s."""
     if s.degenerate:
         raise DegenerateSemiNorm("no inscribed ellipse: semi-norm is degenerate")
-    if "john" in s._cache:
-        return s._cache["john"]
-    if s.kind == "quadratic":
-        lmin, lmax = _eig2(s.matrix)
-        a = 1.0 / math.sqrt(lmin)
-        b = 1.0 / math.sqrt(lmax)
-        theta = _principal_angle(s.matrix) + 0.5 * math.pi
-        ell = Ellipse2(a=a, b=b, theta=theta % math.pi)
-    else:
-        ell = _john_sampled(s)
-        worst = float(np.max(s(ell.boundary())))
-        if worst > 1.0 + feas_tol:
-            raise RuntimeError(f"inscribed-ellipse certificate failed: gauge {worst}")
-    s._cache["john"] = ell
-    return ell
-
-
-def _john_inner(normals, offsets, theta):
-    """Exact max of A*B s.t. the axis-aligned-in-theta ellipse fits the polygon.
-
-    Constraint per edge (n, c): A*(n.e)^2 + B*(n.e_perp)^2 <= c^2 where
-    e = (cos theta, sin theta), i.e. A p_i + B q_i <= 1 after normalizing.
-    The optimum is a tangency point on one constraint or a vertex of two;
-    only constraints on the convex hull of the dual points (p_i, q_i) can
-    be active (the rest are convex combinations), which keeps the candidate
-    set linear in the edge count.  Returns (A, B, value).
-    """
-    c, sn = math.cos(theta), math.sin(theta)
-    half = normals.shape[0] // 2       # antipodal edges repeat the constraint
-    nh = normals[:half]
-    al = nh[:, 0] * c + nh[:, 1] * sn
-    be = -nh[:, 0] * sn + nh[:, 1] * c
-    g2 = offsets[:half] ** 2
-    p = al**2 / g2
-    q = be**2 / g2
-
-    from scipy.spatial import ConvexHull
-
-    duals = np.column_stack([p, q])
-    try:
-        hull = ConvexHull(np.vstack([[0.0, 0.0], duals]))
-        on_hull = hull.vertices[hull.vertices != 0] - 1
-    except Exception:
-        on_hull = np.arange(len(p))
-    # order along the chain so consecutive entries share a facet
-    on_hull = on_hull[np.argsort(np.arctan2(q[on_hull], p[on_hull]))]
-
-    cand_a = []
-    cand_b = []
-    good = (p[on_hull] > 1e-14) & (q[on_hull] > 1e-14)
-    cand_a.append(1.0 / (2 * p[on_hull][good]))
-    cand_b.append(1.0 / (2 * q[on_hull][good]))
-    i, j = on_hull[:-1], on_hull[1:]
-    det = p[i] * q[j] - p[j] * q[i]
-    ok = np.abs(det) > 1e-14
-    i, j, det = i[ok], j[ok], det[ok]
-    av = (q[j] - q[i]) / det
-    bv = (p[i] - p[j]) / det
-    pos = (av > 0) & (bv > 0)
-    cand_a.append(av[pos])
-    cand_b.append(bv[pos])
-
-    A = np.concatenate(cand_a)
-    B = np.concatenate(cand_b)
-    if A.size == 0:
-        return 0.0, 0.0, 0.0
-    # project each candidate onto the feasible boundary: dividing (A, B) by
-    # the worst constraint load keeps exact candidates exact and makes
-    # near-miss candidates feasible instead of discarding them
-    load = np.max(A[:, None] * p[None, :] + B[:, None] * q[None, :], axis=1)
-    ok = load > 0
-    if not np.any(ok):
-        return 0.0, 0.0, 0.0
-    val = np.where(ok, A * B / np.where(ok, load, 1.0) ** 2, -np.inf)
-    kbest = int(np.argmax(val))
-    return (float(A[kbest] / load[kbest]), float(B[kbest] / load[kbest]),
-            float(val[kbest]))
-
-
-def _golden_max(fn, lo, hi, iters=48):
-    phi = (math.sqrt(5) - 1) / 2
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = fn(x1)
-    mid = 0.5 * (lo + hi)
-    return mid, fn(mid)
-
-
-def _john_sampled(s):
-    _, normals, offsets, _ = s._polygon()
-    objective = lambda t: _john_inner(normals, offsets, t)[2]
-    # the parametrization is pi/2-periodic in theta once (A, B) may swap
-    step = math.pi / 24
-    grid = list(np.arange(0.0, math.pi / 2 + 1e-12, step))
-    # warm start: the principal angle of a least-squares quadratic surrogate
-    # (exact when the polygon samples an ellipse, where the basin is narrow)
-    dirs = half_circle_directions(s.m)
-    design = np.column_stack([dirs[:, 0] ** 2, 2 * dirs[:, 0] * dirs[:, 1],
-                              dirs[:, 1] ** 2])
-    coef, *_ = np.linalg.lstsq(design, s.values**2, rcond=None)
-    qfit = np.array([[coef[0], coef[1]], [coef[1], coef[2]]])
-    grid.append((_principal_angle(qfit) + 0.5 * math.pi) % (0.5 * math.pi))
-    vals = [objective(t) for t in grid]
-    kbest = int(np.argmax(vals))
-    # refine the best bracket, plus the warm-start one when it is distinct
-    # (narrow basins near a sampled ellipse live at the fitted angle)
-    brackets = {kbest}
-    if abs(grid[-1] - grid[kbest]) > step:
-        brackets.add(len(grid) - 1)
-    best = (-1.0, 0.0)
-    for k in sorted(brackets):
-        t_star, v_star = _golden_max(objective, grid[k] - step, grid[k] + step,
-                                     iters=30)
-        if v_star > best[0]:
-            best = (v_star, t_star)
-    theta = best[1]
-    aa, bb, _ = _john_inner(normals, offsets, theta)
-    a, b = math.sqrt(aa), math.sqrt(bb)
-    if a < b:
-        a, b = b, a
-        theta += 0.5 * math.pi
-    return Ellipse2(a=a, b=b, theta=theta % math.pi)
+    lmin, lmax, phi = packed_eig(_ellipse_matrix(s))
+    return Ellipse2(a=1.0 / math.sqrt(lmin), b=1.0 / math.sqrt(lmax),
+                    theta=float(phi) + 0.5 * math.pi)
 
 
 def jacobian_intrinsic(s):
     """pi / (area of the inscribed ellipse); 0 for degenerate semi-norms."""
     if s.degenerate:
         return 0.0
-    if s.kind == "quadratic":
-        return math.sqrt(max(_det2(s.matrix), 0.0))
-    e = john_ellipse(s)
-    return math.pi / e.area
+    return math.sqrt(max(float(packed_det(_ellipse_matrix(s))), 0.0))
 
 
 def jacobian_hausdorff(s):
@@ -492,14 +542,7 @@ def regularize(s, delta):
 
 def beltrami_of(s):
     """Beltrami coefficient of an orientation-preserving linear map sending
-    the inscribed ellipse of s to a round ball.
-
-    The coefficient does not depend on which such map is chosen.  The phase
-    convention locked here comes from T = diag(1/a, 1/b) . R_{-theta}, which
-    gives mu = -(a - b)/(a + b) * exp(2 i theta).
-    """
+    the inscribed ellipse of s to a round ball (see ellipse_beltrami)."""
     if s.degenerate:
         raise DegenerateSemiNorm("Beltrami coefficient needs a non-degenerate norm")
-    e = john_ellipse(s)
-    k = (e.a - e.b) / (e.a + e.b)
-    return -k * complex(math.cos(2 * e.theta), math.sin(2 * e.theta))
+    return complex(ellipse_beltrami(_ellipse_matrix(s)))

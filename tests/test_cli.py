@@ -147,6 +147,20 @@ class TestNumericalExit:
         assert code == 3
         assert "CoefficientTooLarge" in err
 
+    def test_failed_ellipse_certificate_exits_3(self, fixtures, capsys, tmp_path,
+                                                monkeypatch):
+        from qcreparam import seminorm
+        from qcreparam.errors import EllipseNotCertified, QcreparamError
+
+        assert issubclass(EllipseNotCertified, QcreparamError)
+        monkeypatch.setattr(seminorm, "GAP_TOL", -1.0)
+        with pytest.raises(EllipseNotCertified):
+            seminorm.inscribed_ellipses(np.ones((1, 16)))
+        code, _, err = run(["reparam", "--input", str(fixtures / "li.map"),
+                            "--epsilon", "0.6283", "--outdir", str(tmp_path)], capsys)
+        assert code == 3
+        assert "EllipseNotCertified" in err
+
     def test_solve_csv_grids(self, fixtures, capsys, tmp_path):
         out_dir = tmp_path / "grids"
         code, _, _ = run(["solve", "--input", str(fixtures / "mu.bin"),

@@ -188,6 +188,30 @@ class TestFieldInvariants:
             row = row[row > 0]
             assert row.max() <= np.sqrt(2) * row.min() + 1e-9
 
+    def test_unique_rows_exact(self):
+        grid = qc.DiscGrid(32)
+        samp = np.zeros((32, 32, 64))
+        samp[grid.interior_mask] = np.abs(half_circle_directions(64)).max(axis=1)
+        i, j = np.argwhere(grid.interior_mask)[0]
+        samp[i, j, 5] += 1e-13
+        f = qc.DerivativeField(grid=grid, kind="sampled", samp=samp)
+        uniq, inv = f.unique_rows()
+        assert len(uniq) == 2
+        assert inv[i, j] != inv[16, 16]
+
+    def test_one_ellipse_solve_per_delta(self, monkeypatch):
+        from qcreparam import seminorm as sn
+
+        calls = []
+        solve = sn.inscribed_ellipses
+        monkeypatch.setattr(sn, "inscribed_ellipses",
+                            lambda rows: calls.append(len(rows)) or solve(rows))
+        f = qc.estimate_field(identity_map(48, qc.TargetSpace.linf()))
+        for delta in (0.5, 0.25, 0.5):
+            f.jacobian_intrinsic_density(delta)
+            f.beltrami_density(delta)
+        assert len(calls) == 2
+
     def test_area_comparison_two_sided(self):
         for target in (qc.TargetSpace.linf(), qc.TargetSpace.l1()):
             f = qc.estimate_field(identity_map(96, target))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcreparam as qc
+from qcreparam import seminorm as sn
 from qcreparam.errors import DegenerateSemiNorm, InputFormatError
 from qcreparam.seminorm import half_circle_directions
 
@@ -44,11 +45,11 @@ class TestJohnEllipse:
 
     def test_linf_gives_unit_disc(self):
         e = qc.john_ellipse(LINF)
-        assert (e.a, e.b) == pytest.approx((1.0, 1.0), abs=1e-9)
+        assert (e.a, e.b) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_l1_gives_disc_radius_inv_sqrt2(self):
         e = qc.john_ellipse(L1)
-        assert (e.a, e.b) == pytest.approx((2**-0.5, 2**-0.5), abs=1e-9)
+        assert (e.a, e.b) == pytest.approx((2**-0.5, 2**-0.5), abs=1e-12)
 
     def test_degenerate_raises(self):
         s = qc.SemiNorm2.quadratic(np.diag([1.0, 0.0]))
@@ -60,6 +61,50 @@ class TestJohnEllipse:
             s = rand_sampled_norm(rng)
             e = qc.john_ellipse(s)
             assert np.max(s(e.boundary())) <= 1.0 + 1e-6
+
+
+def edge_constraints(values):
+    """Rows c with unit ball {|c . x| <= 1}, from the polygon's vertices."""
+    dirs = half_circle_directions(len(values))
+    verts = np.vstack([dirs / values[:, None], -dirs / values[:, None]])
+    edges = np.roll(verts, -1, axis=0) - verts
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+    return normals / np.sum(normals * verts, axis=1)[:, None]
+
+
+class TestInscribedEllipses:
+    def test_row_independent_of_batch(self, rng):
+        rows = [LINF.values, L1.values, np.sqrt(LINF.values**2 + 0.25), np.zeros(64)]
+        rows += [rand_sampled_norm(rng).values for _ in range(6)]
+        rows += [np.sqrt(r**2 + 2.0**-4) for r in rows[4:]]
+        batch = np.array(rows)
+        together = sn.inscribed_ellipses(batch)
+        for k, row in enumerate(batch):
+            assert np.array_equal(sn.inscribed_ellipses(row[None])[0], together[k])
+        perm = rng.permutation(len(batch))
+        assert np.array_equal(sn.inscribed_ellipses(batch[perm]), together[perm])
+        assert np.all(together[3] == 0.0)             # degenerate row: unbounded ball
+
+    @pytest.mark.parametrize("m", [8, 16, 64])
+    @pytest.mark.parametrize("delta", [0.0, 2.0**-1, 2.0**-4])
+    def test_exact_containment_and_kkt(self, m, delta):
+        from scipy.optimize import nnls
+
+        r = np.random.default_rng(900 + m)
+        for _ in range(12):
+            values = rand_sampled_norm(r, m=m).values
+            if delta:
+                values = np.sqrt(values**2 + delta**2)
+            mat = sn.inscribed_ellipses(values[None])[0]
+            m2 = np.array([[mat[0], mat[1]], [mat[1], mat[2]]])
+            c = edge_constraints(values)
+            loads = np.einsum("ki,ij,kj->k", c, np.linalg.inv(m2), c)
+            assert loads.max() <= 1.0 + 1e-12
+            # KKT: M = sum lam_i c_i c_i^T with lam >= 0 on tight constraints
+            act = c[loads >= 1.0 - 1e-7]
+            outer = np.stack([act[:, 0] ** 2, act[:, 0] * act[:, 1], act[:, 1] ** 2])
+            _, resid = nnls(outer, mat)
+            assert resid <= 1e-6 * np.linalg.norm(mat)
 
 
 class TestJacobians:
