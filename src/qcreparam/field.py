@@ -349,10 +349,14 @@ class DerivativeField:
         return sn.ellipse_beltrami(self.ellipse_field(delta))
 
     def unique_rows(self):
-        """Distinct packed rows (exact comparison), per-cell inverse index."""
+        """Distinct packed rows and the per-cell inverse index.
+
+        Rows are compared bytewise after -0.0 is turned into 0.0 (see
+        `distinct_rows`); the order of the distinct rows is unspecified, so
+        consumers work per row."""
         if "unique" not in self._cache:
             p = self.packed_extended()
-            uniq, inv = np.unique(p.reshape(-1, p.shape[-1]), axis=0, return_inverse=True)
+            uniq, inv = distinct_rows(p.reshape(-1, p.shape[-1]))
             self._cache["unique"] = (uniq, inv.reshape(p.shape[:2]))
         return self._cache["unique"]
 
@@ -447,7 +451,7 @@ def estimate_field(u):
         sym = 0.5 * (g[:, :m] + g[:, m:])
         samp = np.zeros((grid.n, grid.n, m))
         flat = np.round(sym, 12)
-        uniq, inv = np.unique(flat, axis=0, return_inverse=True)
+        uniq, inv = distinct_rows(flat)
         fixed = np.stack([_convexify_gauge(row) for row in uniq])
         samp[ii, jj] = fixed[inv]
         return DerivativeField(grid=grid, kind="sampled", samp=samp)
@@ -459,6 +463,20 @@ def estimate_field(u):
     quad = np.zeros((grid.n, grid.n, 3))
     quad[ii, jj] = coef
     return DerivativeField(grid=grid, kind="quadratic", quad=quad)
+
+
+def distinct_rows(rows):
+    """Distinct rows of a 2-D float array and the inverse index: uniq[inv] == rows.
+
+    Rows are equal when their bytes are, after -0.0 is turned into 0.0, so for
+    finite rows this is the exact equality of np.unique(rows, axis=0); each row
+    is one void item, so a 1-D sort replaces the field-by-field structured
+    sort.  The order of the distinct rows is unspecified.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float) + 0.0
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], inv
 
 
 def _fit_quadratic(dirs, g):
@@ -547,14 +565,23 @@ def composed_energy(field_, phi):
         dens = np.maximum(sn.packed_eig(np.stack([r11, r12, r22], axis=-1))[1], 0.0)
         return float(np.sum(dens) * cell_area)
     uniq, inv = field_.unique_rows()
-    ids = inv[idx_i, idx_j]
+    dens = _composed_sampled_density(uniq, inv[idx_i, idx_j], df)
+    return float(np.sum(dens) * cell_area)
+
+
+def _composed_sampled_density(uniq, ids, df):
+    """I_+^2(s_ids[k] . df[k]) per node k for the sampled rows uniq.
+
+    One gauge call per distinct id: a stable argsort groups the nodes of each
+    id into one run, in node order."""
     m = uniq.shape[-1]
     dirs = half_circle_directions(m)
+    order = np.argsort(ids, kind="stable")
+    starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
     dens = np.empty(len(ids))
-    for r in np.unique(ids):
-        s = SemiNorm2.sampled(np.maximum(uniq[r], 0.0))
-        sel = ids == r
+    for sel in np.split(order, starts)[1:]:        # [0] is the empty head
+        s = SemiNorm2.sampled(np.maximum(uniq[ids[sel[0]]], 0.0))
         mapped = np.einsum("kab,mb->kma", df[sel], dirs)
         vals = s(mapped.reshape(-1, 2)).reshape(-1, m)
         dens[sel] = np.max(vals, axis=1) ** 2
-    return float(np.sum(dens) * cell_area)
+    return dens

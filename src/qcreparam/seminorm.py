@@ -287,14 +287,19 @@ def _sampled_gauge(s, pts):
         ray = (1 - t) * s.values[i0] + t * s.values[i1]
         return ray * np.linalg.norm(pts, axis=1)
     scaled = s._polygon()[1]
-    # edges come in antipodal pairs; fold the second half into an abs and
-    # chunk the matmul so large point sets stay memory-bounded
+    # edges come in antipodal pairs, so the gauge is max_i |c_i . p| over the
+    # first half: max(max, -min) over the rows of the (m, N) block gives the
+    # same floats as max(abs) with one temporary instead of two, and + 0.0
+    # keeps the zero vector at +0.0.  The matmul is chunked so large point
+    # sets stay memory-bounded.
     half = scaled[: scaled.shape[0] // 2]
     out = np.empty(pts.shape[0])
     step = 1 << 17
     for k in range(0, pts.shape[0], step):
-        blk = pts[k : k + step]
-        np.max(np.abs(blk @ half.T), axis=1, out=out[k : k + step])
+        blk = half @ pts[k : k + step].T
+        chunk = out[k : k + step]
+        np.maximum(blk.max(axis=0), -blk.min(axis=0), out=chunk)
+        chunk += 0.0
     return out
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qcreparam as qc
+from qcreparam import field as fd
 from qcreparam.errors import InputFormatError, StencilOutOfDomain
 from qcreparam.seminorm import half_circle_directions
 
@@ -198,6 +199,23 @@ class TestFieldInvariants:
         uniq, inv = f.unique_rows()
         assert len(uniq) == 2
         assert inv[i, j] != inv[16, 16]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_distinct_rows_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(20, 6))
+        base[1] = np.nextafter(base[0], np.inf)        # 1 ulp apart
+        base[2, 3] = 0.0
+        base[3] = base[2]
+        base[3, 3] = -0.0                              # equal to row 2 as values
+        a = base[rng.integers(0, len(base), size=200)]
+        uniq, inv = fd.distinct_rows(a)
+        assert np.array_equal(uniq[inv], a)
+        assert np.array_equal(uniq[inv].view(np.uint64), (a + 0.0).view(np.uint64))
+        assert not np.any(np.signbit(uniq[uniq == 0.0]))
+        same = np.all(uniq[:, None, :] == uniq[None, :, :], axis=-1)
+        assert np.array_equal(same, np.eye(len(uniq), dtype=bool))
+        assert len(uniq) == len(np.unique(a, axis=0))
 
     def test_one_ellipse_solve_per_delta(self, monkeypatch):
         from qcreparam import seminorm as sn

@@ -357,3 +357,59 @@ class TestPipelineEdges:
         assert rep.energy_after <= rep.area_before + 0.2 * np.pi + rep.quad_budget
         assert rep.k == pytest.approx(1 / 3, abs=0.01)
         assert qc.audit_cases(rep, phi, np.random.default_rng(5), num=48) == 48
+
+
+class TestSampledLayerDifferential:
+    """The sampled field layer against the plain numpy forms it replaced:
+    np.unique(axis=0) row dedup, max(abs(pts @ half.T)) gauge and a per-id
+    mask loop in composed_energy.  Reports must agree byte for byte."""
+
+    @staticmethod
+    def _patch_reference(monkeypatch, calls):
+        from qcreparam import field as fd
+        from qcreparam import seminorm as sn
+
+        gauge = sn._sampled_gauge
+
+        def unique_rows(rows):
+            calls.add("dedup")
+            return np.unique(rows, axis=0, return_inverse=True)
+
+        def sampled_gauge(s, pts):
+            calls.add("gauge")
+            if s.degenerate:
+                return gauge(s, pts)
+            half = s._polygon()[1][: s.m]
+            return np.max(np.abs(pts @ half.T), axis=1)
+
+        def composed_density(uniq, ids, df):
+            calls.add("composed")
+            m = uniq.shape[-1]
+            dirs = sn.half_circle_directions(m)
+            dens = np.empty(len(ids))
+            for r in np.unique(ids):
+                s = qc.SemiNorm2.sampled(np.maximum(uniq[r], 0.0))
+                sel = ids == r
+                mapped = np.einsum("kab,mb->kma", df[sel], dirs)
+                dens[sel] = np.max(s(mapped.reshape(-1, 2)).reshape(-1, m), axis=1) ** 2
+            return dens
+
+        monkeypatch.setattr(fd, "distinct_rows", unique_rows)
+        monkeypatch.setattr(sn, "_sampled_gauge", sampled_gauge)
+        monkeypatch.setattr(fd, "_composed_sampled_density", composed_density)
+
+    @pytest.mark.parametrize("name", ["shared", "bump"])
+    def test_report_bytes_match_reference(self, monkeypatch, name):
+        def bump(x, y):
+            w = np.exp(-((x - 0.1) ** 2 + y**2) / 0.08)
+            return np.stack([x + 0.15 * w * y, y + 0.1 * w * x])
+
+        fn = {"shared": lambda x, y: np.stack([-y, 2.0 * x]), "bump": bump}[name]
+        u = make_map(32, fn, qc.TargetSpace.linf())
+        fast = qc.epsilon_conformal(u, 0.2 * np.pi)[2].render()
+        calls = set()
+        with monkeypatch.context() as mp:
+            self._patch_reference(mp, calls)
+            ref = qc.epsilon_conformal(u, 0.2 * np.pi)[2].render()
+        assert calls == {"dedup", "gauge", "composed"}
+        assert fast == ref

@@ -23,6 +23,19 @@ L1 = qc.SemiNorm2.sampled(np.abs(D64).sum(axis=1))
 DIAG41 = qc.SemiNorm2.quadratic(np.diag([4.0, 1.0]))
 
 
+class TestSampledGauge:
+    @pytest.mark.parametrize("count", [5, (1 << 17) - 1, 1 << 17, (1 << 17) + 3])
+    def test_matches_abs_max_reference(self, rng, count):
+        # bit for bit against max_i |c_i . p| over the first half of the
+        # polygon's antipodal edge rows, zero vectors of both signs included
+        for s in (LINF, L1, rand_sampled_norm(rng)):
+            half = s._polygon()[1][: s.m]
+            pts = rng.normal(size=(count, 2))
+            pts[:3] = [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]]
+            ref = np.max(np.abs(pts @ half.T), axis=1)
+            assert np.array_equal(s(pts).view(np.uint64), ref.view(np.uint64))
+
+
 class TestEnergy:
     def test_quadratic_largest_eigenvalue(self):
         assert qc.energy_plus(DIAG41) == pytest.approx(4.0, abs=1e-12)
