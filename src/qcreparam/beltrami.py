@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import lattice
 from .errors import (
     CoefficientTooLarge,
     DegenerateDerivative,
@@ -32,11 +33,9 @@ from .errors import (
     NewtonDiverged,
     NoConvergence,
     OrientationViolation,
-    PointOutsideImage,
     SupportTooClose,
 )
 
-SOLVER_BOX = 2.0
 MAX_ITER = 200
 ITER_TOL = 1e-12
 RES_TOL = 1e-3
@@ -142,7 +141,7 @@ class ComplexField:
 
     @property
     def coords(self):
-        return -self.S + (np.arange(self.n) + 0.5) * self.spacing
+        return lattice.centers(-self.S, self.spacing, self.n)
 
     def meshes(self):
         return np.meshgrid(self.coords, self.coords, indexing="ij")
@@ -157,13 +156,6 @@ class ComplexField:
 
     def sup_norm(self):
         return float(np.abs(self.values).max(initial=0.0))
-
-    def sample_at(self, pts):
-        """Nearest-node values at points (K, 2) inside the box."""
-        pts = np.atleast_2d(pts)
-        i = np.clip(np.round((pts[:, 0] + self.S) / self.spacing - 0.5).astype(int), 0, self.n - 1)
-        j = np.clip(np.round((pts[:, 1] + self.S) / self.spacing - 0.5).astype(int), 0, self.n - 1)
-        return self.values[i, j]
 
     def save(self, path):
         """Binary layout: float64 S, int64 n, row-major complex128 values."""
@@ -264,30 +256,15 @@ class QCMap:
             return self.values.ravel(), self.df.reshape(-1, 2, 2), self.spacing**2
         return self.values[self.mask], self.df[self.mask], self.spacing**2
 
-    def _frac_index(self, pts):
-        ix = (pts[:, 0] - self.x0) / self.spacing
-        iy = (pts[:, 1] - self.y0) / self.spacing
-        i0 = np.clip(np.floor(ix).astype(int), 0, self.shape[0] - 2)
-        j0 = np.clip(np.floor(iy).astype(int), 0, self.shape[1] - 2)
-        return i0, j0, ix - i0, iy - j0
-
     def value_at(self, pts):
         """Bilinear interpolation of the map at points (K, 2) -> complex."""
-        pts = np.atleast_2d(pts)
-        i0, j0, tx, ty = self._frac_index(pts)
-        v = self.values
-        return ((1 - tx) * (1 - ty) * v[i0, j0] + tx * (1 - ty) * v[i0 + 1, j0]
-                + (1 - tx) * ty * v[i0, j0 + 1] + tx * ty * v[i0 + 1, j0 + 1])
+        t = (np.atleast_2d(pts) - (self.x0, self.y0)) / self.spacing     # node origin
+        return lattice.bilinear(self.values, t[:, 0], t[:, 1])
 
     def df_at(self, pts):
         """Bilinear interpolation of the differential at points (K, 2)."""
-        pts = np.atleast_2d(pts)
-        i0, j0, tx, ty = self._frac_index(pts)
-        tx = tx[:, None, None]
-        ty = ty[:, None, None]
-        d = self.df
-        return ((1 - tx) * (1 - ty) * d[i0, j0] + tx * (1 - ty) * d[i0 + 1, j0]
-                + (1 - tx) * ty * d[i0, j0 + 1] + tx * ty * d[i0 + 1, j0 + 1])
+        t = (np.atleast_2d(pts) - (self.x0, self.y0)) / self.spacing
+        return lattice.bilinear(self.df, t[:, 0], t[:, 1])
 
     def image_of_circle(self, radius=1.0, num=4096):
         t = np.linspace(0.0, 2.0 * np.pi, num, endpoint=False)
@@ -418,28 +395,24 @@ def solve_beltrami(mu, *, max_iter=MAX_ITER, iter_tol=ITER_TOL, k_margin=K_MARGI
     )
 
 
-def invert(rho, region=None, *, n=256, inv_tol=INV_TOL, newton_max=NEWTON_MAX,
-           pad=2.0):
+def invert(rho, *, n=256, inv_tol=INV_TOL, newton_max=NEWTON_MAX, pad=2.0):
     """Newton inversion of rho restricted to the image of the unit disc.
 
-    Returns phi sampled on a cell grid over `region` (default: the padded
-    bounding box of rho(unit circle)); cells whose preimage falls outside
-    the disc are unmasked.  Per masked node, |rho(phi(w)) - w| <= inv_tol
-    and Dphi(w) = Drho(phi(w))^{-1}.
+    Returns phi sampled on an n x n cell grid over the padded bounding box of
+    rho(unit circle); cells whose preimage falls outside the disc are
+    unmasked.  Per masked node, |rho(phi(w)) - w| <= inv_tol and
+    Dphi(w) = Drho(phi(w))^{-1}.
     """
-    if region is None:
-        img = rho.image_of_circle()
-        lo_x, hi_x = img.real.min(), img.real.max()
-        lo_y, hi_y = img.imag.min(), img.imag.max()
-        lo_x -= pad * rho.spacing
-        lo_y -= pad * rho.spacing
-        hi_x += pad * rho.spacing
-        hi_y += pad * rho.spacing
-        spacing = max(hi_x - lo_x, hi_y - lo_y) / n
-        shape = (n, n)
-        x0, y0 = lo_x + 0.5 * spacing, lo_y + 0.5 * spacing
-    else:
-        x0, y0, spacing, shape = region
+    img = rho.image_of_circle()
+    lo_x, hi_x = img.real.min(), img.real.max()
+    lo_y, hi_y = img.imag.min(), img.imag.max()
+    lo_x -= pad * rho.spacing
+    lo_y -= pad * rho.spacing
+    hi_x += pad * rho.spacing
+    hi_y += pad * rho.spacing
+    spacing = max(hi_x - lo_x, hi_y - lo_y) / n
+    shape = (n, n)
+    x0, y0 = lo_x + 0.5 * spacing, lo_y + 0.5 * spacing
 
     xs = x0 + np.arange(shape[0]) * spacing
     ys = y0 + np.arange(shape[1]) * spacing
@@ -483,15 +456,6 @@ def invert(rho, region=None, *, n=256, inv_tol=INV_TOL, newton_max=NEWTON_MAX,
     if np.any(failed_interior):
         raise NewtonDiverged(
             f"{int(failed_interior.sum())} interior nodes failed to invert")
-    if region is not None:
-        # an explicitly requested region must stay within the sampled box
-        box_lo_x, box_hi_x = gx[0, 0], gx[-1, 0]
-        box_lo_y, box_hi_y = gy[0, 0], gy[0, -1]
-        off = ((z.real < box_lo_x) | (z.real > box_hi_x)
-               | (z.imag < box_lo_y) | (z.imag > box_hi_y)) & ~converged
-        if np.any(off):
-            raise PointOutsideImage(
-                f"{int(off.sum())} requested nodes fall outside the sampled image")
     mask = (converged & inside).reshape(shape)
 
     drho = rho.df_at(np.column_stack([z.real, z.imag]))

@@ -217,13 +217,13 @@ def cmd_fixture(args):
         u = SampledMap.from_function(grid, TargetSpace.euclidean(2), fn)
     elif kind == "bump-mu":
         _check_solver_resolution(n)
-        f = ComplexField(S=2.0, values=np.zeros((n, n), dtype=complex))
+        f = ComplexField(S=rp.SOLVER_BOX, values=np.zeros((n, n), dtype=complex))
         x, y = f.meshes()
         r = np.hypot(x, y)
         with np.errstate(over="ignore"):
             vals = args.k * np.where(
                 r < 0.7, np.exp(1.0 - 1.0 / np.maximum(1.0 - (r / 0.7) ** 2, 1e-300)), 0.0)
-        ComplexField(S=2.0, values=vals.astype(complex)).save(args.out)
+        ComplexField(S=rp.SOLVER_BOX, values=vals.astype(complex)).save(args.out)
         print(f"wrote {args.out}")
         return EXIT_OK
     else:

@@ -57,10 +57,6 @@ class NewtonDiverged(QcreparamError):
     """Pointwise Newton inversion failed to converge."""
 
 
-class PointOutsideImage(QcreparamError):
-    """Inversion requested at a point not in the image of the map."""
-
-
 class SearchExhausted(QcreparamError):
     """A parameter search hit its iteration cap without a feasible value."""
 

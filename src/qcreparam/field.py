@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
+from . import lattice
 from . import seminorm as sn
 from .errors import ImageOutsideDomain, InputFormatError, StencilOutOfDomain
 from .seminorm import SemiNorm2, half_circle_directions
@@ -46,7 +47,12 @@ class DiscGrid:
 
     @property
     def centers(self):
-        return (np.arange(self.n) + 0.5) * self.h - 1.0
+        return lattice.centers(-1.0, self.h, self.n)
+
+    def nearest_cell(self, x, y):
+        """(i, j) of the cells whose centers are nearest to the points (x, y),
+        clipped to the grid."""
+        return lattice.nearest(x, -1.0, self.h, self.n), lattice.nearest(y, -1.0, self.h, self.n)
 
     def _grids(self):
         if "xy" not in self._cache:
@@ -215,18 +221,8 @@ class SampledMap:
 
     def sample(self, pts):
         """Bilinear interpolation of the map at points inside the disc."""
-        pts = np.atleast_2d(pts)
-        ix = (pts[:, 0] + 1.0) / self.grid.h - 0.5
-        iy = (pts[:, 1] + 1.0) / self.grid.h - 0.5
-        i0 = np.clip(np.floor(ix).astype(int), 0, self.grid.n - 2)
-        j0 = np.clip(np.floor(iy).astype(int), 0, self.grid.n - 2)
-        tx = (ix - i0)[:, None]
-        ty = (iy - j0)[:, None]
-        v = self.values
-        return ((1 - tx) * (1 - ty) * v[i0, j0]
-                + tx * (1 - ty) * v[i0 + 1, j0]
-                + (1 - tx) * ty * v[i0, j0 + 1]
-                + tx * ty * v[i0 + 1, j0 + 1])
+        t = (np.atleast_2d(pts) + 1.0) / self.grid.h - 0.5     # cell edge at -1
+        return lattice.bilinear(self.values, t[:, 0], t[:, 1])
 
     # -- text format: header "n d target...", then "i j x1 ... xd" -----------
 
@@ -259,6 +255,8 @@ class SampledMap:
                 if len(parts) != 2 + d:
                     raise InputFormatError(f"bad cell record: {line!r}")
                 i, j = int(parts[0]), int(parts[1])
+                if not (0 <= i < n and 0 <= j < n):
+                    raise InputFormatError(f"cell ({i}, {j}) outside the {n} x {n} grid")
                 values[i, j] = [float(t) for t in parts[2:]]
                 seen[i, j] = True
         missing = grid.disc_mask & ~seen
@@ -410,35 +408,44 @@ def _stencil_directions(target):
 
 
 def estimate_derivative(u, i, j):
-    """Derivative semi-norm of u at one cell via radius-h gauge sampling.
+    """Derivative semi-norm of u at one cell, as estimate_field finds it.
 
-    For each unit direction v, g(v) = d(u(z + h v), u(z)) / h with the
-    off-center value interpolated bilinearly.  Euclidean and quadratic
-    targets get a least-squares positive semi-definite quadratic fit of
-    g^2; polygonal targets get a sampled semi-norm (symmetrized over
-    antipodes and convexified).
+    Raises StencilOutOfDomain if the radius-h stencil leaves the disc.
     """
     grid = u.grid
-    z = np.array([grid.x[i, j], grid.y[i, j]])
-    dirs = _stencil_directions(u.target)
-    pts = z[None, :] + grid.h * dirs
+    pts = np.array([grid.x[i, j], grid.y[i, j]]) + grid.h * _stencil_directions(u.target)
     if np.any(np.hypot(pts[:, 0], pts[:, 1]) >= 1.0 - 1.5 * grid.h):
         raise StencilOutOfDomain(f"stencil at cell ({i}, {j}) leaves the disc")
-    g = u.target.distance(u.sample(pts), u.values[i, j][None, :]) / grid.h
+    row = _estimate_rows(u, np.array([i]), np.array([j]))[0]
     if u.target.kind == "polygonal":
-        m = dirs.shape[0] // 2
-        sym = 0.5 * (g[:m] + g[m:])
-        return SemiNorm2.sampled(_convexify_gauge(sym))
-    q = _fit_quadratic(dirs, g)
-    return SemiNorm2.quadratic(q)
+        return SemiNorm2.sampled(row)
+    a, b, c = row
+    return SemiNorm2.quadratic(np.array([[a, b], [b, c]]))
 
 
 def estimate_field(u):
     """Derivative semi-norms on all interior cells (vectorized)."""
     grid = u.grid
-    mask = grid.interior_mask
-    ii, jj = np.nonzero(mask)
-    z = np.column_stack([grid.x[mask], grid.y[mask]])
+    ii, jj = np.nonzero(grid.interior_mask)
+    rows = _estimate_rows(u, ii, jj)
+    packed = np.zeros((grid.n, grid.n, rows.shape[1]))
+    packed[ii, jj] = rows
+    if u.target.kind == "polygonal":
+        return DerivativeField(grid=grid, kind="sampled", samp=packed)
+    return DerivativeField(grid=grid, kind="quadratic", quad=packed)
+
+
+def _estimate_rows(u, ii, jj):
+    """Packed semi-norms of the cells (ii, jj) by radius-h gauge sampling.
+
+    For each unit direction v, g(v) = d(u(z + h v), u(z)) / h with the
+    off-center value interpolated bilinearly.  Euclidean and quadratic
+    targets get the least-squares fit (q11, q12, q22) of g^2, projected to
+    positive semi-definite; polygonal targets get sampled gauge rows,
+    symmetrized over antipodes and convexified.
+    """
+    grid = u.grid
+    z = np.column_stack([grid.x[ii, jj], grid.y[ii, jj]])
     dirs = _stencil_directions(u.target)
     base = u.values[ii, jj]
     g = np.empty((len(ii), len(dirs)))
@@ -449,20 +456,12 @@ def estimate_field(u):
     if u.target.kind == "polygonal":
         m = len(dirs) // 2
         sym = 0.5 * (g[:, :m] + g[:, m:])
-        samp = np.zeros((grid.n, grid.n, m))
-        flat = np.round(sym, 12)
-        uniq, inv = distinct_rows(flat)
-        fixed = np.stack([_convexify_gauge(row) for row in uniq])
-        samp[ii, jj] = fixed[inv]
-        return DerivativeField(grid=grid, kind="sampled", samp=samp)
+        uniq, inv = distinct_rows(np.round(sym, 12))
+        return _convexify_gauges(uniq)[inv]
 
     design = np.column_stack([dirs[:, 0] ** 2, 2 * dirs[:, 0] * dirs[:, 1], dirs[:, 1] ** 2])
     pinv = np.linalg.pinv(design)
-    coef = g**2 @ pinv.T                     # (cells, 3) = q11, q12, q22
-    coef = _project_psd(coef)
-    quad = np.zeros((grid.n, grid.n, 3))
-    quad[ii, jj] = coef
-    return DerivativeField(grid=grid, kind="quadratic", quad=quad)
+    return _project_psd(g**2 @ pinv.T)       # (cells, 3) = q11, q12, q22
 
 
 def distinct_rows(rows):
@@ -477,13 +476,6 @@ def distinct_rows(rows):
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
     return rows[first], inv
-
-
-def _fit_quadratic(dirs, g):
-    design = np.column_stack([dirs[:, 0] ** 2, 2 * dirs[:, 0] * dirs[:, 1], dirs[:, 1] ** 2])
-    coef, *_ = np.linalg.lstsq(design, g**2, rcond=None)
-    coef = _project_psd(coef[None, :])[0]
-    return np.array([[coef[0], coef[1]], [coef[1], coef[2]]])
 
 
 def _project_psd(coef):
@@ -501,24 +493,24 @@ def _project_psd(coef):
     return out
 
 
-def _convexify_gauge(values):
-    """Convex-hull correction of sampled gauge values (noise can dent the ball)."""
-    values = np.asarray(values, dtype=float)
-    vmax = values.max(initial=0.0)
-    if vmax <= 0 or values.min() < sn.DEGEN_TOL * vmax:
-        return values                      # degenerate; leave as measured
-    s = SemiNorm2.sampled(values)
-    if s.is_convex():
-        return values
-    from scipy.spatial import ConvexHull
+def _convexify_gauges(rows):
+    """Convex-hull correction of sampled gauge rows (R, m): noise can dent the
+    ball.  Degenerate rows stay as measured; one batched test finds the
+    dented rows, and only those get a hull."""
+    out = rows.copy()
+    live = np.flatnonzero(~sn._degenerate_rows(rows))
+    dented = live[~sn.convex_rows(rows[live])]
+    if dented.size:
+        from scipy.spatial import ConvexHull
 
-    m = values.size
-    dirs = half_circle_directions(m)
-    verts = np.vstack([dirs / values[:, None], -dirs / values[:, None]])
-    hull = ConvexHull(verts)
-    normals = -hull.equations[:, :2]
-    offsets = hull.equations[:, 2]
-    return np.max((dirs @ normals.T) / offsets[None, :], axis=1)
+        dirs = half_circle_directions(rows.shape[1])
+        for k in dented:
+            verts = np.vstack([dirs / rows[k, :, None], -dirs / rows[k, :, None]])
+            hull = ConvexHull(verts)
+            normals = -hull.equations[:, :2]
+            offsets = hull.equations[:, 2]
+            out[k] = np.max((dirs @ normals.T) / offsets[None, :], axis=1)
+    return out
 
 
 # -- integrated quantities ------------------------------------------------------
@@ -539,20 +531,20 @@ def area_hausdorff(field_):
 
 
 def composed_energy(field_, phi):
-    """Energy of the composition u . phi over phi's domain grid.
-
-    phi is a sampled diffeomorphism (a QCMap) with values in the disc; per
-    masked cell w the integrand is I_+^2(s_{phi(w)} . Dphi(w)), with the
-    semi-norm looked up at the nearest disc cell of phi(w).  The map u is
-    never resampled.
+    """Energy of the composition u . phi over phi's domain grid: the
+    quadrature of composed_density over the masked cells of phi.  The map u
+    is never resampled.
     """
     pts, df, cell_area = phi.domain_samples()
-    z = np.column_stack([pts.real, pts.imag])
-    if np.any(np.hypot(z[:, 0], z[:, 1]) >= 1.0):
+    if np.any(np.hypot(pts.real, pts.imag) >= 1.0):
         raise ImageOutsideDomain("phi maps a cell outside the closed disc")
-    grid = field_.grid
-    idx_i = np.clip(np.round((z[:, 0] + 1.0) / grid.h - 0.5).astype(int), 0, grid.n - 1)
-    idx_j = np.clip(np.round((z[:, 1] + 1.0) / grid.h - 0.5).astype(int), 0, grid.n - 1)
+    return float(np.sum(composed_density(field_, pts, df)) * cell_area)
+
+
+def composed_density(field_, pts, df):
+    """I_+^2(s_z . df[k]) per node k, with s_z the semi-norm of the disc cell
+    nearest to the complex point z = pts[k] (a node's image under phi)."""
+    idx_i, idx_j = field_.grid.nearest_cell(pts.real, pts.imag)
     if field_.kind == "quadratic":
         p = field_.packed_extended()[idx_i, idx_j]
         q11, q12, q22 = p[:, 0], p[:, 1], p[:, 2]
@@ -562,26 +554,28 @@ def composed_energy(field_, phi):
         r11 = a * (q11 * a + q12 * c) + c * (q12 * a + q22 * c)
         r12 = a * (q11 * b + q12 * d) + c * (q12 * b + q22 * d)
         r22 = b * (q11 * b + q12 * d) + d * (q12 * b + q22 * d)
-        dens = np.maximum(sn.packed_eig(np.stack([r11, r12, r22], axis=-1))[1], 0.0)
-        return float(np.sum(dens) * cell_area)
+        return np.maximum(sn.packed_eig(np.stack([r11, r12, r22], axis=-1))[1], 0.0)
     uniq, inv = field_.unique_rows()
-    dens = _composed_sampled_density(uniq, inv[idx_i, idx_j], df)
-    return float(np.sum(dens) * cell_area)
+    return _composed_sampled_density(uniq, inv[idx_i, idx_j], df)
 
 
 def _composed_sampled_density(uniq, ids, df):
     """I_+^2(s_ids[k] . df[k]) per node k for the sampled rows uniq.
 
-    One gauge call per distinct id: a stable argsort groups the nodes of each
-    id into one run, in node order."""
+    A stable argsort groups the nodes of each id into one run, in node
+    order; the edge rows of the ids met are built in one batch, and each run
+    costs one gauge call."""
     m = uniq.shape[-1]
     dirs = half_circle_directions(m)
     order = np.argsort(ids, kind="stable")
     starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
+    rows = np.maximum(uniq[ids[order[starts]]], 0.0)
+    degenerate = sn._degenerate_rows(rows)
+    half = sn.half_edges(rows)
     dens = np.empty(len(ids))
-    for sel in np.split(order, starts)[1:]:        # [0] is the empty head
-        s = SemiNorm2.sampled(np.maximum(uniq[ids[sel[0]]], 0.0))
-        mapped = np.einsum("kab,mb->kma", df[sel], dirs)
-        vals = s(mapped.reshape(-1, 2)).reshape(-1, m)
-        dens[sel] = np.max(vals, axis=1) ** 2
+    for r, sel in enumerate(np.split(order, starts)[1:]):      # [0] is the empty head
+        mapped = np.einsum("kab,mb->kma", df[sel], dirs).reshape(-1, 2)
+        vals = (SemiNorm2.sampled(rows[r])(mapped) if degenerate[r]
+                else sn.edge_gauge(half[r], mapped))
+        dens[sel] = np.max(vals.reshape(-1, m), axis=1) ** 2
     return dens

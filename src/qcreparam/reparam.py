@@ -31,6 +31,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import field as fd
+from . import lattice
 from .beltrami import (
     ComplexField,
     invert,
@@ -39,8 +40,6 @@ from .beltrami import (
     solve_beltrami,
 )
 from .errors import PipelineBudgetExceeded, SearchExhausted
-from .seminorm import SemiNorm2, half_circle_directions
-from . import seminorm as sn
 
 DELTA_MAX_HALVINGS = 60
 THRESHOLD_MAX_DOUBLINGS = 60
@@ -109,7 +108,7 @@ def choose_threshold(field_, delta, eps):
                           achieved=off)
 
 
-def build_coefficient(field_, delta, thr, *, box=SOLVER_BOX):
+def build_coefficient(field_, delta, thr):
     """Beltrami coefficient field of the regularized derivative on A.
 
     Returned on the solver box (grid aligned with the disc cells, spacing
@@ -119,23 +118,18 @@ def build_coefficient(field_, delta, thr, *, box=SOLVER_BOX):
     """
     grid = field_.grid
     mu_cells = field_.beltrami_density(delta) * thr.mask
-    n_solver = int(round(grid.n * box))
-    spacing = 2.0 * box / n_solver
-    coords = -box + (np.arange(n_solver) + 0.5) * spacing
+    n_solver = int(round(grid.n * SOLVER_BOX))
+    coords = lattice.centers(-SOLVER_BOX, 2.0 * SOLVER_BOX / n_solver, n_solver)
     sx, sy = np.meshgrid(coords, coords, indexing="ij")
-    ci = np.clip(np.round((sx + 1.0) / grid.h - 0.5).astype(int), 0, grid.n - 1)
-    cj = np.clip(np.round((sy + 1.0) / grid.h - 0.5).astype(int), 0, grid.n - 1)
-    values = mu_cells[ci, cj]
+    values = mu_cells[grid.nearest_cell(sx, sy)]
     values[np.hypot(sx, sy) > 1.0 - 1.0 / thr.L] = 0.0
-    return ComplexField(S=box, values=values), mu_cells
+    return ComplexField(S=SOLVER_BOX, values=values), mu_cells
 
 
 def _cells_from_solver(mu_field, grid):
     """Values of a solver-box field at the disc cell centers (aligned nodes)."""
-    i = np.round((grid.x + mu_field.S) / mu_field.spacing - 0.5).astype(int)
-    j = np.round((grid.y + mu_field.S) / mu_field.spacing - 0.5).astype(int)
-    i = np.clip(i, 0, mu_field.n - 1)
-    j = np.clip(j, 0, mu_field.n - 1)
+    i = lattice.nearest(grid.x, -mu_field.S, mu_field.spacing, mu_field.n)
+    j = lattice.nearest(grid.y, -mu_field.S, mu_field.spacing, mu_field.n)
     return mu_field.values[i, j]
 
 
@@ -402,29 +396,14 @@ def audit_cases(report, phi, rng, num=64, audit_tol=AUDIT_TOL):
     take = rng.choice(len(vals), size=min(num, len(vals)), replace=False)
     jd = field_.jacobian_intrinsic_density(delta)
     en = field_.energy_density()
-    packed = field_.packed_extended()
-    dirs = (half_circle_directions(packed.shape[-1])
-            if field_.kind == "sampled" else None)
+    cells = zip(*grid.nearest_cell(vals[take].real, vals[take].imag))
+    # composed integrand, exactly as the energy quadrature evaluates it
+    composed = fd.composed_density(field_, vals[take], dfs[take])
 
     checked = 0
-    for t in take:
-        z = vals[t]
+    for t, (i, j), lhs in zip(take, cells, composed):
         dphi = dfs[t]
-        i = int(np.clip(round((z.real + 1.0) / grid.h - 0.5), 0, grid.n - 1))
-        j = int(np.clip(round((z.imag + 1.0) / grid.h - 0.5), 0, grid.n - 1))
         det = dphi[0, 0] * dphi[1, 1] - dphi[0, 1] * dphi[1, 0]
-        if field_.kind == "quadratic":
-            q11, q12, q22 = packed[i, j]
-            s = SemiNorm2.quadratic(np.array([[q11, q12], [q12, q22]]))
-        else:
-            s = SemiNorm2.sampled(np.maximum(packed[i, j], 0.0))
-            dposed = (dphi @ dirs.T).T
-        # composed integrand, matching the energy quadrature
-        if field_.kind == "quadratic":
-            mcomp = dphi.T @ s.matrix @ dphi
-            lhs = sn.energy_plus(SemiNorm2.quadratic(mcomp))
-        else:
-            lhs = float(np.max(s(dposed) ** 2))
 
         # measured coefficient of rho at z, from the stored inverse differential
         drho = np.linalg.inv(dphi)

@@ -44,7 +44,7 @@ _POLISH_TOL = 1e-9                  # load excess a KKT candidate may carry into
 _TIGHTEST, _MINIMA = 5, 3           # candidate constraints: tightest, then local minima
 _SETS = [np.array(list(itertools.combinations(range(_TIGHTEST + _MINIMA), k))) for k in (2, 3)]
 _SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])   # 3x3 symmetric from its 6 entries
-_CHUNK = 512                        # rows solved together (bounds the candidate arrays)
+_CHUNK = 512                        # rows handled together (bounds the per-row arrays)
 
 
 def half_circle_directions(m):
@@ -239,12 +239,7 @@ class SemiNorm2:
             return True
         if self.degenerate:
             return False
-        verts = self._polygon()[0]
-        a = verts[np.r_[1 : len(verts), 0]] - verts
-        b = np.roll(a, -1, axis=0)
-        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-        scale = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-        return bool(np.all(cross >= -tol * np.maximum(scale, 1e-300)))
+        return bool(convex_rows(self.values[None], tol)[0])
 
     # -- serialization -------------------------------------------------------
 
@@ -286,13 +281,16 @@ def _sampled_gauge(s, pts):
         t = idx - np.floor(idx)
         ray = (1 - t) * s.values[i0] + t * s.values[i1]
         return ray * np.linalg.norm(pts, axis=1)
-    scaled = s._polygon()[1]
-    # edges come in antipodal pairs, so the gauge is max_i |c_i . p| over the
-    # first half: max(max, -min) over the rows of the (m, N) block gives the
-    # same floats as max(abs) with one temporary instead of two, and + 0.0
-    # keeps the zero vector at +0.0.  The matmul is chunked so large point
-    # sets stay memory-bounded.
-    half = scaled[: scaled.shape[0] // 2]
+    return edge_gauge(s._polygon()[1][: s.m], pts)
+
+
+def edge_gauge(half, pts):
+    """max_i |c_i . p| at each row p of pts, for the edge rows half (m, 2) of
+    one antipodal half of a unit-ball polygon {|c_i . x| <= 1}."""
+    # max(max, -min) over the rows of the (m, N) block gives the same floats
+    # as max(abs) with one temporary instead of two, and + 0.0 keeps the zero
+    # vector at +0.0.  The matmul is chunked so large point sets stay
+    # memory-bounded.
     out = np.empty(pts.shape[0])
     step = 1 << 17
     for k in range(0, pts.shape[0], step):
@@ -324,6 +322,31 @@ def _polygons(values):
     if np.any(offsets <= 0):
         raise ValueError("sampled gauge is not convex (non-star polygon)")
     return verts, normals / offsets[..., None]
+
+
+def convex_rows(values, tol=1e-9):
+    """True per non-degenerate gauge row of values (R, m) whose ball polygon is
+    convex: every turn between consecutive edges is left, up to tol relative."""
+    out = np.empty(len(values), dtype=bool)
+    for k in range(0, len(values), _CHUNK):
+        verts = _polygons(values[k : k + _CHUNK])[0]
+        a = np.roll(verts, -1, axis=-2) - verts
+        b = np.roll(a, -1, axis=-2)
+        cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+        scale = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
+        out[k : k + _CHUNK] = np.all(cross >= -tol * np.maximum(scale, 1e-300), axis=-1)
+    return out
+
+
+def half_edges(values):
+    """Edge rows (R, m, 2) for edge_gauge of the gauge rows values (R, m): one
+    antipodal half of each ball polygon, zero for degenerate rows."""
+    out = np.zeros(values.shape + (2,))
+    live = np.flatnonzero(~_degenerate_rows(values))
+    for k in range(0, live.size, _CHUNK):
+        rows = live[k : k + _CHUNK]
+        out[rows] = _polygons(values[rows])[1][:, : values.shape[1]]
+    return out
 
 
 def ball_jacobians(values):

@@ -43,10 +43,10 @@ def sweep_energy_oracle(s, num=20001):
 
 def rand_sampled_norm(rng, m=64, bump=0.3):
     """Random convex sampled norm: perturbed gauge of a random ellipse."""
-    from qcreparam.field import _convexify_gauge
+    from qcreparam.field import _convexify_gauges
 
     base = qc.SemiNorm2.quadratic(rand_spd(rng, 0.5, 3.0))(half_circle_directions(m))
-    return qc.SemiNorm2.sampled(_convexify_gauge(base * (1.0 + rng.uniform(0, bump, m))))
+    return qc.SemiNorm2.sampled(_convexify_gauges((base * (1.0 + rng.uniform(0, bump, m)))[None])[0])
 
 
 def linear_qcmap(m, box=2.0, n=192):

@@ -136,6 +136,19 @@ class TestErrors:
         code, _, err = run(["energy", "--input", str(bad)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("record", ["40 5 0.5 0.5", "-1 -1 1e9 1e9", "3 32 0 0"])
+    def test_cell_index_outside_grid(self, capsys, tmp_path, record):
+        # an n=32 map with one extra record outside the grid: an input error
+        # (exit 2), neither an IndexError nor a negative index that wraps
+        src = tmp_path / "id32.map"
+        assert main(["fixture", "--kind", "identity", "--n", "32", "--out", str(src)]) == 0
+        bad = tmp_path / "bad.map"
+        bad.write_text(src.read_text() + record + "\n")
+        capsys.readouterr()
+        code, _, err = run(["energy", "--input", str(bad)], capsys)
+        assert code == 2
+        assert "outside the 32 x 32 grid" in err
+
 
 class TestNumericalExit:
     def test_coefficient_too_large_exits_3(self, capsys, tmp_path):

@@ -165,6 +165,81 @@ class TestComposedEnergy:
             qc.composed_energy(f, phi)
 
 
+class TestSampledRowsBatched:
+    """The batched sampled-row kernels against the per-row forms they replaced."""
+
+    @staticmethod
+    def convexify_row(values):
+        # the per-row correction: degenerate rows as measured, convex rows as
+        # they are, a convex hull for the rest
+        from scipy.spatial import ConvexHull
+
+        vmax = values.max(initial=0.0)
+        if vmax <= 0 or values.min() < qc.seminorm.DEGEN_TOL * vmax:
+            return values
+        dirs = half_circle_directions(values.size)
+        verts = np.vstack([dirs / values[:, None], -dirs / values[:, None]])
+        a = verts[np.r_[1 : len(verts), 0]] - verts
+        b = np.roll(a, -1, axis=0)
+        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        scale = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+        if np.all(cross >= -1e-9 * np.maximum(scale, 1e-300)):
+            return values
+        hull = ConvexHull(verts)
+        normals, offsets = -hull.equations[:, :2], hull.equations[:, 2]
+        return np.max((dirs @ normals.T) / offsets[None, :], axis=1)
+
+    @staticmethod
+    def gauge_rows(rng, m=64, count=40):
+        dirs = half_circle_directions(m)
+        rows = [qc.SemiNorm2.quadratic(rand_spd(rng))(dirs) * (1.0 + rng.uniform(0, b, m))
+                for b in np.linspace(0.0, 0.4, count)]        # convex, then dented
+        rows.append(np.abs(dirs).max(axis=1))                  # l-inf: collinear edges
+        rows.append(rows[-1] * np.where(np.arange(m) == 5, 1.0 + 1e-12, 1.0))  # dent below tol
+        rows.append(np.abs(dirs[:, 0]))                        # degenerate: one zero
+        rows.append(np.zeros(m))                               # degenerate: all zero
+        return np.array(rows)
+
+    def test_convexify_matches_per_row(self, rng):
+        rows = self.gauge_rows(rng)
+        fixed = fd._convexify_gauges(rows)
+        dented = 0
+        for row, got in zip(rows, fixed):
+            want = self.convexify_row(row)
+            assert got.tobytes() == want.tobytes()
+            dented += want is not row
+        assert 0 < dented < len(rows) - 4
+
+    def test_composed_density_matches_per_row(self, rng):
+        rows = self.gauge_rows(rng, count=12)
+        uniq = fd._convexify_gauges(rows)
+        m = uniq.shape[1]
+        ids = rng.integers(0, len(uniq), size=600)
+        df = rng.normal(size=(600, 2, 2))
+        df[:5] = 0.0                                           # zero vectors too
+        dirs = half_circle_directions(m)
+        want = np.empty(len(ids))
+        for r in np.unique(ids):
+            s = qc.SemiNorm2.sampled(np.maximum(uniq[r], 0.0))
+            sel = ids == r
+            pts = np.einsum("kab,mb->kma", df[sel], dirs).reshape(-1, 2)
+            vals = s(pts) if s.degenerate else np.max(np.abs(pts @ s._polygon()[1][:m].T), axis=1)
+            want[sel] = np.max(vals.reshape(-1, m), axis=1) ** 2
+        got = fd._composed_sampled_density(uniq, ids, df)
+        assert got.tobytes() == want.tobytes()
+
+    def test_estimate_derivative_is_the_field_row(self):
+        # sampled rows are computed per cell, so one cell gives the field's
+        # bits (a quadratic fit is one matmul, whose rounding may depend on
+        # the batch: see test_field_matches_cellwise_estimates)
+        for target in (qc.TargetSpace.linf(), qc.TargetSpace.l1()):
+            u = make_map(64, lambda x, y: np.stack([x + 0.2 * x * y, y + 0.1 * x * x]), target)
+            f = qc.estimate_field(u)
+            for i, j in ((32, 40), (20, 30), (45, 33)):
+                assert (qc.estimate_derivative(u, i, j).values.tobytes()
+                        == f.seminorm_at(i, j).values.tobytes())
+
+
 class TestFieldInvariants:
     def test_area_below_energy_random_smooth(self, rng):
         c = rng.normal(scale=0.1, size=4)
