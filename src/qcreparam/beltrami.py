@@ -43,6 +43,7 @@ K_MARGIN = 0.02
 DET_FLOOR = 1e-12
 INV_TOL = 1e-8
 NEWTON_MAX = 50
+PAD = 2.0          # invert's margin around rho(unit circle), in rho's grid spacings
 CERT_TOL = 0.01
 
 
@@ -325,8 +326,7 @@ def _periodic_wirtinger(values, spacing):
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
-def solve_beltrami(mu, *, max_iter=MAX_ITER, iter_tol=ITER_TOL, k_margin=K_MARGIN,
-                   det_floor=DET_FLOOR):
+def solve_beltrami(mu):
     """Solve f_zbar = mu f_z for a compactly supported coefficient.
 
     Returns a QCMap on the solver box normalized to f(z) ~ z + mean(h) zbar
@@ -337,8 +337,8 @@ def solve_beltrami(mu, *, max_iter=MAX_ITER, iter_tol=ITER_TOL, k_margin=K_MARGI
     trusted either way.
     """
     k = mu.sup_norm()
-    if k >= 1.0 - k_margin:
-        raise CoefficientTooLarge(f"sup |mu| = {k} >= {1.0 - k_margin}")
+    if k >= 1.0 - K_MARGIN:
+        raise CoefficientTooLarge(f"sup |mu| = {k} >= {1.0 - K_MARGIN}")
     if mu.support_radius() >= 1.0:
         raise SupportTooClose("coefficient must be supported inside the unit disc")
 
@@ -350,7 +350,7 @@ def solve_beltrami(mu, *, max_iter=MAX_ITER, iter_tol=ITER_TOL, k_margin=K_MARGI
     rate = math.nan
     prev = None
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         sh = np.fft.ifft2(beurling * np.fft.fft2(h))
         h_new = m * (1.0 + sh)
         inc = float(np.sqrt(np.mean(np.abs(h_new - h) ** 2)))
@@ -358,11 +358,11 @@ def solve_beltrami(mu, *, max_iter=MAX_ITER, iter_tol=ITER_TOL, k_margin=K_MARGI
             rate = inc / prev
         prev = inc
         h = h_new
-        if inc <= iter_tol:
+        if inc <= ITER_TOL:
             break
-    if inc > iter_tol:
+    if inc > ITER_TOL:
         raise NoConvergence(
-            f"iteration increment {inc:.3e} above {iter_tol} after {max_iter} steps")
+            f"iteration increment {inc:.3e} above {ITER_TOL} after {MAX_ITER} steps")
 
     a = complex(np.mean(h))
     part = np.fft.ifft2(cauchy * np.fft.fft2(h))
@@ -379,7 +379,7 @@ def solve_beltrami(mu, *, max_iter=MAX_ITER, iter_tol=ITER_TOL, k_margin=K_MARGI
     residual_l2 = float(np.sqrt(np.mean(np.abs(residual) ** 2)))
     det = np.abs(fz_fd) ** 2 - np.abs(fzb_fd) ** 2
     det_min = float(det.min())
-    if det_min <= det_floor:
+    if det_min <= DET_FLOOR:
         raise OrientationViolation(f"det Df = {det_min:.3e} at a node")
     dil = (np.abs(fz_fd) + np.abs(fzb_fd)) ** 2 / det
     df = wirtinger_to_mat(fz_fd, fzb_fd)
@@ -395,21 +395,21 @@ def solve_beltrami(mu, *, max_iter=MAX_ITER, iter_tol=ITER_TOL, k_margin=K_MARGI
     )
 
 
-def invert(rho, *, n=256, inv_tol=INV_TOL, newton_max=NEWTON_MAX, pad=2.0):
+def invert(rho, *, n=256):
     """Newton inversion of rho restricted to the image of the unit disc.
 
     Returns phi sampled on an n x n cell grid over the padded bounding box of
     rho(unit circle); cells whose preimage falls outside the disc are
-    unmasked.  Per masked node, |rho(phi(w)) - w| <= inv_tol and
+    unmasked.  Per masked node, |rho(phi(w)) - w| <= INV_TOL and
     Dphi(w) = Drho(phi(w))^{-1}.
     """
     img = rho.image_of_circle()
     lo_x, hi_x = img.real.min(), img.real.max()
     lo_y, hi_y = img.imag.min(), img.imag.max()
-    lo_x -= pad * rho.spacing
-    lo_y -= pad * rho.spacing
-    hi_x += pad * rho.spacing
-    hi_y += pad * rho.spacing
+    lo_x -= PAD * rho.spacing
+    lo_y -= PAD * rho.spacing
+    hi_x += PAD * rho.spacing
+    hi_y += PAD * rho.spacing
     spacing = max(hi_x - lo_x, hi_y - lo_y) / n
     shape = (n, n)
     x0, y0 = lo_x + 0.5 * spacing, lo_y + 0.5 * spacing
@@ -428,12 +428,12 @@ def invert(rho, *, n=256, inv_tol=INV_TOL, newton_max=NEWTON_MAX, pad=2.0):
 
     resid = np.full(w.shape, np.inf)
     active = np.ones(w.shape, dtype=bool)
-    for _ in range(newton_max):
+    for _ in range(NEWTON_MAX):
         pts = np.column_stack([z[active].real, z[active].imag])
         fval = rho.value_at(pts)
         r = fval - w[active]
         resid[active] = np.abs(r)
-        still = np.abs(r) > inv_tol
+        still = np.abs(r) > INV_TOL
         idx = np.nonzero(active)[0]
         active[idx[~still]] = False
         if not np.any(still):
@@ -450,7 +450,7 @@ def invert(rho, *, n=256, inv_tol=INV_TOL, newton_max=NEWTON_MAX, pad=2.0):
         step[big] *= (10 * rho.spacing) / np.abs(step[big])
         z[sub] = z[sub] - step
 
-    converged = resid <= inv_tol
+    converged = resid <= INV_TOL
     inside = np.abs(z) < 1.0
     failed_interior = ~converged & (np.abs(z) <= 0.95)
     if np.any(failed_interior):

@@ -3,8 +3,9 @@
 The disc is discretized by an n x n cell grid on [-1, 1]^2 (spacing h = 2/n,
 midpoint quadrature with weight h^2 per cell).  Map values live on every cell
 whose center lies in the open disc; derivative semi-norms are estimated on
-the interior cells (margin 2h from the boundary) so that all finite
-difference stencils stay inside the sampled region.  Integrals extend the
+the interior cells (margin 2.5h from the boundary: the stencil radius h plus
+sqrt(2) h for the bilinear support) so that all finite difference stencils
+stay inside the sampled region.  Integrals extend the
 interior integrand to the remaining boundary cells by nearest interior cell,
 which keeps constant integrands exact and the domain area at its lattice
 value.
@@ -31,19 +32,20 @@ class DiscGrid:
     """Cell grid on [-1,1]^2 masked to the unit disc."""
 
     n: int
-    margin: float | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 16:
             raise ValueError("need at least 16 cells per axis")
-        if self.margin is None:
-            # unit stencil radius h plus sqrt(2) h for the bilinear support
-            object.__setattr__(self, "margin", 2.5 * self.h)
 
     @property
     def h(self):
         return 2.0 / self.n
+
+    @property
+    def margin(self):
+        """Unit stencil radius h plus sqrt(2) h for the bilinear support."""
+        return 2.5 * self.h
 
     @property
     def centers(self):
@@ -227,13 +229,9 @@ class SampledMap:
     # -- text format: header "n d target...", then "i j x1 ... xd" -----------
 
     def save(self, path):
-        lines = [f"{self.grid.n} {self.target.d} {self.target.descriptor()}"]
-        mask = self.grid.disc_mask
-        for i, j in zip(*np.nonzero(mask)):
-            coords = " ".join(format(v, ".17g") for v in self.values[i, j])
-            lines.append(f"{i} {j} {coords}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _save_cells(path, f"{self.grid.n} {self.target.d} {self.target.descriptor()}",
+                    self.grid.disc_mask,
+                    lambda i, j: " ".join(format(v, ".17g") for v in self.values[i, j]))
 
     @staticmethod
     def load(path):
@@ -247,22 +245,40 @@ class SampledMap:
                 raise InputFormatError("target dimension disagrees with header")
             grid = DiscGrid(n)
             values = np.full((n, n, d), np.nan)
-            seen = np.zeros((n, n), dtype=bool)
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) != 2 + d:
-                    raise InputFormatError(f"bad cell record: {line!r}")
-                i, j = int(parts[0]), int(parts[1])
-                if not (0 <= i < n and 0 <= j < n):
-                    raise InputFormatError(f"cell ({i}, {j}) outside the {n} x {n} grid")
-                values[i, j] = [float(t) for t in parts[2:]]
-                seen[i, j] = True
-        missing = grid.disc_mask & ~seen
-        if np.any(missing):
-            raise InputFormatError(f"{int(missing.sum())} disc cells missing from file")
+            for i, j, rest in _cell_records(fh, grid.disc_mask, "disc"):
+                if len(rest) != d:
+                    raise InputFormatError(f"bad cell record: {i} {j} {' '.join(rest)!r}")
+                values[i, j] = [float(t) for t in rest]
         return SampledMap(grid=grid, target=target, values=values)
+
+
+def _save_cells(path, header, mask, record):
+    """Write a cell file: the header line, then 'i j record(i, j)' per cell of mask."""
+    lines = [header] + [f"{i} {j} {record(i, j)}" for i, j in zip(*np.nonzero(mask))]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _cell_records(fh, mask, what):
+    """(i, j, tokens of the rest) of each 'i j rest' line of a cell file.  Raises
+    InputFormatError for a cell outside the grid, and once the lines are
+    read, for cells of mask that no line named (their measure would drop)."""
+    n = mask.shape[0]
+    seen = np.zeros_like(mask)
+    for line in fh:
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) < 3:
+            raise InputFormatError(f"bad cell record: {line!r}")
+        i, j = int(parts[0]), int(parts[1])
+        if not (0 <= i < n and 0 <= j < n):
+            raise InputFormatError(f"cell ({i}, {j}) outside the {n} x {n} grid")
+        seen[i, j] = True
+        yield i, j, parts[2:]
+    missing = mask & ~seen
+    if np.any(missing):
+        raise InputFormatError(f"{int(missing.sum())} {what} cells missing from file")
 
 
 @dataclass(frozen=True)
@@ -280,18 +296,20 @@ class DerivativeField:
     samp: np.ndarray | None = None  # (n, n, m)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
+    @staticmethod
+    def from_packed(grid, kind, packed):
+        """The field of packed per-cell rows (n, n, 3 or m) of the given kind."""
+        if kind == "quadratic":
+            return DerivativeField(grid=grid, kind=kind, quad=packed)
+        return DerivativeField(grid=grid, kind=kind, samp=packed)
+
     @property
     def interior_mask(self):
         return self.grid.interior_mask
 
     def seminorm_at(self, i, j):
         """SemiNorm2 of the cell (nearest-interior extension applied)."""
-        ei, ej = self.grid.extension_indices()
-        i, j = int(ei[i, j]), int(ej[i, j])
-        if self.kind == "quadratic":
-            a, b, c = self.quad[i, j]
-            return SemiNorm2.quadratic(np.array([[a, b], [b, c]]))
-        return SemiNorm2.sampled(self.samp[i, j])
+        return SemiNorm2.from_row(self.kind, self.packed_extended()[i, j])
 
     # -- packed per-cell data on all disc cells ------------------------------
 
@@ -301,43 +319,38 @@ class DerivativeField:
             self._cache["packed"] = self.grid.extend(data)
         return self._cache["packed"]
 
+    def _per_cell(self, fn, key):
+        """fn of the packed rows, per cell (extended).  Sampled fields evaluate
+        fn once per distinct row and cache the result under key; quadratic
+        fields skip the dedup, whose sort costs more than it saves when most
+        cells are distinct (about 92 % on smooth Euclidean maps)."""
+        if self.kind == "quadratic":
+            return fn(self.packed_extended())
+        if key not in self._cache:
+            uniq, inv = self.unique_rows()
+            self._cache[key] = fn(uniq)[inv]
+        return self._cache[key]
+
     # -- densities ------------------------------------------------------------
 
     def energy_density(self):
         """I_+^2 of the cell semi-norm, per cell (extended)."""
-        p = self.packed_extended()
-        if self.kind == "quadratic":
-            return np.maximum(sn.packed_eig(p)[1], 0.0)
-        return np.max(p, axis=-1) ** 2
+        return sn.row_energy(self.kind, self.packed_extended())
 
     def ellipse_field(self, delta=0.0):
         """Packed M of the inscribed ellipse {v : v.Mv <= 1} of the (optionally
         delta-regularized) cell semi-norm, per cell (extended); M = 0 where the
-        semi-norm is degenerate.  Quadratic cells: M = Q + delta^2 I.  Sampled
-        cells: one batched solve over the distinct rows, cached per delta."""
-        if self.kind == "quadratic":
-            p = self.packed_extended()
-            m = np.stack([p[..., 0] + delta**2, p[..., 1], p[..., 2] + delta**2], axis=-1)
-            if delta == 0.0:
-                m[sn.packed_degenerate(m)] = 0.0
-            return m
-        if ("ellipse", delta) not in self._cache:
-            uniq, inv = self.unique_rows()
-            rows = np.sqrt(np.maximum(uniq, 0.0) ** 2 + delta**2)     # as regularize()
-            self._cache["ellipse", delta] = sn.inscribed_ellipses(rows)[inv]
-        return self._cache["ellipse", delta]
+        semi-norm is degenerate (see seminorm.row_ellipse)."""
+        return self._per_cell(lambda rows: sn.row_ellipse(self.kind, rows, delta),
+                              ("ellipse", delta))
 
     def jacobian_intrinsic_density(self, delta=0.0):
         """Inscribed-ellipse jacobian of the (optionally regularized) semi-norm."""
-        return np.sqrt(np.maximum(sn.packed_det(self.ellipse_field(delta)), 0.0))
+        return sn.ellipse_jacobian(self.ellipse_field(delta))
 
     def jacobian_hausdorff_density(self):
         """Unit-ball-area jacobian per cell (extended)."""
-        if self.kind == "quadratic":
-            # the unit ball is its own inscribed ellipse
-            return self.jacobian_intrinsic_density()
-        uniq, inv = self.unique_rows()
-        return sn.ball_jacobians(np.maximum(uniq, 0.0))[inv]
+        return self._per_cell(lambda rows: sn.row_ball_jacobian(self.kind, rows), "hausdorff")
 
     def isotropy_defect_density(self):
         return self.energy_density() - self.jacobian_intrinsic_density()
@@ -361,11 +374,8 @@ class DerivativeField:
     # -- serialization --------------------------------------------------------
 
     def save(self, path):
-        lines = [f"{self.grid.n} {self.kind}"]
-        for i, j in zip(*np.nonzero(self.interior_mask)):
-            lines.append(f"{i} {j} {self.seminorm_at(i, j).record()}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _save_cells(path, f"{self.grid.n} {self.kind}", self.interior_mask,
+                    lambda i, j: self.seminorm_at(i, j).record())
 
     @staticmethod
     def load(path):
@@ -375,25 +385,18 @@ class DerivativeField:
                 raise InputFormatError("bad derivative-field header")
             n, kind = int(header[0]), header[1]
             grid = DiscGrid(n)
-            quad = np.zeros((n, n, 3)) if kind == "quadratic" else None
-            samp = None
-            for line in fh:
-                parts = line.split(maxsplit=2)
-                if not parts:
-                    continue
-                i, j = int(parts[0]), int(parts[1])
-                s = SemiNorm2.from_record(parts[2])
-                if kind == "quadratic":
-                    if s.kind != "quadratic":
-                        raise InputFormatError("mixed representations in field file")
-                    quad[i, j] = (s.matrix[0, 0], s.matrix[0, 1], s.matrix[1, 1])
-                else:
-                    if s.kind != "sampled":
-                        raise InputFormatError("mixed representations in field file")
-                    if samp is None:
-                        samp = np.zeros((n, n, s.m))
-                    samp[i, j] = s.values
-        return DerivativeField(grid=grid, kind=kind, quad=quad, samp=samp)
+            packed = None
+            for i, j, rest in _cell_records(fh, grid.interior_mask, "interior"):
+                s = SemiNorm2.from_record(" ".join(rest))
+                if s.kind != kind:
+                    raise InputFormatError("mixed representations in field file")
+                if packed is None:
+                    packed = np.zeros((n, n, s.row.size))
+                if s.row.size != packed.shape[-1]:
+                    raise InputFormatError(f"cell ({i}, {j}) has {s.row.size} values, "
+                                           f"not {packed.shape[-1]}")
+                packed[i, j] = s.row
+        return DerivativeField.from_packed(grid, kind, packed)
 
 
 # -- derivative estimation -----------------------------------------------------
@@ -416,27 +419,22 @@ def estimate_derivative(u, i, j):
     pts = np.array([grid.x[i, j], grid.y[i, j]]) + grid.h * _stencil_directions(u.target)
     if np.any(np.hypot(pts[:, 0], pts[:, 1]) >= 1.0 - 1.5 * grid.h):
         raise StencilOutOfDomain(f"stencil at cell ({i}, {j}) leaves the disc")
-    row = _estimate_rows(u, np.array([i]), np.array([j]))[0]
-    if u.target.kind == "polygonal":
-        return SemiNorm2.sampled(row)
-    a, b, c = row
-    return SemiNorm2.quadratic(np.array([[a, b], [b, c]]))
+    kind, rows = _estimate_rows(u, np.array([i]), np.array([j]))
+    return SemiNorm2.from_row(kind, rows[0])
 
 
 def estimate_field(u):
     """Derivative semi-norms on all interior cells (vectorized)."""
     grid = u.grid
     ii, jj = np.nonzero(grid.interior_mask)
-    rows = _estimate_rows(u, ii, jj)
+    kind, rows = _estimate_rows(u, ii, jj)
     packed = np.zeros((grid.n, grid.n, rows.shape[1]))
     packed[ii, jj] = rows
-    if u.target.kind == "polygonal":
-        return DerivativeField(grid=grid, kind="sampled", samp=packed)
-    return DerivativeField(grid=grid, kind="quadratic", quad=packed)
+    return DerivativeField.from_packed(grid, kind, packed)
 
 
 def _estimate_rows(u, ii, jj):
-    """Packed semi-norms of the cells (ii, jj) by radius-h gauge sampling.
+    """(kind, packed rows) of the cells (ii, jj) by radius-h gauge sampling.
 
     For each unit direction v, g(v) = d(u(z + h v), u(z)) / h with the
     off-center value interpolated bilinearly.  Euclidean and quadratic
@@ -457,11 +455,11 @@ def _estimate_rows(u, ii, jj):
         m = len(dirs) // 2
         sym = 0.5 * (g[:, :m] + g[:, m:])
         uniq, inv = distinct_rows(np.round(sym, 12))
-        return _convexify_gauges(uniq)[inv]
+        return "sampled", _convexify_gauges(uniq)[inv]
 
     design = np.column_stack([dirs[:, 0] ** 2, 2 * dirs[:, 0] * dirs[:, 1], dirs[:, 1] ** 2])
     pinv = np.linalg.pinv(design)
-    return _project_psd(g**2 @ pinv.T)       # (cells, 3) = q11, q12, q22
+    return "quadratic", _project_psd(g**2 @ pinv.T)       # (cells, 3) = q11, q12, q22
 
 
 def distinct_rows(rows):
@@ -498,7 +496,7 @@ def _convexify_gauges(rows):
     ball.  Degenerate rows stay as measured; one batched test finds the
     dented rows, and only those get a hull."""
     out = rows.copy()
-    live = np.flatnonzero(~sn._degenerate_rows(rows))
+    live = np.flatnonzero(~sn.row_degenerate("sampled", rows))
     dented = live[~sn.convex_rows(rows[live])]
     if dented.size:
         from scipy.spatial import ConvexHull
@@ -554,7 +552,7 @@ def composed_density(field_, pts, df):
         r11 = a * (q11 * a + q12 * c) + c * (q12 * a + q22 * c)
         r12 = a * (q11 * b + q12 * d) + c * (q12 * b + q22 * d)
         r22 = b * (q11 * b + q12 * d) + d * (q12 * b + q22 * d)
-        return np.maximum(sn.packed_eig(np.stack([r11, r12, r22], axis=-1))[1], 0.0)
+        return sn.row_energy("quadratic", np.stack([r11, r12, r22], axis=-1))
     uniq, inv = field_.unique_rows()
     return _composed_sampled_density(uniq, inv[idx_i, idx_j], df)
 
@@ -570,12 +568,12 @@ def _composed_sampled_density(uniq, ids, df):
     order = np.argsort(ids, kind="stable")
     starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
     rows = np.maximum(uniq[ids[order[starts]]], 0.0)
-    degenerate = sn._degenerate_rows(rows)
+    degenerate = sn.row_degenerate("sampled", rows)
     half = sn.half_edges(rows)
     dens = np.empty(len(ids))
     for r, sel in enumerate(np.split(order, starts)[1:]):      # [0] is the empty head
         mapped = np.einsum("kab,mb->kma", df[sel], dirs).reshape(-1, 2)
         vals = (SemiNorm2.sampled(rows[r])(mapped) if degenerate[r]
                 else sn.edge_gauge(half[r], mapped))
-        dens[sel] = np.max(vals.reshape(-1, m), axis=1) ** 2
+        dens[sel] = sn.row_energy("sampled", vals.reshape(-1, m))
     return dens

@@ -143,18 +143,17 @@ class SmoothingResult:
     k: float
 
 
-def smooth_coefficient(mu, k, eps, field_, *, mu_cells=None):
+def smooth_coefficient(mu, k, eps, field_, *, mu_cells):
     """Mollify mu at the largest radius whose off-B energy fits eps / K.
 
     B is the a-posteriori set of disc cells where the mollified coefficient
     stays within (1 - k^2) eps / (2 + eps) of the raw one; the search
     decreases eta geometrically from just under the support-to-circle
     distance and always terminates because a sub-grid radius reproduces mu
-    exactly on the nodes.
+    exactly on the nodes.  mu_cells is mu on the disc cells, as
+    build_coefficient returns it.
     """
     grid = field_.grid
-    if mu_cells is None:
-        mu_cells = _cells_from_solver(mu, grid)
     K = (1.0 + k) / (1.0 - k)
     budget = eps / K
     bound = (1.0 - k * k) * eps / (2.0 + eps)
@@ -170,23 +169,21 @@ def smooth_coefficient(mu, k, eps, field_, *, mu_cells=None):
         e *= 0.5
     etas.append(min(eta0, 0.5 * mu.spacing))
 
-    best = None
+    least = math.inf
     for eta in etas:
         mu_t = mollify(mu, eta)
         mu_t_cells = _cells_from_solver(mu_t, grid)
         dev = np.abs(mu_cells - mu_t_cells)
         bmask = disc & (dev <= bound)
         off = float(np.sum(dens[disc & ~bmask]) * grid.weight)
-        if best is None or off < best.off_energy:
-            on = bmask & disc
-            best = SmoothingResult(
-                mu_tilde=mu_t, mask=bmask, eta=eta, off_energy=off,
-                max_dev_on_B=float(dev[on].max()) if on.any() else 0.0,
-                k=max(k, mu_t.sup_norm()))
         if off <= budget:
-            return best
+            return SmoothingResult(
+                mu_tilde=mu_t, mask=bmask, eta=eta, off_energy=off,
+                max_dev_on_B=float(dev[bmask].max()) if bmask.any() else 0.0,
+                k=max(k, mu_t.sup_norm()))
+        least = min(least, off)
     raise SearchExhausted("off-B energy budget unreachable at the grid floor",
-                          achieved=best.off_energy)
+                          achieved=least)
 
 
 @dataclass
@@ -366,7 +363,7 @@ def epsilon_conformal_from_field(field_, epsilon, *, quad_rel=QUAD_BUDGET_REL,
 
 # -- pointwise case audit ----------------------------------------------------------
 
-def audit_cases(report, phi, rng, num=64, audit_tol=AUDIT_TOL):
+def audit_cases(report, phi, rng, num=64):
     """Re-derive the pointwise composition bound at random sampled nodes.
 
     Per sampled node w of phi's domain (z the nearest disc cell of phi(w)):
@@ -416,14 +413,14 @@ def audit_cases(report, phi, rng, num=64, audit_tol=AUDIT_TOL):
             m = abs(mu_z - mu_rho) / abs(1.0 - mu_z * np.conj(mu_rho))
             dev = abs(mu_t_cells[i, j] - mu_rho)
             assert m <= eps_i / (2.0 + eps_i) + dev / (1.0 - k * k) + 1e-9
-            rhs = jd[i, j] * det * (1.0 + m) / (1.0 - m) * (1.0 + audit_tol)
+            rhs = jd[i, j] * det * (1.0 + m) / (1.0 - m) * (1.0 + AUDIT_TOL)
         elif in_b:
             m = abs(mu_rho)
             dev = abs(mu_t_cells[i, j] - mu_rho)
             assert m <= eps_i / (2.0 + eps_i) + dev / (1.0 - k * k) + 1e-9
-            rhs = en[i, j] * det * (1.0 + m) / (1.0 - m) * (1.0 + audit_tol)
+            rhs = en[i, j] * det * (1.0 + m) / (1.0 - m) * (1.0 + AUDIT_TOL)
         else:
-            rhs = K * en[i, j] * det * (1.0 + audit_tol)
+            rhs = K * en[i, j] * det * (1.0 + AUDIT_TOL)
         assert lhs <= rhs + 1e-12, f"case audit failed at cell ({i},{j}): {lhs} > {rhs}"
         checked += 1
     return checked

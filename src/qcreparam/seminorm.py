@@ -12,9 +12,11 @@ The operations: the squared-maximal-stretch energy, the inscribed ellipse of
 maximal area, the two jacobians (inscribed-ellipse normalization and
 unit-ball-area normalization), the isotropy defect, quadratic regularization,
 and the Beltrami coefficient of a linear map rounding the inscribed ellipse.
-Both representations hand the inscribed ellipse over as the packed matrix
-(m11, m12, m22) of {v : v.Mv <= 1}; the jacobian and the Beltrami
-coefficient are read from it.
+Each is written once, as a row_* function of the kind and a stack of packed
+rows, (q11, q12, q22) or the m gauge values; DerivativeField applies it to a
+grid of rows and the SemiNorm2 operations to one row.  Both representations
+hand the inscribed ellipse over as the packed matrix (m11, m12, m22) of
+{v : v.Mv <= 1}; the jacobian and the Beltrami coefficient are read from it.
 """
 
 from __future__ import annotations
@@ -68,12 +70,6 @@ def packed_det(p):
     return p[..., 0] * p[..., 2] - p[..., 1] ** 2
 
 
-def packed_degenerate(p):
-    """True where the packed form vanishes on a direction (relative DEGEN_TOL)."""
-    lmin, lmax, _ = packed_eig(p)
-    return ~((lmax > 0) & (lmin >= DEGEN_TOL * lmax))
-
-
 def ellipse_beltrami(m):
     """Beltrami coefficient of the linear maps sending the ellipses {v.Mv <= 1}
     (packed M; 0 where M = 0) to round balls; semi-axes a >= b at angle theta
@@ -83,10 +79,6 @@ def ellipse_beltrami(m):
     rs = np.sqrt(lmax) + np.sqrt(lmin)
     k = np.where(rs > 0, (np.sqrt(lmax) - np.sqrt(lmin)) / np.where(rs > 0, rs, 1.0), 0.0)
     return k * np.exp(2j * phi)
-
-
-def _pack(q):
-    return np.array([q[0, 0], q[0, 1], q[1, 1]])
 
 
 def _inv2(p):
@@ -132,11 +124,11 @@ class Ellipse2:
 
 @dataclass(frozen=True)
 class SemiNorm2:
-    """A semi-norm on R^2 in quadratic or sampled representation."""
+    """A semi-norm on R^2 in quadratic or sampled representation, held as one
+    packed row: (q11, q12, q22) or the m gauge values."""
 
     kind: str
-    matrix: np.ndarray | None = None
-    values: np.ndarray | None = None
+    row: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- constructors -------------------------------------------------------
@@ -149,11 +141,12 @@ class SemiNorm2:
         if abs(q[0, 1] - q[1, 0]) > 1e-12 * (1.0 + np.abs(q).max()):
             raise ValueError("quadratic form must be symmetric")
         q = 0.5 * (q + q.T)
-        lmin, lmax, _ = packed_eig(_pack(q))
+        row = np.array([q[0, 0], q[0, 1], q[1, 1]])
+        lmin, lmax, _ = packed_eig(row)
         if lmin < -1e-9 * max(1.0, abs(lmax)):
             raise ValueError("quadratic form must be positive semi-definite")
-        q.setflags(write=False)
-        return SemiNorm2(kind="quadratic", matrix=q)
+        row.setflags(write=False)
+        return SemiNorm2(kind="quadratic", row=row)
 
     @staticmethod
     def sampled(values):
@@ -163,7 +156,15 @@ class SemiNorm2:
         if np.any(values < 0) or not np.all(np.isfinite(values)):
             raise ValueError("gauge values must be finite and nonnegative")
         values.setflags(write=False)
-        return SemiNorm2(kind="sampled", values=values)
+        return SemiNorm2(kind="sampled", row=values)
+
+    @staticmethod
+    def from_row(kind, row):
+        """The semi-norm of one packed row of the given kind."""
+        if kind == "quadratic":
+            a, b, c = row
+            return SemiNorm2.quadratic(np.array([[a, b], [b, c]]))
+        return SemiNorm2.sampled(row)
 
     @staticmethod
     def zero():
@@ -176,14 +177,25 @@ class SemiNorm2:
     # -- basic structure ----------------------------------------------------
 
     @property
+    def matrix(self):
+        """Q with s(v)^2 = v.Qv (quadratic; None for sampled)."""
+        if self.kind != "quadratic":
+            return None
+        a, b, c = self.row
+        return np.array([[a, b], [b, c]])
+
+    @property
+    def values(self):
+        """The m gauge values (sampled; None for quadratic)."""
+        return self.row if self.kind == "sampled" else None
+
+    @property
     def m(self):
         return 0 if self.values is None else int(self.values.size)
 
     @property
     def degenerate(self):
-        if self.kind == "quadratic":
-            return bool(packed_degenerate(_pack(self.matrix)))
-        return bool(_degenerate_rows(self.values))
+        return bool(row_degenerate(self.kind, self.row))
 
     def __call__(self, v):
         """Evaluate the semi-norm at a vector (or an array of row vectors)."""
@@ -200,9 +212,7 @@ class SemiNorm2:
         """The semi-norm c*s for c > 0."""
         if c <= 0:
             raise ValueError("scale must be positive")
-        if self.kind == "quadratic":
-            return SemiNorm2.quadratic(c**2 * self.matrix)
-        return SemiNorm2.sampled(c * self.values)
+        return SemiNorm2.from_row(self.kind, self.row * (c**2 if self.kind == "quadratic" else c))
 
     def rotated(self, alpha):
         """The semi-norm v -> s(R_alpha v)."""
@@ -216,10 +226,9 @@ class SemiNorm2:
     # -- unit-ball polygon (sampled representation) --------------------------
 
     def _polygon(self):
-        """Vertices (2m, 2) and edge rows c_i of the ball {|c_i . x| <= 1}."""
+        """Vertices (2m, 2) and edge rows c_i of the ball {|c_i . x| <= 1} of a
+        sampled semi-norm."""
         if "polygon" not in self._cache:
-            if self.kind != "sampled":
-                raise ValueError("polygon only defined for sampled semi-norms")
             if self.degenerate:
                 raise DegenerateSemiNorm("unit ball of a degenerate semi-norm is unbounded")
             self._cache["polygon"] = tuple(x[0] for x in _polygons(self.values[None]))
@@ -229,9 +238,7 @@ class SemiNorm2:
         """Lebesgue area of the unit ball {s <= 1}."""
         if self.degenerate:
             return math.inf
-        if self.kind == "quadratic":
-            return math.pi / math.sqrt(packed_det(_pack(self.matrix)))
-        return math.pi / float(ball_jacobians(self.values))
+        return math.pi / float(row_ball_jacobian(self.kind, self.row))
 
     def is_convex(self, tol=1e-9):
         """True if the sampled ball polygon is convex (quadratic: always)."""
@@ -245,10 +252,8 @@ class SemiNorm2:
 
     def record(self):
         """Plain-text record: 'Q a11 a12 a22' or 'S m v1 ... vm'."""
-        if self.kind == "quadratic":
-            return "Q " + " ".join(format(x, ".17g") for x in _pack(self.matrix))
-        vals = " ".join(format(x, ".17g") for x in self.values)
-        return f"S {self.m} {vals}"
+        tag = "Q" if self.kind == "quadratic" else f"S {self.m}"
+        return tag + " " + " ".join(format(x, ".17g") for x in self.row)
 
     @staticmethod
     def from_record(text):
@@ -258,8 +263,7 @@ class SemiNorm2:
         if parts[0] == "Q":
             if len(parts) != 4:
                 raise InputFormatError("quadratic record needs 3 entries")
-            a, b, c = (float(x) for x in parts[1:])
-            return SemiNorm2.quadratic(np.array([[a, b], [b, c]]))
+            return SemiNorm2.from_row("quadratic", [float(x) for x in parts[1:]])
         if parts[0] == "S":
             m = int(parts[1])
             vals = [float(x) for x in parts[2:]]
@@ -301,11 +305,6 @@ def edge_gauge(half, pts):
     return out
 
 
-def _degenerate_rows(values):
-    vmax = values.max(axis=-1, initial=0.0)
-    return ~((vmax > 0) & (values.min(axis=-1) >= DEGEN_TOL * vmax))
-
-
 def _polygons(values):
     """Vertices (..., 2m, 2) and edge rows c_i (..., 2m, 2) of the unit balls
     {x : |c_i . x| <= 1} of non-degenerate gauge rows values (..., m)."""
@@ -342,19 +341,11 @@ def half_edges(values):
     """Edge rows (R, m, 2) for edge_gauge of the gauge rows values (R, m): one
     antipodal half of each ball polygon, zero for degenerate rows."""
     out = np.zeros(values.shape + (2,))
-    live = np.flatnonzero(~_degenerate_rows(values))
+    live = np.flatnonzero(~row_degenerate("sampled", values))
     for k in range(0, live.size, _CHUNK):
         rows = live[k : k + _CHUNK]
         out[rows] = _polygons(values[rows])[1][:, : values.shape[1]]
     return out
-
-
-def ball_jacobians(values):
-    """pi / unit-ball area (2m triangles, vertex radii 1/values) per row; 0 if degenerate."""
-    with np.errstate(divide="ignore"):
-        r = 1.0 / values
-        area = math.sin(math.pi / values.shape[-1]) * np.sum(r * np.roll(r, -1, axis=-1), axis=-1)
-        return np.where(_degenerate_rows(values), 0.0, np.pi / area)
 
 
 # -- inscribed ellipses of sampled unit balls ---------------------------------------
@@ -370,7 +361,7 @@ def inscribed_ellipses(values):
     duality gap <= GAP_TOL; else EllipseNotCertified), independently of its batch."""
     values = np.asarray(values, dtype=float)
     out = np.zeros(values.shape[:-1] + (3,))
-    rows = np.nonzero(~_degenerate_rows(values))[0]
+    rows = np.nonzero(~row_degenerate("sampled", values))[0]
     for k in range(0, rows.size, _CHUNK):
         out[rows[k : k + _CHUNK]] = _inv2(_solve_rows(values[rows[k : k + _CHUNK]]))
     return out
@@ -514,20 +505,65 @@ def _polish(c, a, p, distinct):
     return pc[rows, best] / np.maximum(worst[rows, best], 1.0)[:, None], lam, valid[rows, best]
 
 
-# -- operations ---------------------------------------------------------------
+# -- operations on packed rows of one kind ------------------------------------
+
+def row_degenerate(kind, rows):
+    """True where the semi-norm vanishes on a direction (relative DEGEN_TOL)."""
+    if kind == "quadratic":
+        lo, hi, _ = packed_eig(rows)
+    else:
+        lo, hi = rows.min(axis=-1), rows.max(axis=-1, initial=0.0)
+    return ~((hi > 0) & (lo >= DEGEN_TOL * hi))
+
+
+def row_energy(kind, rows):
+    """I_+^2: the max of s(v)^2 over Euclidean unit vectors."""
+    if kind == "quadratic":
+        return np.maximum(packed_eig(rows)[1], 0.0)
+    return np.max(rows, axis=-1) ** 2
+
+
+def row_regularized(kind, rows, delta):
+    """Rows of the semi-norm h -> sqrt(s(h)^2 + delta^2 |h|^2)."""
+    if kind == "quadratic":
+        return np.stack([rows[..., 0] + delta**2, rows[..., 1], rows[..., 2] + delta**2], axis=-1)
+    return np.sqrt(np.maximum(rows, 0.0) ** 2 + delta**2)
+
+
+def row_ellipse(kind, rows, delta=0.0):
+    """Packed M (R, 3) of the inscribed ellipses {v.Mv <= 1} of the delta-regularized
+    rows (R, .); M = 0 where degenerate.  A quadratic ball is its own ellipse, zeroed
+    only at delta = 0: Q + delta^2 I may test degenerate at tiny delta > 0."""
+    m = row_regularized(kind, rows, delta)
+    if kind == "sampled":
+        return inscribed_ellipses(m)
+    if delta == 0.0:
+        m[row_degenerate(kind, m)] = 0.0
+    return m
+
+
+def row_ball_jacobian(kind, rows):
+    """pi / (area of the unit ball) per row (R, .); 0 where degenerate.  A
+    sampled ball is 2m triangles with vertex radii 1/values."""
+    if kind == "quadratic":
+        return ellipse_jacobian(row_ellipse(kind, rows))
+    v = np.maximum(rows, 0.0)
+    with np.errstate(divide="ignore"):
+        r = 1.0 / v
+        area = math.sin(math.pi / v.shape[-1]) * np.sum(r * np.roll(r, -1, axis=-1), axis=-1)
+        return np.where(row_degenerate(kind, v), 0.0, np.pi / area)
+
+
+def ellipse_jacobian(m):
+    """pi / (area of the ellipses {v.Mv <= 1}) = sqrt(det M); 0 where M = 0."""
+    return np.sqrt(np.maximum(packed_det(m), 0.0))
+
+
+# -- operations on one semi-norm ------------------------------------------------
 
 def energy_plus(s):
     """max of s(v)^2 over Euclidean unit vectors."""
-    if s.kind == "quadratic":
-        return max(float(packed_eig(_pack(s.matrix))[1]), 0.0)
-    return float(np.max(s.values) ** 2)
-
-
-def _ellipse_matrix(s):
-    """Packed M of the inscribed ellipse {v.Mv <= 1} of a non-degenerate s."""
-    if s.kind == "quadratic":
-        return _pack(s.matrix)
-    return inscribed_ellipses(s.values[None])[0]
+    return float(row_energy(s.kind, s.row))
 
 
 def john_ellipse(s):
@@ -535,23 +571,19 @@ def john_ellipse(s):
     itself for quadratic s, a one-row inscribed_ellipses call for sampled s."""
     if s.degenerate:
         raise DegenerateSemiNorm("no inscribed ellipse: semi-norm is degenerate")
-    lmin, lmax, phi = packed_eig(_ellipse_matrix(s))
+    lmin, lmax, phi = packed_eig(row_ellipse(s.kind, s.row[None])[0])
     return Ellipse2(a=1.0 / math.sqrt(lmin), b=1.0 / math.sqrt(lmax),
                     theta=float(phi) + 0.5 * math.pi)
 
 
 def jacobian_intrinsic(s):
     """pi / (area of the inscribed ellipse); 0 for degenerate semi-norms."""
-    if s.degenerate:
-        return 0.0
-    return math.sqrt(max(float(packed_det(_ellipse_matrix(s))), 0.0))
+    return float(ellipse_jacobian(row_ellipse(s.kind, s.row[None]))[0])
 
 
 def jacobian_hausdorff(s):
     """pi / (area of the unit ball); 0 for degenerate semi-norms."""
-    if s.degenerate:
-        return 0.0
-    return math.pi / s.ball_area()
+    return float(row_ball_jacobian(s.kind, s.row[None])[0])
 
 
 def isotropy_defect(s):
@@ -563,9 +595,7 @@ def regularize(s, delta):
     """The semi-norm h -> sqrt(s(h)^2 + delta^2 |h|^2); never degenerate."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if s.kind == "quadratic":
-        return SemiNorm2.quadratic(s.matrix + delta**2 * np.eye(2))
-    return SemiNorm2.sampled(np.sqrt(s.values**2 + delta**2))
+    return SemiNorm2.from_row(s.kind, row_regularized(s.kind, s.row, delta))
 
 
 def beltrami_of(s):
@@ -573,4 +603,4 @@ def beltrami_of(s):
     the inscribed ellipse of s to a round ball (see ellipse_beltrami)."""
     if s.degenerate:
         raise DegenerateSemiNorm("Beltrami coefficient needs a non-degenerate norm")
-    return complex(ellipse_beltrami(_ellipse_matrix(s)))
+    return complex(ellipse_beltrami(row_ellipse(s.kind, s.row[None])[0]))

@@ -34,9 +34,13 @@ def test_every_wrapped_name_exists(spans):
         assert name in spans.LAYER_OF
 
 
-def test_traced_linf_map_yields_layers(spans, tmp_path):
-    path = tmp_path / "linf.map"
-    SampledMap.from_function(DiscGrid(32), TargetSpace.linf(),
+@pytest.mark.parametrize("target", ["linf", "euclid"])
+def test_traced_map_yields_layers(spans, tmp_path, target):
+    # both semi-norm representations: the sampled field of an l-inf target
+    # and the quadratic field of a Euclidean one
+    space = TargetSpace.linf() if target == "linf" else TargetSpace.euclidean(2)
+    path = tmp_path / f"{target}.map"
+    SampledMap.from_function(DiscGrid(32), space,
                              lambda x, y: np.stack([x + 0.2 * x * y, y + 0.1 * x * x])).save(path)
     before = {(owner, attr): owner.__dict__[attr]
               for owner, attr, _, _ in spans._module_targets()}
@@ -53,6 +57,7 @@ def test_traced_linf_map_yields_layers(spans, tmp_path):
     for metric in spans.TIME_METRICS:
         assert out[metric] >= 0.0, metric
     assert out["field.composed_nodes"] > 0
-    assert out["seminorm.gauge_points"] > 0
+    # only a polygonal target evaluates sampled gauges
+    assert (out.get("seminorm.gauge_points", 0) > 0) == (target == "linf")
     assert 0.0 < out["field.distinct_cell_share"] <= 1.0
     assert out["beltrami.solver_iterations"] > 0

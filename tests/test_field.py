@@ -6,7 +6,7 @@ from qcreparam import field as fd
 from qcreparam.errors import InputFormatError, StencilOutOfDomain
 from qcreparam.seminorm import half_circle_directions
 
-from conftest import linear_qcmap, rand_spd
+from conftest import linear_qcmap, rand_sampled_norm, rand_spd
 
 EUCLID = qc.TargetSpace.euclidean(2)
 
@@ -369,3 +369,96 @@ class TestSerialization:
         mask = f.interior_mask
         assert np.allclose(g.quad[mask], f.quad[mask], atol=1e-12)
         assert qc.energy(g) == pytest.approx(qc.energy(f), rel=1e-12)
+
+    @staticmethod
+    def saved_field(tmp_path, target=EUCLID, n=16):
+        path = tmp_path / "field.txt"
+        qc.estimate_field(identity_map(n, target)).save(path)
+        return path
+
+    @pytest.mark.parametrize("record", ["40 5 Q 9 0 9", "-1 -1 Q 9 0 9"])
+    def test_field_cell_outside_grid_rejected(self, tmp_path, record):
+        # neither an IndexError nor a negative index that wraps onto (15, 15)
+        path = self.saved_field(tmp_path)
+        path.write_text(path.read_text() + record + "\n")
+        with pytest.raises(InputFormatError, match="outside the 16 x 16 grid"):
+            qc.DerivativeField.load(path)
+
+    def test_field_sampled_rows_of_another_m_rejected(self, tmp_path):
+        path = self.saved_field(tmp_path, qc.TargetSpace.linf())
+        path.write_text(path.read_text() + "8 8 S 8 " + " ".join(["1"] * 8) + "\n")
+        with pytest.raises(InputFormatError, match="8 values, not 64"):
+            qc.DerivativeField.load(path)
+
+    @pytest.mark.parametrize("kind", ["sampled", "quadratic"])
+    def test_field_header_only_rejected(self, tmp_path, kind):
+        path = tmp_path / "field.txt"
+        path.write_text(f"16 {kind}\n")
+        with pytest.raises(InputFormatError, match="interior cells missing"):
+            qc.DerivativeField.load(path)
+
+    def test_field_missing_interior_cells_rejected(self, tmp_path):
+        # four interior cells of an n=16 field: the rest would integrate as
+        # zero, a silently dropped measure
+        path = self.saved_field(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:5]) + "\n")
+        with pytest.raises(InputFormatError, match="interior cells missing"):
+            qc.DerivativeField.load(path)
+
+
+class TestScalarFieldAgreement:
+    """The SemiNorm2 operations and the DerivativeField densities apply the
+    same row formulas, so on the same rows they agree bit for bit."""
+
+    DELTAS = (0.0, 2.0**-3, 2.0**-40)
+
+    @staticmethod
+    def rows(rng):
+        dirs = half_circle_directions(64)
+        quad = [rand_spd(rng)[[0, 0, 1], [0, 1, 1]] for _ in range(4)]
+        quad += [[0.36, 0.48, 0.64], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]    # rank 1, zero
+        samp = [np.abs(dirs).max(axis=1), np.abs(dirs).sum(axis=1),
+                rand_sampled_norm(rng).values, np.abs(dirs[:, 0])]       # last: degenerate
+        return {"quadratic": np.array(quad), "sampled": np.array(samp)}
+
+    @staticmethod
+    def same(a, b):
+        return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("kind", ["quadratic", "sampled"])
+    def test_scalar_ops_match_field_densities(self, rng, kind):
+        rows = self.rows(rng)[kind]
+        grid = qc.DiscGrid(16)
+        cells = np.argwhere(grid.interior_mask)[: len(rows)]
+        packed = np.zeros((16, 16, rows.shape[1]))
+        packed[cells[:, 0], cells[:, 1]] = rows
+        f = qc.DerivativeField.from_packed(grid, kind, packed)
+        energy, hausdorff = f.energy_density(), f.jacobian_hausdorff_density()
+        defect = f.isotropy_defect_density()
+        kept = 0
+        for i, j in cells:
+            s = f.seminorm_at(i, j)
+            assert self.same(energy[i, j], qc.energy_plus(s))
+            assert self.same(hausdorff[i, j], qc.jacobian_hausdorff(s))
+            assert self.same(defect[i, j], qc.isotropy_defect(s))
+            for delta in self.DELTAS:
+                r = qc.regularize(s, delta) if delta else s
+                jac = f.jacobian_intrinsic_density(delta)[i, j]
+                mu = f.beltrami_density(delta)[i, j]
+                if delta and kind == "quadratic" and r.degenerate:
+                    # Q + delta^2 I tests degenerate at tiny delta; the field
+                    # keeps it as its ellipse, the one semi-norm has none
+                    kept += 1
+                    assert self.same(f.ellipse_field(delta)[i, j], r.row)
+                    assert qc.jacobian_intrinsic(r) == 0.0
+                    continue
+                assert self.same(jac, qc.jacobian_intrinsic(r))
+                if r.degenerate:
+                    assert jac == 0.0 and mu == 0.0
+                    continue
+                assert self.same(mu, qc.beltrami_of(r))
+                lmin, lmax, _ = qc.seminorm.packed_eig(f.ellipse_field(delta)[i, j])
+                e = qc.john_ellipse(r)
+                assert (e.a, e.b) == (1.0 / np.sqrt(lmin), 1.0 / np.sqrt(lmax))
+        assert kept == (2 if kind == "quadratic" else 0)

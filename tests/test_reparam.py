@@ -158,6 +158,34 @@ class TestSmoothCoefficient:
         assert sm.off_energy <= 0.2 / ((1 + sm.k) / (1 - sm.k))
         assert sm.max_dev_on_B <= (1 - sm.k**2) * 0.2 / 2.2 + 1e-15
 
+    def test_exhausted_search_reports_least_off_energy(self, iso_field, monkeypatch):
+        # mu = 0.3 on |z| <= 0.7 gives five radii; the k-th comes back off by
+        # 0.5 on a disc of radius radii[k], so none fits and the least off-B
+        # energy is neither the first nor the last try's
+        grid, eps, k = iso_field.grid, 1e-3, 0.3
+        x, y = qc.ComplexField(S=2.0, values=np.zeros((2 * grid.n, 2 * grid.n))).meshes()
+        mu = qc.ComplexField(S=2.0, values=np.where(np.hypot(x, y) <= 0.7, k, 0.0) + 0j)
+        mu_cells = rp._cells_from_solver(mu, grid)
+        radii, tried = [0.2, 0.1, 0.6, 0.05, 0.9], []
+        mollify = rp.mollify
+
+        def perturbed(m, eta):
+            bump = 0.5 * (np.hypot(x, y) < radii[len(tried)])
+            tried.append(qc.ComplexField(S=m.S, values=mollify(m, eta).values + bump))
+            return tried[-1]
+
+        monkeypatch.setattr(rp, "mollify", perturbed)
+        with pytest.raises(SearchExhausted) as info:
+            rp.smooth_coefficient(mu, k, eps, iso_field, mu_cells=mu_cells)
+        bound = (1 - k * k) * eps / (2 + eps)
+        dens = iso_field.energy_density()
+        offs = []
+        for mu_t in tried:
+            dev = np.abs(mu_cells - rp._cells_from_solver(mu_t, grid))
+            offs.append(float(np.sum(dens[grid.disc_mask & ~(dev <= bound)]) * grid.weight))
+        assert len(tried) == len(radii) and min(offs) < min(offs[0], offs[-1])
+        assert info.value.achieved == min(offs)
+
 
 class TestPipeline:
     def test_identity_map(self):
