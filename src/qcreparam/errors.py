@@ -72,3 +72,9 @@ class PipelineBudgetExceeded(QcreparamError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+class AuditFailed(QcreparamError, AssertionError):
+    """The pointwise case audit found a node that breaks its bound.  Also an
+    AssertionError, which callers caught from the assert statements that it
+    replaces (python -O strips those)."""

@@ -261,8 +261,9 @@ def _save_cells(path, header, mask, record):
 
 def _cell_records(fh, mask, what):
     """(i, j, tokens of the rest) of each 'i j rest' line of a cell file.  Raises
-    InputFormatError for a cell outside the grid, and once the lines are
-    read, for cells of mask that no line named (their measure would drop)."""
+    InputFormatError for a cell outside the grid or named twice, and once the
+    lines are read, for cells of mask that no line named (their measure would
+    drop)."""
     n = mask.shape[0]
     seen = np.zeros_like(mask)
     for line in fh:
@@ -274,6 +275,8 @@ def _cell_records(fh, mask, what):
         i, j = int(parts[0]), int(parts[1])
         if not (0 <= i < n and 0 <= j < n):
             raise InputFormatError(f"cell ({i}, {j}) outside the {n} x {n} grid")
+        if seen[i, j]:
+            raise InputFormatError(f"cell ({i}, {j}) appears twice")
         seen[i, j] = True
         yield i, j, parts[2:]
     missing = mask & ~seen
@@ -285,23 +288,24 @@ def _cell_records(fh, mask, what):
 class DerivativeField:
     """Estimated derivative semi-norms of a map, one per interior cell.
 
-    Stored packed: quadratic fields keep (q11, q12, q22) per cell, sampled
-    fields keep the m gauge values per cell.  Densities are evaluated on all
-    disc cells through the nearest-interior extension of the grid.
+    Stored as the packed rows the stencil found, (q11, q12, q22) per interior
+    cell or m gauge values per distinct row, and each cell's row number,
+    extended to all cells by nearest interior cell.  A density is its
+    seminorm row_* function applied to the rows and gathered by the index.
     """
 
     grid: DiscGrid
     kind: str                       # "quadratic" | "sampled"
-    quad: np.ndarray | None = None  # (n, n, 3)
-    samp: np.ndarray | None = None  # (n, n, m)
+    rows: np.ndarray                # (R, 3 or m) packed rows
+    index: np.ndarray               # (n, n) row of each cell, extended
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
-    def from_packed(grid, kind, packed):
-        """The field of packed per-cell rows (n, n, 3 or m) of the given kind."""
-        if kind == "quadratic":
-            return DerivativeField(grid=grid, kind=kind, quad=packed)
-        return DerivativeField(grid=grid, kind=kind, samp=packed)
+    def from_interior(grid, kind, rows, inv):
+        """The field whose interior cells, in np.nonzero order, carry rows[inv]."""
+        index = np.zeros((grid.n, grid.n), dtype=np.intp)
+        index[grid.interior_mask] = inv
+        return DerivativeField(grid=grid, kind=kind, rows=rows, index=grid.extend(index))
 
     @property
     def interior_mask(self):
@@ -309,67 +313,44 @@ class DerivativeField:
 
     def seminorm_at(self, i, j):
         """SemiNorm2 of the cell (nearest-interior extension applied)."""
-        return SemiNorm2.from_row(self.kind, self.packed_extended()[i, j])
+        return SemiNorm2.from_row(self.kind, self.rows[self.index[i, j]])
 
-    # -- packed per-cell data on all disc cells ------------------------------
-
-    def packed_extended(self):
-        if "packed" not in self._cache:
-            data = self.quad if self.kind == "quadratic" else self.samp
-            self._cache["packed"] = self.grid.extend(data)
-        return self._cache["packed"]
-
-    def _per_cell(self, fn, key):
-        """fn of the packed rows, per cell (extended).  Sampled fields evaluate
-        fn once per distinct row and cache the result under key; quadratic
-        fields skip the dedup, whose sort costs more than it saves when most
-        cells are distinct (about 92 % on smooth Euclidean maps)."""
-        if self.kind == "quadratic":
-            return fn(self.packed_extended())
-        if key not in self._cache:
-            uniq, inv = self.unique_rows()
-            self._cache[key] = fn(uniq)[inv]
-        return self._cache[key]
+    # per-cell (n, n, k) views read by bench/spans.py; ROADMAP item 1 deletes them
+    quad = property(lambda self: self.rows[self.index] if self.kind == "quadratic" else None)
+    samp = property(lambda self: self.rows[self.index] if self.kind == "sampled" else None)
 
     # -- densities ------------------------------------------------------------
 
     def energy_density(self):
         """I_+^2 of the cell semi-norm, per cell (extended)."""
-        return sn.row_energy(self.kind, self.packed_extended())
+        return sn.row_energy(self.kind, self.rows)[self.index]
+
+    def _ellipse_rows(self, delta):
+        """Packed M per row, solved once per delta (see ellipse_field)."""
+        if delta not in self._cache:
+            self._cache[delta] = sn.row_ellipse(self.kind, self.rows, delta)
+        return self._cache[delta]
 
     def ellipse_field(self, delta=0.0):
         """Packed M of the inscribed ellipse {v : v.Mv <= 1} of the (optionally
         delta-regularized) cell semi-norm, per cell (extended); M = 0 where the
         semi-norm is degenerate (see seminorm.row_ellipse)."""
-        return self._per_cell(lambda rows: sn.row_ellipse(self.kind, rows, delta),
-                              ("ellipse", delta))
+        return self._ellipse_rows(delta)[self.index]
 
     def jacobian_intrinsic_density(self, delta=0.0):
         """Inscribed-ellipse jacobian of the (optionally regularized) semi-norm."""
-        return sn.ellipse_jacobian(self.ellipse_field(delta))
+        return sn.ellipse_jacobian(self._ellipse_rows(delta))[self.index]
 
     def jacobian_hausdorff_density(self):
         """Unit-ball-area jacobian per cell (extended)."""
-        return self._per_cell(lambda rows: sn.row_ball_jacobian(self.kind, rows), "hausdorff")
+        return sn.row_ball_jacobian(self.kind, self.rows)[self.index]
 
     def isotropy_defect_density(self):
         return self.energy_density() - self.jacobian_intrinsic_density()
 
     def beltrami_density(self, delta):
         """Beltrami coefficient of the delta-regularized cell semi-norm."""
-        return sn.ellipse_beltrami(self.ellipse_field(delta))
-
-    def unique_rows(self):
-        """Distinct packed rows and the per-cell inverse index.
-
-        Rows are compared bytewise after -0.0 is turned into 0.0 (see
-        `distinct_rows`); the order of the distinct rows is unspecified, so
-        consumers work per row."""
-        if "unique" not in self._cache:
-            p = self.packed_extended()
-            uniq, inv = distinct_rows(p.reshape(-1, p.shape[-1]))
-            self._cache["unique"] = (uniq, inv.reshape(p.shape[:2]))
-        return self._cache["unique"]
+        return sn.ellipse_beltrami(self._ellipse_rows(delta))[self.index]
 
     # -- serialization --------------------------------------------------------
 
@@ -396,7 +377,8 @@ class DerivativeField:
                     raise InputFormatError(f"cell ({i}, {j}) has {s.row.size} values, "
                                            f"not {packed.shape[-1]}")
                 packed[i, j] = s.row
-        return DerivativeField.from_packed(grid, kind, packed)
+        return DerivativeField.from_interior(grid, kind,
+                                             *distinct_rows(packed[grid.interior_mask]))
 
 
 # -- derivative estimation -----------------------------------------------------
@@ -419,28 +401,25 @@ def estimate_derivative(u, i, j):
     pts = np.array([grid.x[i, j], grid.y[i, j]]) + grid.h * _stencil_directions(u.target)
     if np.any(np.hypot(pts[:, 0], pts[:, 1]) >= 1.0 - 1.5 * grid.h):
         raise StencilOutOfDomain(f"stencil at cell ({i}, {j}) leaves the disc")
-    kind, rows = _estimate_rows(u, np.array([i]), np.array([j]))
-    return SemiNorm2.from_row(kind, rows[0])
+    kind, rows, inv = _estimate_rows(u, np.array([i]), np.array([j]))
+    return SemiNorm2.from_row(kind, rows[inv[0]])
 
 
 def estimate_field(u):
     """Derivative semi-norms on all interior cells (vectorized)."""
-    grid = u.grid
-    ii, jj = np.nonzero(grid.interior_mask)
-    kind, rows = _estimate_rows(u, ii, jj)
-    packed = np.zeros((grid.n, grid.n, rows.shape[1]))
-    packed[ii, jj] = rows
-    return DerivativeField.from_packed(grid, kind, packed)
+    ii, jj = np.nonzero(u.grid.interior_mask)
+    return DerivativeField.from_interior(u.grid, *_estimate_rows(u, ii, jj))
 
 
 def _estimate_rows(u, ii, jj):
-    """(kind, packed rows) of the cells (ii, jj) by radius-h gauge sampling.
+    """(kind, rows, inv): cell k of (ii, jj) carries the packed row rows[inv[k]].
 
     For each unit direction v, g(v) = d(u(z + h v), u(z)) / h with the
     off-center value interpolated bilinearly.  Euclidean and quadratic
     targets get the least-squares fit (q11, q12, q22) of g^2, projected to
-    positive semi-definite; polygonal targets get sampled gauge rows,
-    symmetrized over antipodes and convexified.
+    positive semi-definite, one row per cell; polygonal targets get sampled
+    gauge rows, symmetrized over antipodes, then deduplicated, and each
+    distinct row convexified.
     """
     grid = u.grid
     z = np.column_stack([grid.x[ii, jj], grid.y[ii, jj]])
@@ -455,11 +434,11 @@ def _estimate_rows(u, ii, jj):
         m = len(dirs) // 2
         sym = 0.5 * (g[:, :m] + g[:, m:])
         uniq, inv = distinct_rows(np.round(sym, 12))
-        return "sampled", _convexify_gauges(uniq)[inv]
+        return "sampled", _convexify_gauges(uniq), inv
 
     design = np.column_stack([dirs[:, 0] ** 2, 2 * dirs[:, 0] * dirs[:, 1], dirs[:, 1] ** 2])
     pinv = np.linalg.pinv(design)
-    return "quadratic", _project_psd(g**2 @ pinv.T)       # (cells, 3) = q11, q12, q22
+    return "quadratic", _project_psd(g**2 @ pinv.T), np.arange(len(ii))
 
 
 def distinct_rows(rows):
@@ -496,8 +475,7 @@ def _convexify_gauges(rows):
     ball.  Degenerate rows stay as measured; one batched test finds the
     dented rows, and only those get a hull."""
     out = rows.copy()
-    live = np.flatnonzero(~sn.row_degenerate("sampled", rows))
-    dented = live[~sn.convex_rows(rows[live])]
+    dented = np.flatnonzero(~(sn.convex_rows(rows) | sn.row_degenerate("sampled", rows)))
     if dented.size:
         from scipy.spatial import ConvexHull
 
@@ -542,10 +520,9 @@ def composed_energy(field_, phi):
 def composed_density(field_, pts, df):
     """I_+^2(s_z . df[k]) per node k, with s_z the semi-norm of the disc cell
     nearest to the complex point z = pts[k] (a node's image under phi)."""
-    idx_i, idx_j = field_.grid.nearest_cell(pts.real, pts.imag)
+    ids = field_.index[field_.grid.nearest_cell(pts.real, pts.imag)]
     if field_.kind == "quadratic":
-        p = field_.packed_extended()[idx_i, idx_j]
-        q11, q12, q22 = p[:, 0], p[:, 1], p[:, 2]
+        q11, q12, q22 = field_.rows[ids].T
         a, b = df[:, 0, 0], df[:, 0, 1]
         c, d = df[:, 1, 0], df[:, 1, 1]
         # M^T Q M for M = Dphi
@@ -553,8 +530,7 @@ def composed_density(field_, pts, df):
         r12 = a * (q11 * b + q12 * d) + c * (q12 * b + q22 * d)
         r22 = b * (q11 * b + q12 * d) + d * (q12 * b + q22 * d)
         return sn.row_energy("quadratic", np.stack([r11, r12, r22], axis=-1))
-    uniq, inv = field_.unique_rows()
-    return _composed_sampled_density(uniq, inv[idx_i, idx_j], df)
+    return _composed_sampled_density(field_.rows, ids, df)
 
 
 def _composed_sampled_density(uniq, ids, df):

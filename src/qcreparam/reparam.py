@@ -39,7 +39,7 @@ from .beltrami import (
     mollify,
     solve_beltrami,
 )
-from .errors import PipelineBudgetExceeded, SearchExhausted
+from .errors import AuditFailed, PipelineBudgetExceeded, SearchExhausted
 
 DELTA_MAX_HALVINGS = 60
 THRESHOLD_MAX_DOUBLINGS = 60
@@ -376,7 +376,7 @@ def audit_cases(report, phi, rng, num=64):
     sourced from the stored differentials rather than assumed; m itself is
     checked against epsilon_internal/(2+epsilon_internal) plus the measured
     solver deviation |mu_rho - mu_tilde| at z (scaled by 1/(1-k^2)).
-    Returns the number of nodes checked.  Raises AssertionError on failure.
+    Returns the number of nodes checked.  Raises AuditFailed on failure.
     """
     field_ = report.extras["field"]
     grid = field_.grid
@@ -406,21 +406,17 @@ def audit_cases(report, phi, rng, num=64):
         drho = np.linalg.inv(dphi)
         fz, fzb = mat_to_wirtinger(drho)
         mu_rho = fzb / fz
-        in_b = bool(bmask[i, j])
-        in_a = bool(amask[i, j])
-        if in_b and in_a:
-            mu_z = mu_cells[i, j]
+        if bmask[i, j]:
+            mu_z = mu_cells[i, j] if amask[i, j] else 0.0      # off A, m = |mu_rho|
             m = abs(mu_z - mu_rho) / abs(1.0 - mu_z * np.conj(mu_rho))
             dev = abs(mu_t_cells[i, j] - mu_rho)
-            assert m <= eps_i / (2.0 + eps_i) + dev / (1.0 - k * k) + 1e-9
-            rhs = jd[i, j] * det * (1.0 + m) / (1.0 - m) * (1.0 + AUDIT_TOL)
-        elif in_b:
-            m = abs(mu_rho)
-            dev = abs(mu_t_cells[i, j] - mu_rho)
-            assert m <= eps_i / (2.0 + eps_i) + dev / (1.0 - k * k) + 1e-9
-            rhs = en[i, j] * det * (1.0 + m) / (1.0 - m) * (1.0 + AUDIT_TOL)
+            if not m <= eps_i / (2.0 + eps_i) + dev / (1.0 - k * k) + 1e-9:
+                raise AuditFailed()
+            rhs = ((jd if amask[i, j] else en)[i, j] * det * (1.0 + m) / (1.0 - m)
+                   * (1.0 + AUDIT_TOL))
         else:
             rhs = K * en[i, j] * det * (1.0 + AUDIT_TOL)
-        assert lhs <= rhs + 1e-12, f"case audit failed at cell ({i},{j}): {lhs} > {rhs}"
+        if not lhs <= rhs + 1e-12:
+            raise AuditFailed(f"case audit failed at cell ({i},{j}): {lhs} > {rhs}")
         checked += 1
     return checked

@@ -13,8 +13,8 @@ maximal area, the two jacobians (inscribed-ellipse normalization and
 unit-ball-area normalization), the isotropy defect, quadratic regularization,
 and the Beltrami coefficient of a linear map rounding the inscribed ellipse.
 Each is written once, as a row_* function of the kind and a stack of packed
-rows, (q11, q12, q22) or the m gauge values; DerivativeField applies it to a
-grid of rows and the SemiNorm2 operations to one row.  Both representations
+rows, (q11, q12, q22) or the m gauge values; DerivativeField applies it to
+its stored rows and the SemiNorm2 operations to one row.  Both representations
 hand the inscribed ellipse over as the packed matrix (m11, m12, m22) of
 {v : v.Mv <= 1}; the jacobian and the Beltrami coefficient are read from it.
 """
@@ -244,8 +244,6 @@ class SemiNorm2:
         """True if the sampled ball polygon is convex (quadratic: always)."""
         if self.kind == "quadratic":
             return True
-        if self.degenerate:
-            return False
         return bool(convex_rows(self.values[None], tol)[0])
 
     # -- serialization -------------------------------------------------------
@@ -323,29 +321,36 @@ def _polygons(values):
     return verts, normals / offsets[..., None]
 
 
+def _live_rows(values, fn, tail=(), dtype=float):
+    """fn of the non-degenerate gauge rows of values (R, m), _CHUNK rows at a
+    time, into an (R,) + tail array of dtype that is zero on degenerate rows."""
+    out = np.zeros(values.shape[:1] + tail, dtype=dtype)
+    live = np.flatnonzero(~row_degenerate("sampled", values))
+    for k in range(0, live.size, _CHUNK):
+        rows = live[k : k + _CHUNK]
+        out[rows] = fn(values[rows])
+    return out
+
+
 def convex_rows(values, tol=1e-9):
-    """True per non-degenerate gauge row of values (R, m) whose ball polygon is
-    convex: every turn between consecutive edges is left, up to tol relative."""
-    out = np.empty(len(values), dtype=bool)
-    for k in range(0, len(values), _CHUNK):
-        verts = _polygons(values[k : k + _CHUNK])[0]
+    """True per gauge row of values (R, m) whose ball polygon is convex: every
+    turn between consecutive edges is left, up to tol relative; False for
+    degenerate rows, whose ball is unbounded."""
+    def convex(rows):
+        verts = _polygons(rows)[0]
         a = np.roll(verts, -1, axis=-2) - verts
         b = np.roll(a, -1, axis=-2)
         cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
         scale = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
-        out[k : k + _CHUNK] = np.all(cross >= -tol * np.maximum(scale, 1e-300), axis=-1)
-    return out
+        return np.all(cross >= -tol * np.maximum(scale, 1e-300), axis=-1)
+    return _live_rows(values, convex, dtype=bool)
 
 
 def half_edges(values):
     """Edge rows (R, m, 2) for edge_gauge of the gauge rows values (R, m): one
     antipodal half of each ball polygon, zero for degenerate rows."""
-    out = np.zeros(values.shape + (2,))
-    live = np.flatnonzero(~row_degenerate("sampled", values))
-    for k in range(0, live.size, _CHUNK):
-        rows = live[k : k + _CHUNK]
-        out[rows] = _polygons(values[rows])[1][:, : values.shape[1]]
-    return out
+    m = values.shape[1]
+    return _live_rows(values, lambda rows: _polygons(rows)[1][:, :m], (m, 2))
 
 
 # -- inscribed ellipses of sampled unit balls ---------------------------------------
@@ -360,11 +365,7 @@ def inscribed_ellipses(values):
     Each row is certified (max_i c_i.P c_i <= 1 + FEAS_TOL; multipliers >= 0, log-det
     duality gap <= GAP_TOL; else EllipseNotCertified), independently of its batch."""
     values = np.asarray(values, dtype=float)
-    out = np.zeros(values.shape[:-1] + (3,))
-    rows = np.nonzero(~row_degenerate("sampled", values))[0]
-    for k in range(0, rows.size, _CHUNK):
-        out[rows[k : k + _CHUNK]] = _inv2(_solve_rows(values[rows[k : k + _CHUNK]]))
-    return out
+    return _live_rows(values, lambda rows: _inv2(_solve_rows(rows)), (3,))
 
 
 def _outer(c):
@@ -592,7 +593,8 @@ def isotropy_defect(s):
 
 
 def regularize(s, delta):
-    """The semi-norm h -> sqrt(s(h)^2 + delta^2 |h|^2); never degenerate."""
+    """The semi-norm h -> sqrt(s(h)^2 + delta^2 |h|^2).  Its ball is bounded, yet
+    it may test degenerate at tiny delta (rank-1 quadratic s, delta = 2^-40)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     return SemiNorm2.from_row(s.kind, row_regularized(s.kind, s.row, delta))

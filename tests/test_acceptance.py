@@ -208,14 +208,13 @@ def test_criterion_6_isotropy_fixed_point():
         # sqrt(2)-quasiconformality holds cell by cell
         field = report.extras["field"]
         if field.kind == "quadratic":
-            p = field.packed_extended()[field.grid.disc_mask]
+            p = field.rows[field.index[field.grid.disc_mask]]
             tr = p[:, 0] + p[:, 2]
             gap = np.hypot(p[:, 0] - p[:, 2], 2 * p[:, 1])
             ratio2 = (tr + gap) / np.maximum(tr - gap, 1e-300)
             assert np.all(ratio2 <= 2.0 + 1e-9)
         else:
-            uniq, _ = field.unique_rows()
-            for row in uniq:
+            for row in field.rows:
                 assert row.max() <= np.sqrt(2) * row.min() + 1e-9
         results.append(f"{label}: {report.energy_before:.4f} -> "
                        f"{report.energy_after:.4f}")

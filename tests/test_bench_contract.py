@@ -61,3 +61,10 @@ def test_traced_map_yields_layers(spans, tmp_path, target):
     assert (out.get("seminorm.gauge_points", 0) > 0) == (target == "linf")
     assert 0.0 < out["field.distinct_cell_share"] <= 1.0
     assert out["beltrami.solver_iterations"] > 0
+    # distinct_cell_share reads the per-cell view of the field's own kind
+    field_ = tracer.noted("epsilon_conformal", 0)[2].extras["field"]
+    own, other = ("samp", "quad") if target == "linf" else ("quad", "samp")
+    view = getattr(field_, own)
+    assert view.shape == (32, 32, field_.rows.shape[1])
+    assert np.array_equal(view, field_.rows[field_.index])
+    assert getattr(field_, other) is None

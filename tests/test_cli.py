@@ -149,6 +149,17 @@ class TestErrors:
         assert code == 2
         assert "outside the 32 x 32 grid" in err
 
+    def test_repeated_cell(self, capsys, tmp_path):
+        # an n=32 map naming cell (16, 16) twice: an input error (exit 2)
+        src = tmp_path / "id32.map"
+        assert main(["fixture", "--kind", "identity", "--n", "32", "--out", str(src)]) == 0
+        bad = tmp_path / "bad.map"
+        bad.write_text(src.read_text() + "16 16 0.5 0.5\n")
+        capsys.readouterr()
+        code, _, err = run(["energy", "--input", str(bad)], capsys)
+        assert code == 2
+        assert "cell (16, 16) appears twice" in err
+
 
 class TestNumericalExit:
     def test_coefficient_too_large_exits_3(self, capsys, tmp_path):

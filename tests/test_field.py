@@ -259,21 +259,24 @@ class TestFieldInvariants:
 
     def test_sqrt2_quasiconformal_when_isotropic(self):
         f = qc.estimate_field(identity_map(96, qc.TargetSpace.linf()))
-        uniq, _ = f.unique_rows()
-        for row in uniq:
+        for row in f.rows:
             row = row[row > 0]
             assert row.max() <= np.sqrt(2) * row.min() + 1e-9
 
-    def test_unique_rows_exact(self):
-        grid = qc.DiscGrid(32)
-        samp = np.zeros((32, 32, 64))
-        samp[grid.interior_mask] = np.abs(half_circle_directions(64)).max(axis=1)
-        i, j = np.argwhere(grid.interior_mask)[0]
-        samp[i, j, 5] += 1e-13
-        f = qc.DerivativeField(grid=grid, kind="sampled", samp=samp)
-        uniq, inv = f.unique_rows()
-        assert len(uniq) == 2
-        assert inv[i, j] != inv[16, 16]
+    def test_unique_rows_exact(self, tmp_path):
+        # a loaded field keeps a row moved by 1e-13 as a row of its own
+        cells = np.argwhere(qc.DiscGrid(32).interior_mask)
+        row = np.abs(half_circle_directions(64)).max(axis=1)
+        moved = row.copy()
+        moved[5] += 1e-13
+        i, j = cells[0]
+        path = tmp_path / "field.txt"
+        path.write_text("32 sampled\n" + "".join(
+            f"{a} {b} {qc.SemiNorm2.sampled(moved if k == 0 else row).record()}\n"
+            for k, (a, b) in enumerate(cells)))
+        f = qc.DerivativeField.load(path)
+        assert len(f.rows) == 2
+        assert f.index[i, j] != f.index[16, 16]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_distinct_rows_exact(self, seed):
@@ -352,6 +355,14 @@ class TestSerialization:
         with pytest.raises(InputFormatError):
             qc.SampledMap.load(path)
 
+    def test_map_repeated_cell_rejected(self, tmp_path):
+        # a second record for a cell would silently replace the first
+        path = tmp_path / "map.txt"
+        identity_map(16).save(path)
+        path.write_text(path.read_text() + "8 8 5 5\n")
+        with pytest.raises(InputFormatError, match=r"cell \(8, 8\) appears twice"):
+            qc.SampledMap.load(path)
+
     def test_field_save(self, tmp_path):
         f = qc.estimate_field(stretch_map(32))
         path = tmp_path / "field.txt"
@@ -367,7 +378,7 @@ class TestSerialization:
         g = qc.DerivativeField.load(path)
         assert g.kind == "quadratic"
         mask = f.interior_mask
-        assert np.allclose(g.quad[mask], f.quad[mask], atol=1e-12)
+        assert np.allclose(g.rows[g.index][mask], f.rows[f.index][mask], atol=1e-12)
         assert qc.energy(g) == pytest.approx(qc.energy(f), rel=1e-12)
 
     @staticmethod
@@ -384,9 +395,19 @@ class TestSerialization:
         with pytest.raises(InputFormatError, match="outside the 16 x 16 grid"):
             qc.DerivativeField.load(path)
 
+    def test_field_repeated_cell_rejected(self, tmp_path):
+        # a second record for a cell would silently replace the first
+        path = self.saved_field(tmp_path)
+        path.write_text(path.read_text() + "8 8 Q 9 0 9\n")
+        with pytest.raises(InputFormatError, match=r"cell \(8, 8\) appears twice"):
+            qc.DerivativeField.load(path)
+
     def test_field_sampled_rows_of_another_m_rejected(self, tmp_path):
+        # cell (8, 8)'s record replaced, since a second record is an error too
         path = self.saved_field(tmp_path, qc.TargetSpace.linf())
-        path.write_text(path.read_text() + "8 8 S 8 " + " ".join(["1"] * 8) + "\n")
+        path.write_text("".join("8 8 S 8 " + " ".join(["1"] * 8) + "\n"
+                                if line.startswith("8 8 ") else line
+                                for line in path.read_text().splitlines(keepends=True)))
         with pytest.raises(InputFormatError, match="8 values, not 64"):
             qc.DerivativeField.load(path)
 
@@ -430,10 +451,10 @@ class TestScalarFieldAgreement:
     def test_scalar_ops_match_field_densities(self, rng, kind):
         rows = self.rows(rng)[kind]
         grid = qc.DiscGrid(16)
+        interior = np.zeros((int(grid.interior_mask.sum()), rows.shape[1]))
+        interior[: len(rows)] = rows
         cells = np.argwhere(grid.interior_mask)[: len(rows)]
-        packed = np.zeros((16, 16, rows.shape[1]))
-        packed[cells[:, 0], cells[:, 1]] = rows
-        f = qc.DerivativeField.from_packed(grid, kind, packed)
+        f = qc.DerivativeField.from_interior(grid, kind, interior, np.arange(len(interior)))
         energy, hausdorff = f.energy_density(), f.jacobian_hausdorff_density()
         defect = f.isotropy_defect_density()
         kept = 0
@@ -462,3 +483,47 @@ class TestScalarFieldAgreement:
                 e = qc.john_ellipse(r)
                 assert (e.a, e.b) == (1.0 / np.sqrt(lmin), 1.0 / np.sqrt(lmax))
         assert kept == (2 if kind == "quadratic" else 0)
+
+
+class TestRowLayoutDifferential:
+    """A field stores its distinct rows and a cell index; every density must
+    equal, bit for bit, its row function applied to the per-cell rows
+    rows[index] (the per-cell layout), whatever the order of the rows and
+    however they fall into the inscribed-ellipse solver's chunks."""
+
+    DELTAS = (0.0, 2.0**-10, 2.0**-40)
+
+    @pytest.fixture(scope="class", params=["quadratic", "linf", "loaded"])
+    def field_(self, request, tmp_path_factory):
+        def nonlinear(x, y):
+            return np.stack([x + 0.2 * x * y, y + 0.1 * x * x])
+
+        if request.param == "quadratic":
+            return qc.estimate_field(make_map(64, nonlinear))
+        if request.param == "linf":
+            f = qc.estimate_field(make_map(64, nonlinear, qc.TargetSpace.linf()))
+            assert len(f.rows) > 512                    # more than one solver chunk
+            return f
+        path = tmp_path_factory.mktemp("field") / "l1.txt"
+        qc.estimate_field(make_map(32, nonlinear, qc.TargetSpace.l1())).save(path)
+        return qc.DerivativeField.load(path)
+
+    @staticmethod
+    def same(got, want):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_densities_match_per_cell_rows(self, field_):
+        from qcreparam import seminorm as sn
+
+        kind, cells = field_.kind, field_.rows[field_.index]
+        energy = sn.row_energy(kind, cells)
+        self.same(field_.energy_density(), energy)
+        self.same(field_.jacobian_hausdorff_density(), sn.row_ball_jacobian(kind, cells))
+        for delta in self.DELTAS:
+            m = sn.row_ellipse(kind, cells.reshape(-1, cells.shape[-1]), delta)
+            m = m.reshape(cells.shape[:2] + (3,))
+            self.same(field_.ellipse_field(delta), m)
+            self.same(field_.jacobian_intrinsic_density(delta), sn.ellipse_jacobian(m))
+            self.same(field_.beltrami_density(delta), sn.ellipse_beltrami(m))
+            if delta == 0.0:
+                self.same(field_.isotropy_defect_density(), energy - sn.ellipse_jacobian(m))

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
 import qcreparam as qc
+from qcreparam import field as fd
 from qcreparam import reparam as rp
-from qcreparam.errors import SearchExhausted
+from qcreparam.errors import AuditFailed, QcreparamError, SearchExhausted
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 EUCLID = qc.TargetSpace.euclidean(2)
 
@@ -233,6 +241,39 @@ class TestPipeline:
         u = make_map(96, lambda x, y: np.stack([2.0 * x, y]))
         phi, _, rep = qc.epsilon_conformal(u, 0.2 * np.pi)
         assert qc.audit_cases(rep, phi, rng, num=96) == 96
+
+    def test_case_audit_failure_is_typed(self, monkeypatch):
+        # a composed integrand far above every bound fails the audit with
+        # AuditFailed, also under python -O, which strips assert statements
+        script = textwrap.dedent("""
+            import numpy as np
+            import qcreparam as qc
+            from qcreparam import field as fd
+
+            u = qc.SampledMap.from_function(qc.DiscGrid(32), qc.TargetSpace.euclidean(2),
+                                            lambda x, y: np.stack([2.0 * x, y]))
+            phi, _, rep = qc.epsilon_conformal(u, 0.2 * np.pi)
+            fd.composed_density = lambda field_, pts, df: np.full(len(pts), 1e9)
+            try:
+                qc.audit_cases(rep, phi, np.random.default_rng(0), num=16)
+            except qc.errors.AuditFailed as exc:
+                print(__debug__, type(exc).__name__, exc)
+            """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("False AuditFailed case audit failed at cell")
+
+        u = make_map(32, lambda x, y: np.stack([2.0 * x, y]))
+        phi, _, rep = qc.epsilon_conformal(u, 0.2 * np.pi)
+        monkeypatch.setattr(fd, "composed_density",
+                            lambda field_, pts, df: np.full(len(pts), 1e9))
+        with pytest.raises(AuditFailed, match="case audit failed at cell") as err:
+            qc.audit_cases(rep, phi, np.random.default_rng(0), num=16)
+        assert isinstance(err.value, QcreparamError)
+        assert isinstance(err.value, AssertionError)
 
     def test_report_rendering_marks_failures(self):
         u = make_map(64, lambda x, y: np.stack([x, y]))

@@ -324,3 +324,5 @@ class TestValidation:
         vals = qc.SemiNorm2.euclidean()(dirs)
         vals[5] *= 0.5    # dent pushes one vertex far out
         assert not qc.SemiNorm2.sampled(vals).is_convex()
+        vals[5] = 0.0     # degenerate: the ball is unbounded
+        assert not qc.SemiNorm2.sampled(vals).is_convex()
