@@ -20,6 +20,7 @@ central finite differences, not from the spectral construction.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -87,13 +88,18 @@ def beltrami_coefficient(values, spacing):
     return fzb / fz
 
 
+def det_dilatation(fz, fzb, floor=0.0):
+    """det = |f_z|^2 - |f_zbar|^2 and K = (|f_z| + |f_zbar|)^2 / det of
+    derivative pairs; OrientationViolation where det <= floor."""
+    det = np.abs(fz) ** 2 - np.abs(fzb) ** 2
+    if np.any(det <= floor):
+        raise OrientationViolation(f"det Df = {det.min():.3e} at a node")
+    return det, (np.abs(fz) + np.abs(fzb)) ** 2 / det
+
+
 def distortion(df):
     """Operator-norm-squared over determinant of 2x2 differentials."""
-    fz, fzb = mat_to_wirtinger(df)
-    det = np.abs(fz) ** 2 - np.abs(fzb) ** 2
-    if np.any(det <= 0):
-        raise OrientationViolation("det Df <= 0")
-    return (np.abs(fz) + np.abs(fzb)) ** 2 / det
+    return det_dilatation(*mat_to_wirtinger(df))[1]
 
 
 def distortion_from_mu(mu):
@@ -160,16 +166,12 @@ class ComplexField:
 
     def save(self, path):
         """Binary layout: float64 S, int64 n, row-major complex128 values."""
-        import struct
-
         with open(path, "wb") as fh:
             fh.write(struct.pack("<dq", self.S, self.n))
             fh.write(np.ascontiguousarray(self.values, dtype=complex).tobytes())
 
     @staticmethod
     def load(path):
-        import struct
-
         with open(path, "rb") as fh:
             head = fh.read(16)
             if len(head) != 16:
@@ -205,15 +207,24 @@ def mollify(mu, eta):
     rr = np.hypot(ox, oy) / eta
     kernel = np.where(rr < 1.0, np.exp(-1.0 / np.maximum(1.0 - rr**2, 1e-300)), 0.0)
     kernel /= kernel.sum()
-    from scipy.signal import fftconvolve
-
-    out = fftconvolve(mu.values, kernel, mode="same")
+    out = _periodic_convolve(mu.values, kernel)
     # confine to the eta-neighborhood of the input support (kills fft dust);
     # counting support nodes under the footprint dilates exactly at any radius
     footprint = (rr < 1.0).astype(float)
-    region = fftconvolve((mu.values != 0).astype(float), footprint, mode="same") > 0.5
+    region = _periodic_convolve((mu.values != 0).astype(float), footprint).real > 0.5
     out = np.where(region, out, 0.0)
     return ComplexField(S=mu.S, values=out)
+
+
+def _periodic_convolve(values, kernel):
+    """Convolution of a periodic (n, n) grid with a centred odd-sized kernel.
+    On the solver box it equals the plain convolution, since the support plus
+    the kernel radius stays inside the unit disc, away from the box edge."""
+    r = kernel.shape[0] // 2
+    wrapped = np.zeros(values.shape)
+    wrapped[: 2 * r + 1, : 2 * r + 1] = kernel
+    wrapped = np.roll(wrapped, (-r, -r), axis=(0, 1))
+    return np.fft.ifft2(np.fft.fft2(values) * np.fft.fft2(wrapped))
 
 
 # -- sampled quasiconformal maps ---------------------------------------------------
@@ -282,8 +293,6 @@ class QCMap:
     def save(self, path):
         """Binary layout: header doubles (x0, y0, spacing, K, det_min, res, k),
         int64 shape, mask bytes, complex values, differentials."""
-        import struct
-
         with open(path, "wb") as fh:
             fh.write(struct.pack(
                 "<7d2q", self.x0, self.y0, self.spacing,
@@ -296,8 +305,6 @@ class QCMap:
 
     @staticmethod
     def load(path):
-        import struct
-
         with open(path, "rb") as fh:
             head = fh.read(7 * 8 + 2 * 8)
             x0, y0, sp, kc, dm, rl, kk, n, m = struct.unpack("<7d2q", head)
@@ -377,11 +384,8 @@ def solve_beltrami(mu):
     fzb_fd = a + pzb
     residual = fzb_fd - m * fz_fd
     residual_l2 = float(np.sqrt(np.mean(np.abs(residual) ** 2)))
-    det = np.abs(fz_fd) ** 2 - np.abs(fzb_fd) ** 2
+    det, dil = det_dilatation(fz_fd, fzb_fd, DET_FLOOR)
     det_min = float(det.min())
-    if det_min <= DET_FLOOR:
-        raise OrientationViolation(f"det Df = {det_min:.3e} at a node")
-    dil = (np.abs(fz_fd) + np.abs(fzb_fd)) ** 2 / det
     df = wirtinger_to_mat(fz_fd, fzb_fd)
 
     return QCMap(
@@ -403,13 +407,9 @@ def invert(rho, *, n=256):
     unmasked.  Per masked node, |rho(phi(w)) - w| <= INV_TOL and
     Dphi(w) = Drho(phi(w))^{-1}.
     """
-    img = rho.image_of_circle()
-    lo_x, hi_x = img.real.min(), img.real.max()
-    lo_y, hi_y = img.imag.min(), img.imag.max()
-    lo_x -= PAD * rho.spacing
-    lo_y -= PAD * rho.spacing
-    hi_x += PAD * rho.spacing
-    hi_y += PAD * rho.spacing
+    img, pad = rho.image_of_circle(), PAD * rho.spacing
+    lo_x, hi_x = img.real.min() - pad, img.real.max() + pad
+    lo_y, hi_y = img.imag.min() - pad, img.imag.max() + pad
     spacing = max(hi_x - lo_x, hi_y - lo_y) / n
     shape = (n, n)
     x0, y0 = lo_x + 0.5 * spacing, lo_y + 0.5 * spacing
@@ -461,22 +461,16 @@ def invert(rho, *, n=256):
     drho = rho.df_at(np.column_stack([z.real, z.imag]))
     det = drho[:, 0, 0] * drho[:, 1, 1] - drho[:, 0, 1] * drho[:, 1, 0]
     det = np.where(det == 0, 1.0, det)
-    dphi = np.empty_like(drho)
-    dphi[:, 0, 0] = drho[:, 1, 1] / det
-    dphi[:, 0, 1] = -drho[:, 0, 1] / det
-    dphi[:, 1, 0] = -drho[:, 1, 0] / det
-    dphi[:, 1, 1] = drho[:, 0, 0] / det
+    dphi = np.stack([drho[:, 1, 1], -drho[:, 0, 1], -drho[:, 1, 0], drho[:, 0, 0]], axis=-1)
+    dphi = (dphi / det[:, None]).reshape(-1, 2, 2)
 
     values = z.reshape(shape)
     df = dphi.reshape(shape + (2, 2))
-    fz, fzb = mat_to_wirtinger(df[mask])
-    det_phi = np.abs(fz) ** 2 - np.abs(fzb) ** 2
-    if det_phi.size and det_phi.min() <= 0:
-        raise OrientationViolation("inverse lost orientation at a node")
-    dil = (np.abs(fz) + np.abs(fzb)) ** 2 / det_phi if det_phi.size else np.array([1.0])
+    det_phi, dil = det_dilatation(*mat_to_wirtinger(df[mask]))
     return QCMap(
         x0=x0, y0=y0, spacing=spacing, values=values, df=df, mask=mask,
-        K_certified=float(dil.max()), det_min=float(det_phi.min()) if det_phi.size else 1.0,
+        K_certified=float(dil.max(initial=1.0)),            # K >= 1 on every node
+        det_min=float(det_phi.min()) if det_phi.size else 1.0,
         residual_l2=rho.residual_l2, k_coeff=rho.k_coeff,
         inv_residual_max=float(resid[mask.ravel()].max()) if mask.any() else 0.0,
         meta={"rho_K_certified": rho.K_certified},

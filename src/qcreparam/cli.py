@@ -39,50 +39,35 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _write_csv(path, rows, header="i,j,x,y,value"):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, int) else _fmt(c) for c in row) + "\n")
-
-
-def _density_rows(grid, density):
-    rows = []
-    for i, j in zip(*np.nonzero(grid.disc_mask)):
-        rows.append((int(i), int(j), grid.x[i, j], grid.y[i, j], density[i, j]))
-    return rows
+CSV_HEADER = "i,j,x,y,value"
+CSV = "%d,%d,%.17g,%.17g,%.17g"
 
 
 def _check_solver_resolution(n):
-    if n < 64 or n > 2048 or (n & (n - 1)) != 0:
-        raise ConfigError(f"solver resolution must be a power of two in [64, 2048], got {n}")
+    if n < 64 or n > 2048:
+        raise ConfigError(f"solver resolution must be in [64, 2048], got {n}")
 
 
-def cmd_energy(args):
-    u = SampledMap.load(args.input)
-    f = fd.estimate_field(u)
-    print(f"energy = {_fmt(fd.energy(f))}")
-    if args.csv:
-        _write_csv(args.csv, _density_rows(u.grid, f.energy_density()))
-    return EXIT_OK
+def _density_command(name, density, reduce, default_csv=None):
+    """A subcommand that prints name = reduce(grid, density) for the field of
+    the input map and writes the density over the disc cells as a CSV grid."""
+    def run(args):
+        u = SampledMap.load(args.input)
+        dens, mask = density(fd.estimate_field(u)), u.grid.disc_mask
+        print(f"{name} = {_fmt(reduce(u.grid, dens))}")
+        if args.csv or default_csv:
+            fd.write_cells(args.csv or default_csv, CSV_HEADER, CSV, mask,
+                           u.grid.x[mask], u.grid.y[mask], dens[mask])
+        return EXIT_OK
+    return run
 
 
-def cmd_area(args):
-    u = SampledMap.load(args.input)
-    f = fd.estimate_field(u)
-    print(f"area_intrinsic = {_fmt(fd.area_intrinsic(f))}")
-    if args.csv:
-        _write_csv(args.csv, _density_rows(u.grid, f.jacobian_intrinsic_density()))
-    return EXIT_OK
-
-
-def cmd_defect_map(args):
-    u = SampledMap.load(args.input)
-    f = fd.estimate_field(u)
-    dens = f.isotropy_defect_density()
-    print(f"max_defect = {_fmt(np.max(dens[u.grid.disc_mask]))}")
-    _write_csv(args.csv or "defect.csv", _density_rows(u.grid, dens))
-    return EXIT_OK
+cmd_energy = _density_command("energy", fd.DerivativeField.energy_density,
+                              DiscGrid.integrate)
+cmd_area = _density_command("area_intrinsic", fd.DerivativeField.jacobian_intrinsic_density,
+                            DiscGrid.integrate)
+cmd_defect_map = _density_command("max_defect", fd.DerivativeField.isotropy_defect_density,
+                                  lambda grid, d: np.max(d[grid.disc_mask]), "defect.csv")
 
 
 def cmd_compare_areas(args):
@@ -148,12 +133,11 @@ def cmd_solve(args):
         "det.csv": det,
     }
     step = max(1, qc.shape[0] // 256)
+    sel = np.zeros(qc.shape, dtype=bool)
+    sel[::step, ::step] = True
     for name, data in grids.items():
-        rows = []
-        for i in range(0, qc.shape[0], step):
-            for j in range(0, qc.shape[1], step):
-                rows.append((i, j, xs[i, j], ys[i, j], data[i, j]))
-        _write_csv(os.path.join(outdir, name), rows)
+        fd.write_cells(os.path.join(outdir, name), CSV_HEADER, CSV, sel,
+                       xs[sel], ys[sel], data[sel])
     return EXIT_OK
 
 
@@ -186,49 +170,35 @@ def _emit_reparam(report, phi, omega, outdir, report_path):
     if phi is not None:
         phi.save(os.path.join(outdir, "phi.qcmap"))
     if omega is not None:
-        rows = [(k, 0, b.real, b.imag, 0.0) for k, b in enumerate(omega.boundary)]
-        _write_csv(os.path.join(outdir, "omega_boundary.csv"), rows,
-                   header="k,_,x,y,_")
+        b = omega.boundary
+        fd.write_cells(os.path.join(outdir, "omega_boundary.csv"), "k,_,x,y,_", CSV,
+                       np.ones((b.size, 1), dtype=bool), b.real, b.imag, np.zeros(b.size))
 
 
 def cmd_fixture(args):
     n = args.n
-    grid = DiscGrid(n)
-    kind = args.kind
-    if kind == "identity":
-        u = SampledMap.from_function(grid, TargetSpace.euclidean(2),
-                                     lambda x, y: np.stack([x, y]))
-    elif kind == "stretch":
-        u = SampledMap.from_function(grid, TargetSpace.euclidean(2),
-                                     lambda x, y: np.stack([2.0 * x, y]))
-    elif kind == "linf-identity":
-        u = SampledMap.from_function(grid, TargetSpace.linf(),
-                                     lambda x, y: np.stack([x, y]))
-    elif kind == "random-smooth":
-        rng = np.random.default_rng(args.seed)
-        c = rng.normal(scale=0.1, size=6)
-
-        def fn(x, y):
-            return np.stack([
-                x + c[0] * np.sin(np.pi * x) * np.cos(np.pi * y) + c[1] * x * y,
-                y + c[2] * np.cos(np.pi * x) * np.sin(np.pi * y) + c[3] * x * x
-                + c[4] * y + c[5] * x,
-            ])
-        u = SampledMap.from_function(grid, TargetSpace.euclidean(2), fn)
-    elif kind == "bump-mu":
+    if args.kind == "bump-mu":
         _check_solver_resolution(n)
-        f = ComplexField(S=rp.SOLVER_BOX, values=np.zeros((n, n), dtype=complex))
-        x, y = f.meshes()
+        x, y = ComplexField(S=rp.SOLVER_BOX, values=np.zeros((n, n), dtype=complex)).meshes()
         r = np.hypot(x, y)
         with np.errstate(over="ignore"):
             vals = args.k * np.where(
                 r < 0.7, np.exp(1.0 - 1.0 / np.maximum(1.0 - (r / 0.7) ** 2, 1e-300)), 0.0)
         ComplexField(S=rp.SOLVER_BOX, values=vals.astype(complex)).save(args.out)
-        print(f"wrote {args.out}")
-        return EXIT_OK
     else:
-        raise ConfigError(f"unknown fixture kind {kind!r}")
-    u.save(args.out)
+        c = np.random.default_rng(args.seed).normal(scale=0.1, size=6)
+        fixtures = {
+            "identity": (TargetSpace.euclidean(2), lambda x, y: np.stack([x, y])),
+            "stretch": (TargetSpace.euclidean(2), lambda x, y: np.stack([2.0 * x, y])),
+            "linf-identity": (TargetSpace.linf(), lambda x, y: np.stack([x, y])),
+            "random-smooth": (TargetSpace.euclidean(2), lambda x, y: np.stack([
+                x + c[0] * np.sin(np.pi * x) * np.cos(np.pi * y) + c[1] * x * y,
+                y + c[2] * np.cos(np.pi * x) * np.sin(np.pi * y) + c[3] * x * x
+                + c[4] * y + c[5] * x])),
+        }
+        if args.kind not in fixtures:
+            raise ConfigError(f"unknown fixture kind {args.kind!r}")
+        SampledMap.from_function(DiscGrid(n), *fixtures[args.kind]).save(args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

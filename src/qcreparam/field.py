@@ -178,8 +178,8 @@ class TargetSpace:
     def from_descriptor(tokens):
         if isinstance(tokens, str):
             tokens = tokens.split()
-        if not tokens:
-            raise InputFormatError("empty target descriptor")
+        if len(tokens) < 2:
+            raise InputFormatError(f"target descriptor needs a kind and a size: {tokens!r}")
         tag = tokens[0]
         if tag == "euclidean":
             return TargetSpace.euclidean(int(tokens[1]))
@@ -229,59 +229,81 @@ class SampledMap:
     # -- text format: header "n d target...", then "i j x1 ... xd" -----------
 
     def save(self, path):
-        _save_cells(path, f"{self.grid.n} {self.target.d} {self.target.descriptor()}",
-                    self.grid.disc_mask,
-                    lambda i, j: " ".join(format(v, ".17g") for v in self.values[i, j]))
+        mask = self.grid.disc_mask
+        write_cells(path, f"{self.grid.n} {self.target.d} {self.target.descriptor()}",
+                    "%d %d" + " %.17g" * self.target.d, mask, self.values[mask])
 
     @staticmethod
     def load(path):
-        with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) < 3:
-                raise InputFormatError("map file header needs n, d, target descriptor")
-            n, d = int(header[0]), int(header[1])
-            target = TargetSpace.from_descriptor(header[2:])
-            if target.d != d:
-                raise InputFormatError("target dimension disagrees with header")
-            grid = DiscGrid(n)
-            values = np.full((n, n, d), np.nan)
-            for i, j, rest in _cell_records(fh, grid.disc_mask, "disc"):
-                if len(rest) != d:
-                    raise InputFormatError(f"bad cell record: {i} {j} {' '.join(rest)!r}")
-                values[i, j] = [float(t) for t in rest]
+        header, body = _read_cell_file(path)
+        if len(header) < 3:
+            raise InputFormatError("map file header needs n, d, target descriptor")
+        n, d = int(header[0]), int(header[1])
+        target = TargetSpace.from_descriptor(header[2:])
+        if target.d != d:
+            raise InputFormatError("target dimension disagrees with header")
+        grid = DiscGrid(n)
+        values = _cell_records(body, grid.disc_mask, "disc", (), d, np.nan)
         return SampledMap(grid=grid, target=target, values=values)
 
 
-def _save_cells(path, header, mask, record):
-    """Write a cell file: the header line, then 'i j record(i, j)' per cell of mask."""
-    lines = [header] + [f"{i} {j} {record(i, j)}" for i, j in zip(*np.nonzero(mask))]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+# -- cell files: a header line, then one "i j <record>" line per cell -----------
+
+def write_cells(path, header, fmt, mask, *columns):
+    """Write a cell file or a CSV grid: the header line, then fmt % (i, j, ...)
+    per cell (i, j) of mask in np.nonzero order; columns hold one entry, or one
+    row of entries, per cell of mask."""
+    ii, jj = np.nonzero(mask)
+    np.savetxt(path, np.column_stack((ii, jj) + columns), fmt=fmt, header=header,
+               comments="")
 
 
-def _cell_records(fh, mask, what):
-    """(i, j, tokens of the rest) of each 'i j rest' line of a cell file.  Raises
-    InputFormatError for a cell outside the grid or named twice, and once the
-    lines are read, for cells of mask that no line named (their measure would
-    drop)."""
+def _read_cell_file(path):
+    with open(path) as fh:
+        return fh.readline().split(), fh.read()
+
+
+def _cell_records(body, mask, what, lead, width, fill, check_line=lambda parts: None):
+    """(n, n, width) floats of the "i j <lead> v1 ... v_width" lines of a cell
+    file body, fill where no line names the cell, parsed in one batch ("#"
+    starts no comment); lead holds the (dtype, value) of each token between
+    index and floats.  InputFormatError for a cell outside the grid or named
+    twice, or for cells of mask that no line names (their measure would drop).
+    Only a failed parse or lead token makes check_line(tokens) and the width
+    test scan the lines to name the bad one; if none is, the parse error stands."""
+    lines = body.split("\n")
+    dtype = np.dtype([("ij", np.intp, (2,))] + [(f"t{k}", t) for k, (t, _) in enumerate(lead)]
+                     + [("row", float, (width,))])
+    try:
+        rec = (np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1) if body.strip()
+               else np.empty(0, dtype))
+        for k, (_, value) in enumerate(lead):
+            if np.any(rec[f"t{k}"] != value):
+                raise ValueError(f"a record does not carry {value!r}")
+    except ValueError:
+        for parts in filter(None, map(str.split, lines)):
+            check_line(parts)
+            if len(parts) != 2 + len(lead) + width:
+                raise InputFormatError(f"record {' '.join(parts)!r} has "
+                                       f"{len(parts) - 2 - len(lead)} values, not {width}")
+        raise
     n = mask.shape[0]
-    seen = np.zeros_like(mask)
-    for line in fh:
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) < 3:
-            raise InputFormatError(f"bad cell record: {line!r}")
-        i, j = int(parts[0]), int(parts[1])
-        if not (0 <= i < n and 0 <= j < n):
-            raise InputFormatError(f"cell ({i}, {j}) outside the {n} x {n} grid")
-        if seen[i, j]:
-            raise InputFormatError(f"cell ({i}, {j}) appears twice")
-        seen[i, j] = True
-        yield i, j, parts[2:]
-    missing = mask & ~seen
-    if np.any(missing):
-        raise InputFormatError(f"{int(missing.sum())} {what} cells missing from file")
+    i, j = rec["ij"].T
+    outside = (i < 0) | (i >= n) | (j < 0) | (j >= n)
+    flat = np.where(outside, -1, i * n + j)
+    repeat = np.ones(flat.size, dtype=bool)
+    repeat[np.unique(flat, return_index=True)[1]] = False
+    bad = np.flatnonzero(outside | repeat)
+    if bad.size:
+        k = bad[0]
+        raise InputFormatError(f"cell ({i[k]}, {j[k]}) " + (
+            f"outside the {n} x {n} grid" if outside[k] else "appears twice"))
+    missing = np.count_nonzero(mask) - np.count_nonzero(mask.ravel()[flat])
+    if missing:
+        raise InputFormatError(f"{missing} {what} cells missing from file")
+    out = np.full((n * n, width), fill)
+    out[flat] = rec["row"]
+    return out.reshape(n, n, width)
 
 
 @dataclass(frozen=True)
@@ -355,28 +377,31 @@ class DerivativeField:
     # -- serialization --------------------------------------------------------
 
     def save(self, path):
-        _save_cells(path, f"{self.grid.n} {self.kind}", self.interior_mask,
-                    lambda i, j: self.seminorm_at(i, j).record())
+        mask = self.interior_mask
+        write_cells(path, f"{self.grid.n} {self.kind}",
+                    "%d %d " + sn.record_format(self.kind, self.rows.shape[1]),
+                    mask, self.rows[self.index[mask]])
 
     @staticmethod
     def load(path):
-        with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 2 or header[1] not in ("quadratic", "sampled"):
-                raise InputFormatError("bad derivative-field header")
-            n, kind = int(header[0]), header[1]
-            grid = DiscGrid(n)
-            packed = None
-            for i, j, rest in _cell_records(fh, grid.interior_mask, "interior"):
-                s = SemiNorm2.from_record(" ".join(rest))
-                if s.kind != kind:
-                    raise InputFormatError("mixed representations in field file")
-                if packed is None:
-                    packed = np.zeros((n, n, s.row.size))
-                if s.row.size != packed.shape[-1]:
-                    raise InputFormatError(f"cell ({i}, {j}) has {s.row.size} values, "
-                                           f"not {packed.shape[-1]}")
-                packed[i, j] = s.row
+        header, body = _read_cell_file(path)
+        if len(header) != 2 or header[1] not in ("quadratic", "sampled"):
+            raise InputFormatError("bad derivative-field header")
+        n, kind = int(header[0]), header[1]
+        grid = DiscGrid(n)
+        if kind == "quadratic":
+            width, lead = 3, (("U2", "Q"),)
+        else:       # the first record's size
+            width = max(len(body.lstrip().split("\n", 1)[0].split()) - 4, 0)
+            lead = (("U2", "S"), (np.intp, width))
+
+        def check_line(parts):
+            if SemiNorm2.from_record(" ".join(parts[2:])).kind != kind:
+                raise InputFormatError("mixed representations in field file")
+
+        packed = _cell_records(body, grid.interior_mask, "interior", lead, width, 0.0,
+                               check_line)
+        sn.check_rows(kind, packed)
         return DerivativeField.from_interior(grid, kind,
                                              *distinct_rows(packed[grid.interior_mask]))
 

@@ -243,26 +243,21 @@ class ReparamReport:
 
     def render(self):
         f = lambda v: format(float(v), ".17g")
-        lines = ["reparam-report 1", "[config]"]
-        lines.append(f"n = {self.n}")
-        lines.append(f"solver_n = {self.solver_n}")
-        lines.append(f"epsilon = {f(self.epsilon_target)}")
-        lines.append(f"seed = {'none' if self.seed is None else self.seed}")
-        lines.append("[parameters]")
-        for name in ("epsilon_internal", "delta", "L_threshold", "k", "K",
-                     "K_ecc", "eta"):
-            lines.append(f"{name} = {f(getattr(self, name))}")
-        lines.append("[measurements]")
-        for name in ("energy_before", "area_before", "area_hausdorff",
-                     "term_regularized_area", "term_offA_energy",
-                     "term_offB_energy", "max_dev_on_B", "measure_off_A",
-                     "measure_off_B", "energy_after", "bound_claimed",
-                     "quad_budget", "omega_area"):
-            lines.append(f"{name} = {f(getattr(self, name))}")
-        lines.append("[certificates]")
-        for name in ("solver_residual_l2", "solver_K_certified",
-                     "solver_det_min", "phi_K_certified", "phi_inv_residual"):
-            lines.append(f"{name} = {f(getattr(self, name))}")
+        lines = ["reparam-report 1", "[config]", f"n = {self.n}", f"solver_n = {self.solver_n}",
+                 f"epsilon = {f(self.epsilon_target)}",
+                 f"seed = {'none' if self.seed is None else self.seed}"]
+        for section, names in (
+                ("parameters", ("epsilon_internal", "delta", "L_threshold", "k", "K",
+                                "K_ecc", "eta")),
+                ("measurements", ("energy_before", "area_before", "area_hausdorff",
+                                  "term_regularized_area", "term_offA_energy",
+                                  "term_offB_energy", "max_dev_on_B", "measure_off_A",
+                                  "measure_off_B", "energy_after", "bound_claimed",
+                                  "quad_budget", "omega_area")),
+                ("certificates", ("solver_residual_l2", "solver_K_certified",
+                                  "solver_det_min", "phi_K_certified", "phi_inv_residual"))):
+            lines.append(f"[{section}]")
+            lines += [f"{name} = {f(getattr(self, name))}" for name in names]
         lines.append(f"solver_iterations = {self.solver_iterations}")
         lines.append("[inequalities]")
         for name, lhs, rhs, slack in self.inequalities():

@@ -142,19 +142,16 @@ class SemiNorm2:
             raise ValueError("quadratic form must be symmetric")
         q = 0.5 * (q + q.T)
         row = np.array([q[0, 0], q[0, 1], q[1, 1]])
-        lmin, lmax, _ = packed_eig(row)
-        if lmin < -1e-9 * max(1.0, abs(lmax)):
-            raise ValueError("quadratic form must be positive semi-definite")
+        check_rows("quadratic", row)
         row.setflags(write=False)
         return SemiNorm2(kind="quadratic", row=row)
 
     @staticmethod
     def sampled(values):
         values = np.asarray(values, dtype=float).copy()
-        if values.ndim != 1 or values.size < 8:
-            raise ValueError("sampled semi-norm needs m >= 8 gauge values")
-        if np.any(values < 0) or not np.all(np.isfinite(values)):
-            raise ValueError("gauge values must be finite and nonnegative")
+        if values.ndim != 1:
+            raise ValueError("a sampled semi-norm is one row of gauge values")
+        check_rows("sampled", values)
         values.setflags(write=False)
         return SemiNorm2(kind="sampled", row=values)
 
@@ -250,8 +247,7 @@ class SemiNorm2:
 
     def record(self):
         """Plain-text record: 'Q a11 a12 a22' or 'S m v1 ... vm'."""
-        tag = "Q" if self.kind == "quadratic" else f"S {self.m}"
-        return tag + " " + " ".join(format(x, ".17g") for x in self.row)
+        return record_format(self.kind, self.row.size) % tuple(self.row)
 
     @staticmethod
     def from_record(text):
@@ -262,13 +258,13 @@ class SemiNorm2:
             if len(parts) != 4:
                 raise InputFormatError("quadratic record needs 3 entries")
             return SemiNorm2.from_row("quadratic", [float(x) for x in parts[1:]])
-        if parts[0] == "S":
+        if parts[0] == "S" and len(parts) > 1:
             m = int(parts[1])
             vals = [float(x) for x in parts[2:]]
             if len(vals) != m:
                 raise InputFormatError(f"sampled record announced {m} values, got {len(vals)}")
             return SemiNorm2.sampled(vals)
-        raise InputFormatError(f"unknown semi-norm record tag {parts[0]!r}")
+        raise InputFormatError(f"bad semi-norm record {text.strip()!r}")
 
 
 def _sampled_gauge(s, pts):
@@ -507,6 +503,25 @@ def _polish(c, a, p, distinct):
 
 
 # -- operations on packed rows of one kind ------------------------------------
+
+def check_rows(kind, rows):
+    """Raise ValueError unless every packed row (..., k) of kind is a semi-norm:
+    a positive semi-definite (q11, q12, q22), or m >= 8 finite nonnegative
+    gauge values."""
+    if kind == "quadratic":
+        lmin, lmax, _ = packed_eig(rows)
+        if np.any(lmin < -1e-9 * np.fmax(1.0, np.abs(lmax))):
+            raise ValueError("quadratic form must be positive semi-definite")
+    elif rows.shape[-1] < 8:
+        raise ValueError("sampled semi-norm needs m >= 8 gauge values")
+    elif np.any(rows < 0) or not np.all(np.isfinite(rows)):
+        raise ValueError("gauge values must be finite and nonnegative")
+
+
+def record_format(kind, k):
+    """%-format of the text record of one packed row of k entries."""
+    return ("Q" if kind == "quadratic" else f"S {k}") + " %.17g" * k
+
 
 def row_degenerate(kind, rows):
     """True where the semi-norm vanishes on a direction (relative DEGEN_TOL)."""

@@ -124,6 +124,19 @@ class TestDistortion:
         with pytest.raises(OrientationViolation):
             qc.distortion(np.diag([1.0, -1.0]))
 
+    def test_det_dilatation_floor(self):
+        # one det/K helper for distortion, the solver (floor DET_FLOOR) and invert
+        from qcreparam.beltrami import det_dilatation
+
+        fz, fzb = np.array([1.0 + 0j, 1j]), np.array([0.5 + 0j, 0j])
+        det, K = det_dilatation(fz, fzb)
+        assert det.tolist() == [0.75, 1.0] and K.tolist() == [3.0, 1.0]
+        assert np.array_equal(K, qc.distortion(qc.wirtinger_to_mat(fz, fzb)))
+        with pytest.raises(OrientationViolation, match="det Df = 7.500e-01"):
+            det_dilatation(fz, fzb, 0.75)
+        det, K = det_dilatation(fz[:0], fzb[:0])
+        assert det.size == K.size == 0
+
 
 class TestComposeCoefficient:
     def test_equal_coefficients_conformal(self):
@@ -189,6 +202,46 @@ class TestMollify:
                 for eta in (0.08, 0.04, 0.02)]
         assert errs == sorted(errs, reverse=True) or max(errs) < 1e-12
         assert errs[-1] < 1e-12
+
+    @staticmethod
+    def fields():
+        """(field, eta) pairs of the tests above: a constant disc, random
+        values, a step and a bump."""
+        rng = np.random.default_rng(5)
+        out = []
+        for n, radius, etas, kind in ((128, 0.6, (0.1,), "disc"),
+                                      (96, 0.5, (0.05, 0.2, 0.4), "random"),
+                                      (256, 0.5, (0.08, 0.04, 0.02), "step")):
+            x, y = qc.ComplexField(S=2.0, values=np.zeros((n, n), dtype=complex)).meshes()
+            inside = np.hypot(x, y) < radius
+            vals = np.zeros((n, n), dtype=complex)
+            if kind == "random":
+                vals[inside] = rng.normal(size=inside.sum()) + 1j * rng.normal(size=inside.sum())
+            else:
+                vals[inside] = 0.3 + 0.1j if kind == "disc" else 0.4
+            out += [(qc.ComplexField(S=2.0, values=vals), eta) for eta in etas]
+        return out + [(bump_coefficient(n=128, radius=0.5), 0.2)]
+
+    def test_matches_fftconvolve(self):
+        # the periodic FFT on the solver box against a plain linear convolution
+        from scipy.signal import fftconvolve
+
+        for field, eta in self.fields():
+            d = field.spacing
+            r = int(np.floor(eta / d))
+            offs = np.arange(-r, r + 1) * d
+            rr = np.hypot(*np.meshgrid(offs, offs, indexing="ij")) / eta
+            kernel = np.where(rr < 1.0, np.exp(-1.0 / np.maximum(1.0 - rr**2, 1e-300)), 0.0)
+            ref = fftconvolve(field.values, kernel / kernel.sum(), mode="same")
+            region = fftconvolve((field.values != 0).astype(float), (rr < 1.0).astype(float),
+                                 mode="same") > 0.5
+            out = qc.mollify(field, eta).values
+            assert np.abs(out - np.where(region, ref, 0.0)).max() <= 1e-14 * field.sup_norm()
+            assert not np.any(out[~region])
+            # the region itself: where the input support dilates by the footprint
+            support = qc.mollify(qc.ComplexField(S=2.0, values=(field.values != 0) * 1.0),
+                                 eta).values != 0
+            assert np.array_equal(support, region)
 
     def test_support_too_close(self):
         field = bump_coefficient(n=64, radius=0.9)

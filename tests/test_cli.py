@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import qcreparam as qc
 from qcreparam.cli import main
 
 
@@ -22,6 +27,14 @@ def fixtures(tmp_path_factory):
     assert main(["fixture", "--kind", "bump-mu", "--n", "128", "--k", "0.2",
                  "--out", str(root / "mu.bin")]) == 0
     return root
+
+
+def per_row_csv(rows, header="i,j,x,y,value"):
+    """The per-row CSV writer that the array writer replaced: ints as they
+    are, floats at 17 significant digits."""
+    return header + "\n" + "".join(",".join(
+        str(c) if isinstance(c, int) else format(float(c), ".17g") for c in row) + "\n"
+        for row in rows)
 
 
 def grab(stdout, key):
@@ -83,6 +96,21 @@ class TestSolveCommand:
         assert (out_dir / "residual.csv").exists()
         assert (out_dir / "dilatation.csv").exists()
 
+    def test_solve_csv_bytes(self, fixtures, capsys, tmp_path):
+        code, _, _ = run(["solve", "--input", str(fixtures / "mu.bin"),
+                          "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        rho = qc.solve_beltrami(qc.ComplexField.load(fixtures / "mu.bin"))
+        xs, ys = rho.node_coords()
+        fz, fzb = qc.mat_to_wirtinger(rho.df)
+        grids = {"residual.csv": rho.meta["residual"], "dilatation.csv": rho.meta["dilatation"],
+                 "mu_abs.csv": np.abs(fzb / fz), "mu_arg.csv": np.angle(fzb / fz),
+                 "det.csv": np.abs(fz) ** 2 - np.abs(fzb) ** 2}
+        for name, data in grids.items():
+            rows = [(i, j, xs[i, j], ys[i, j], data[i, j])
+                    for i in range(rho.shape[0]) for j in range(rho.shape[1])]
+            assert (tmp_path / name).read_text() == per_row_csv(rows)
+
     def test_solve_rejects_bad_resolution(self, capsys, tmp_path):
         import qcreparam as qc
 
@@ -122,6 +150,67 @@ class TestReparamCommand:
         code, _, err = run(["reparam", "--input", str(fixtures / "st.map"),
                             "--epsilon", "-1.0"], capsys)
         assert code == 2
+
+
+    def test_resolution_need_not_be_a_power_of_two(self, capsys, tmp_path):
+        # n = 48 puts 96 nodes on the solver grid: inside [64, 2048]
+        u = qc.SampledMap.from_function(qc.DiscGrid(48), qc.TargetSpace.l1(),
+                                        lambda x, y: np.stack([x + 0.2 * x * y, y + 0.1 * x * x]))
+        u.save(tmp_path / "l1.map")
+        code, out, _ = run(["reparam", "--input", str(tmp_path / "l1.map"), "--epsilon",
+                            repr(0.2 * np.pi), "--outdir", str(tmp_path / "out")], capsys)
+        assert code == 0
+        phi, omega, report = qc.epsilon_conformal(u, 0.2 * np.pi)
+        assert out == report.render()
+        assert (tmp_path / "out" / "report.txt").read_text() == report.render()
+        phi.save(tmp_path / "phi.qcmap")
+        assert (tmp_path / "out" / "phi.qcmap").read_bytes() == (tmp_path / "phi.qcmap").read_bytes()
+        rows = [(k, 0, b.real, b.imag, 0.0) for k, b in enumerate(omega.boundary)]
+        assert ((tmp_path / "out" / "omega_boundary.csv").read_text()
+                == per_row_csv(rows, header="k,_,x,y,_"))
+
+
+class TestCsvGrids:
+    @pytest.mark.parametrize("command, density", [
+        ("energy", "energy_density"), ("area", "jacobian_intrinsic_density"),
+        ("defect-map", "isotropy_defect_density")])
+    def test_density_csv_bytes(self, fixtures, capsys, tmp_path, command, density):
+        for name in ("st.map", "li.map"):
+            csv = tmp_path / f"{command}.csv"
+            code, _, _ = run([command, "--input", str(fixtures / name), "--csv", str(csv)],
+                             capsys)
+            assert code == 0
+            u = qc.SampledMap.load(fixtures / name)
+            dens = getattr(qc.estimate_field(u), density)()
+            g = u.grid
+            rows = [(int(i), int(j), g.x[i, j], g.y[i, j], dens[i, j])
+                    for i, j in zip(*np.nonzero(g.disc_mask))]
+            assert csv.read_text() == per_row_csv(rows)
+
+
+def test_import_graph_leaves_out_scipy_signal(tmp_path):
+    # a mollify that convolves (eta of 3 spacings) and one reparam run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
+    script = f"""
+import sys
+import numpy as np
+import qcreparam as qc
+import qcreparam.cli as cli
+from conftest import bump_coefficient
+mu = bump_coefficient(n=64, radius=0.5)
+assert not np.array_equal(qc.mollify(mu, 3 * mu.spacing).values, mu.values)
+u = qc.SampledMap.from_function(qc.DiscGrid(32), qc.TargetSpace.euclidean(2),
+                                lambda x, y: np.stack([x + 0.2 * x * y, y + 0.1 * x * x]))
+u.save({str(tmp_path / "m.map")!r})
+assert cli.main(["reparam", "--input", {str(tmp_path / "m.map")!r}, "--epsilon", "0.6283",
+                 "--outdir", {str(tmp_path / "out")!r}]) == 0
+assert "scipy.signal" not in sys.modules, "scipy.signal was imported"
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.path.dirname(os.path.abspath(__file__))]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestErrors:

@@ -428,6 +428,207 @@ class TestSerialization:
             qc.DerivativeField.load(path)
 
 
+def per_line_records(path):
+    """The per-line cell-file reader that the array reader replaced, kept as
+    its oracle: header tokens and {(i, j): row} with float() per map value and
+    a SemiNorm2 record per field cell."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        out = {}
+        for line in fh:
+            parts = line.split()
+            if parts:
+                i, j = int(parts[0]), int(parts[1])
+                assert (i, j) not in out
+                out[i, j] = (qc.SemiNorm2.from_record(" ".join(parts[2:])).row
+                             if len(header) == 2 else [float(t) for t in parts[2:]])
+    return header, out
+
+
+def per_line_text(header, mask, record):
+    """The per-line writer that the array writer replaced: the header line,
+    then 'i j <record(i, j) at 17 significant digits>' per cell of mask."""
+    return "\n".join([header] + [f"{i} {j} " + " ".join(
+        v if isinstance(v, str) else format(v, ".17g") for v in record(i, j))
+        for i, j in zip(*np.nonzero(mask))]) + "\n"
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def load_workloads():
+    import importlib.util
+    import os
+    import sys
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)        # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+# finite floats whose .17g text is hard to parse: both zeros, subnormals, extremes
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+           1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+def random_floats(rng, size):
+    bits = rng.integers(0, 2**64, size=4 * size, dtype=np.uint64, endpoint=False)
+    vals = bits.view(float)
+    vals = vals[np.isfinite(vals)][:size]
+    vals[: len(SPECIAL)] = SPECIAL
+    small = rng.random(size) < 0.2                   # subnormals of both signs
+    vals[small] = rng.choice([-1, 1], small.sum()) * rng.integers(1, 2**52, small.sum()) * 5e-324
+    return vals
+
+
+class TestCellFiles:
+    """Map and field files go through one array writer and one array reader;
+    both are checked against the per-line codec they replaced."""
+
+    def check_map(self, u, path):
+        u.save(path)
+        mask = u.grid.disc_mask
+        header = f"{u.grid.n} {u.target.d} {u.target.descriptor()}"
+        assert path.read_text() == per_line_text(header, mask, lambda i, j: u.values[i, j])
+        v = qc.SampledMap.load(path)
+        _, records = per_line_records(path)
+        assert set(records) == set(zip(*np.nonzero(mask)))
+        for (i, j), row in records.items():
+            assert same_bits(v.values[i, j], row)
+        assert same_bits(v.values[mask], u.values[mask])        # .17g round trips
+        assert np.all(np.isnan(v.values[~mask]))
+
+    def check_field(self, f, path):
+        f.save(path)
+        mask = f.interior_mask
+        tag = ["Q"] if f.kind == "quadratic" else ["S", str(f.rows.shape[1])]
+        assert path.read_text() == per_line_text(
+            f"{f.grid.n} {f.kind}", mask, lambda i, j: tag + list(f.rows[f.index[i, j]]))
+        g = qc.DerivativeField.load(path)
+        _, records = per_line_records(path)
+        assert set(records) == set(zip(*np.nonzero(mask)))
+        for (i, j), row in records.items():
+            assert same_bits(g.rows[g.index[i, j]], np.asarray(row) + 0.0)
+        return g
+
+    def test_pool_maps_and_fields(self, tmp_path):
+        for name, workload in load_workloads().items():
+            paths = workload.generate(11, str(tmp_path / name))
+            for k, path in enumerate(paths[:4]):
+                u = qc.SampledMap.load(path)
+                self.check_map(u, tmp_path / "copy.map")
+                if k == 0:
+                    self.check_field(qc.estimate_field(u), tmp_path / "field.txt")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_values(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        grid = qc.DiscGrid(32)
+        values = random_floats(rng, 32 * 32 * 6).reshape(32, 32, 6)
+        self.check_map(qc.SampledMap(grid=grid, target=qc.TargetSpace.euclidean(6),
+                                     values=values), tmp_path / "rand.map")
+        cells = int(grid.interior_mask.sum())
+        gauges = np.abs(random_floats(rng, cells * 16)).reshape(cells, 16)
+        f = qc.DerivativeField.from_interior(grid, "sampled", gauges, np.arange(cells))
+        g = self.check_field(f, tmp_path / "sampled.txt")
+        assert same_bits(g.rows[g.index], f.rows[f.index] + 0.0)
+        a, c = np.abs(random_floats(rng, 2 * cells)).reshape(2, cells)
+        a[a > 1e300] *= 1e-10              # keep the trace of a row finite
+        c[c > 1e300] *= 1e-10
+        b = np.where(rng.random(cells) < 0.5, rng.choice([0.0, -0.0], cells),
+                     0.5 * np.sqrt(a) * np.sqrt(c) * rng.choice([-1, 1], cells))
+        quad = np.column_stack([a, b, c])
+        f = qc.DerivativeField.from_interior(grid, "quadratic", quad, np.arange(cells))
+        g = self.check_field(f, tmp_path / "quadratic.txt")
+        assert same_bits(g.rows[g.index], f.rows[f.index] + 0.0)
+
+    @staticmethod
+    def edited(path, old, new):
+        """Replace the record of the cell that starts with old."""
+        path.write_text("".join(new + "\n" if line.startswith(old) else line
+                                for line in path.read_text().splitlines(keepends=True)))
+        return path
+
+    def saved_map(self, tmp_path):
+        path = tmp_path / "map.txt"
+        identity_map(16).save(path)
+        return path
+
+    def saved_field(self, tmp_path, target=EUCLID):
+        path = tmp_path / "field.txt"
+        qc.estimate_field(identity_map(16, target)).save(path)
+        return path
+
+    @pytest.mark.parametrize("record", ["8 8 0.5", "8 8 0.5 0.5 0.5"])
+    def test_map_record_width_rejected(self, tmp_path, record):
+        path = self.edited(self.saved_map(tmp_path), "8 8 ", record)
+        with pytest.raises(InputFormatError, match=r"values, not 2"):
+            qc.SampledMap.load(path)
+
+    @pytest.mark.parametrize("record", ["8.0 8 0.5 0.5", "8 8e0 0.5 0.5", "# 8 0.5 0.5"])
+    def test_non_integer_index_rejected(self, tmp_path, record):
+        # '#' starts no comment: such a line is a record with a bad index
+        path = self.edited(self.saved_map(tmp_path), "8 8 ", record)
+        with pytest.raises(ValueError, match="could not convert"):
+            qc.SampledMap.load(path)
+
+    def test_comment_line_rejected(self, tmp_path):
+        path = self.saved_map(tmp_path)
+        path.write_text(path.read_text() + "# a comment\n")
+        with pytest.raises(InputFormatError, match="# a comment"):
+            qc.SampledMap.load(path)
+
+    def test_header_only_map_rejected(self, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("16 2 euclidean 2\n\n")
+        with pytest.raises(InputFormatError, match="disc cells missing"):
+            qc.SampledMap.load(path)
+
+    def test_short_target_descriptor_rejected(self, tmp_path):
+        # an IndexError before
+        path = self.saved_map(tmp_path)
+        path.write_text(path.read_text().replace("16 2 euclidean 2\n", "16 2 euclidean\n"))
+        with pytest.raises(InputFormatError, match="needs a kind and a size"):
+            qc.SampledMap.load(path)
+
+    def test_mixed_kinds_rejected(self, tmp_path):
+        path = self.edited(self.saved_field(tmp_path, qc.TargetSpace.linf()), "8 8 ",
+                           "8 8 Q 1 0 1")
+        with pytest.raises(InputFormatError, match="mixed representations"):
+            qc.DerivativeField.load(path)
+
+    def test_announced_m_disagrees(self, tmp_path):
+        path = self.saved_field(tmp_path, qc.TargetSpace.linf())
+        line = next(l for l in path.read_text().splitlines() if l.startswith("8 8 "))
+        path = self.edited(path, "8 8 ", line.replace("8 8 S 64 ", "8 8 S 63 "))
+        with pytest.raises(InputFormatError, match="announced 63 values, got 64"):
+            qc.DerivativeField.load(path)
+
+    @pytest.mark.parametrize("record, message", [
+        ("8 8 Q 1 2 1", "positive semi-definite"),
+        ("8 8 Q 1 0", "3 entries"),
+        ("8 8 X 1 0 1", "bad semi-norm record 'X 1 0 1'"),
+        ("8 8 S", "bad semi-norm record 'S'"),
+    ])
+    def test_bad_quadratic_rows_rejected(self, tmp_path, record, message):
+        path = self.edited(self.saved_field(tmp_path), "8 8 ", record)
+        with pytest.raises((ValueError, InputFormatError), match=message):
+            qc.DerivativeField.load(path)
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_gauge_values_rejected(self, tmp_path, value):
+        path = self.saved_field(tmp_path, qc.TargetSpace.linf())
+        line = next(l for l in path.read_text().splitlines() if l.startswith("8 8 "))
+        path = self.edited(path, "8 8 ", line.rsplit(" ", 1)[0] + " " + value)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            qc.DerivativeField.load(path)
+
+
 class TestScalarFieldAgreement:
     """The SemiNorm2 operations and the DerivativeField densities apply the
     same row formulas, so on the same rows they agree bit for bit."""

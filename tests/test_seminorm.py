@@ -291,7 +291,7 @@ class TestSerialization:
         s2 = qc.SemiNorm2.from_record(L1.record())
         assert np.allclose(s2.values, L1.values)
 
-    @pytest.mark.parametrize("bad", ["", "X 1 2 3", "Q 1 2", "S 3 1 2"])
+    @pytest.mark.parametrize("bad", ["", "X 1 2 3", "Q 1 2", "S 3 1 2", "S"])
     def test_bad_records(self, bad):
         with pytest.raises(InputFormatError):
             qc.SemiNorm2.from_record(bad)
