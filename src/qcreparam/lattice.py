@@ -28,9 +28,14 @@ def bilinear(values, ti, tj):
     """Bilinear interpolation of values (ni, nj, ...) at fractional node
     indices (ti, tj); the trailing dimensions ride along, and points beyond
     the lattice extrapolate from its edge cell."""
-    i0 = np.clip(np.floor(ti).astype(int), 0, values.shape[0] - 2)
-    j0 = np.clip(np.floor(tj).astype(int), 0, values.shape[1] - 2)
+    ni, nj = values.shape[:2]
+    i0 = np.clip(np.floor(ti).astype(int), 0, ni - 2)
+    j0 = np.clip(np.floor(tj).astype(int), 0, nj - 2)
     trail = (...,) + (None,) * (values.ndim - 2)
     tx, ty = (ti - i0)[trail], (tj - j0)[trail]
-    return ((1 - tx) * (1 - ty) * values[i0, j0] + tx * (1 - ty) * values[i0 + 1, j0]
-            + (1 - tx) * ty * values[i0, j0 + 1] + tx * ty * values[i0 + 1, j0 + 1])
+    sx, sy = 1 - tx, 1 - ty
+    # each corner is one take along the flat node axis, several times
+    # cheaper than a 2-D fancy index when trailing dimensions ride along
+    flat, k = values.reshape((ni * nj,) + values.shape[2:]), i0 * nj + j0
+    return (sx * sy * flat.take(k, axis=0) + tx * sy * flat.take(k + nj, axis=0)
+            + sx * ty * flat.take(k + 1, axis=0) + tx * ty * flat.take(k + nj + 1, axis=0))

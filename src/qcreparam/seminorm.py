@@ -287,13 +287,21 @@ def edge_gauge(half, pts):
     one antipodal half of a unit-ball polygon {|c_i . x| <= 1}."""
     # max(max, -min) over the rows of the (m, N) block gives the same floats
     # as max(abs) with one temporary instead of two, and + 0.0 keeps the zero
-    # vector at +0.0.  The matmul is chunked so large point sets stay
-    # memory-bounded.
-    out = np.empty(pts.shape[0])
-    step = 1 << 17
-    for k in range(0, pts.shape[0], step):
-        blk = half @ pts[k : k + step].T
-        chunk = out[k : k + step]
+    # vector at +0.0.  A block of about 2^16 entries of the product (1 024
+    # points, 512 KB at m = 64) stays in cache, keeps the peak memory flat
+    # in N and is formed by BLAS in one thread; smaller blocks cost more in
+    # calls than they save.  Blocks start at multiples of 8 points and the
+    # last takes the remainder: a short trailing call would round some
+    # products differently from one call over all points.  The edge rows
+    # are not deduplicated for the same reason: fewer rows, other rounding.
+    n = pts.shape[0]
+    out = np.empty(n)
+    step = max(8, (1 << 16) // len(half) // 8 * 8)
+    last = step * max(n // step - 1, 0)
+    for k in range(0, last + 1, step):
+        stop = n if k == last else k + step
+        blk = half @ pts[k:stop].T
+        chunk = out[k:stop]
         np.maximum(blk.max(axis=0), -blk.min(axis=0), out=chunk)
         chunk += 0.0
     return out
@@ -506,9 +514,11 @@ def _polish(c, a, p, distinct):
 
 def check_rows(kind, rows):
     """Raise ValueError unless every packed row (..., k) of kind is a semi-norm:
-    a positive semi-definite (q11, q12, q22), or m >= 8 finite nonnegative
+    a finite positive semi-definite (q11, q12, q22), or m >= 8 finite nonnegative
     gauge values."""
     if kind == "quadratic":
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("quadratic form must be finite")
         lmin, lmax, _ = packed_eig(rows)
         if np.any(lmin < -1e-9 * np.fmax(1.0, np.abs(lmax))):
             raise ValueError("quadratic form must be positive semi-definite")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,16 @@ def bump_coefficient(n=256, k=0.2, radius=0.7, box=2.0):
                             np.exp(1.0 - 1.0 / np.maximum(1.0 - (r / radius) ** 2, 1e-300)),
                             0.0)
     return qc.ComplexField(S=box, values=vals.astype(complex))
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

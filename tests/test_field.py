@@ -6,7 +6,7 @@ from qcreparam import field as fd
 from qcreparam.errors import InputFormatError, StencilOutOfDomain
 from qcreparam.seminorm import half_circle_directions
 
-from conftest import linear_qcmap, rand_sampled_norm, rand_spd
+from conftest import linear_qcmap, rand_sampled_norm, rand_spd, traced_peak
 
 EUCLID = qc.TargetSpace.euclidean(2)
 
@@ -157,6 +157,19 @@ class TestComposedEnergy:
         e0 = qc.composed_energy(f, linear_qcmap(np.eye(2) * 0.4, box=0.5, n=64))
         e1 = qc.composed_energy(f, linear_qcmap(rot * 0.4, box=0.5, n=64))
         assert e1 == pytest.approx(e0, rel=1e-9)
+
+    def test_linf_peak_memory(self):
+        # an l-inf field needs the K nodes' m mapped directions (2 K m
+        # doubles) and their gauge values (K m); the edge loads of the gauge
+        # come a block at a time, within 2 MB beyond those
+        f = qc.estimate_field(make_map(64, lambda x, y: np.stack([2.0 * x, y]),
+                                       qc.TargetSpace.linf()))
+        phi = linear_qcmap(np.eye(2), box=1.0, n=64)
+        mask = np.abs(phi.values) < 1.0
+        phi = qc.QCMap(x0=phi.x0, y0=phi.y0, spacing=phi.spacing,
+                       values=phi.values, df=phi.df, mask=mask)
+        _, peak = traced_peak(qc.composed_energy, f, phi)
+        assert peak <= 3 * mask.sum() * f.rows.shape[1] * 8 + (2 << 20)
 
     def test_image_outside_domain(self):
         f = qc.estimate_field(identity_map(64))
@@ -611,6 +624,9 @@ class TestCellFiles:
 
     @pytest.mark.parametrize("record, message", [
         ("8 8 Q 1 2 1", "positive semi-definite"),
+        ("8 8 Q inf 0 1", "finite"),
+        ("8 8 Q nan 0 1", "finite"),
+        ("8 8 Q 1 inf 1", "finite"),
         ("8 8 Q 1 0", "3 entries"),
         ("8 8 X 1 0 1", "bad semi-norm record 'X 1 0 1'"),
         ("8 8 S", "bad semi-norm record 'S'"),

@@ -15,6 +15,7 @@ from conftest import (
     rand_sampled_norm,
     rand_spd,
     sweep_energy_oracle,
+    traced_peak,
 )
 
 D64 = half_circle_directions(64)
@@ -23,17 +24,36 @@ L1 = qc.SemiNorm2.sampled(np.abs(D64).sum(axis=1))
 DIAG41 = qc.SemiNorm2.quadratic(np.diag([4.0, 1.0]))
 
 
+def abs_max_reference(half, pts, piece=256):
+    """max_i |c_i . p| over the products half @ pts.T.  BLAS forms them in
+    calls of `piece` points (a multiple of 8, the last call taking the
+    remainder), each too small to be threaded: one call over all points
+    may be threaded, and a threaded call rounds some points differently."""
+    cuts = np.arange(piece, len(pts) - piece + 1, piece)
+    prod = np.concatenate([half @ p.T for p in np.split(pts, cuts)], axis=1)
+    return np.max(np.abs(prod), axis=0)
+
+
 class TestSampledGauge:
-    @pytest.mark.parametrize("count", [5, (1 << 17) - 1, 1 << 17, (1 << 17) + 3])
+    @pytest.mark.parametrize("count", [5, 1023, 1024, 1027, 1029, 1031,
+                                       (1 << 17) - 1, 1 << 17, (1 << 17) + 3])
     def test_matches_abs_max_reference(self, rng, count):
         # bit for bit against max_i |c_i . p| over the first half of the
-        # polygon's antipodal edge rows, zero vectors of both signs included
+        # polygon's antipodal edge rows, zero vectors of both signs included,
+        # across the kernel's block edges (1 024 points at m = 64)
         for s in (LINF, L1, rand_sampled_norm(rng)):
             half = s._polygon()[1][: s.m]
             pts = rng.normal(size=(count, 2))
             pts[:3] = [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]]
-            ref = np.max(np.abs(pts @ half.T), axis=1)
+            ref = abs_max_reference(half, pts)
             assert np.array_equal(s(pts).view(np.uint64), ref.view(np.uint64))
+
+    def test_peak_memory_is_one_block(self, rng):
+        # the (m, N) product is formed about 2^16 entries at a time, so at
+        # m = 64 the call needs at most 2 MB beyond its output
+        half = LINF._polygon()[1][: LINF.m]
+        out, peak = traced_peak(sn.edge_gauge, half, rng.normal(size=((1 << 17) + 3, 2)))
+        assert peak - out.nbytes <= 2 << 20
 
 
 class TestEnergy:
@@ -309,6 +329,10 @@ class TestValidation:
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError):
             qc.SemiNorm2.quadratic(np.diag([1.0, -0.5]))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            qc.SemiNorm2.quadratic([[np.inf, 0.0], [0.0, 1.0]])
 
     def test_degeneracy_flags(self):
         assert qc.SemiNorm2.zero().degenerate

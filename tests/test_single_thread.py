@@ -1,0 +1,26 @@
+"""The bit-for-bit kernel checks once more with one BLAS thread.
+
+The benchmark runs with OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1, and tier-1
+with the default thread count; a reference that BLAS rounds differently
+under one of the two settings would pass in one and fail in the other.
+"""
+
+import os
+import subprocess
+import sys
+
+import qcreparam as qc
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def test_kernel_references_hold_single_threaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, TESTS]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         os.path.join(TESTS, "test_seminorm.py") + "::TestSampledGauge",
+         os.path.join(TESTS, "test_lattice.py")],
+        cwd=os.path.dirname(TESTS), env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
