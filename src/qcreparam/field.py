@@ -443,8 +443,8 @@ def _estimate_rows(u, ii, jj):
     off-center value interpolated bilinearly.  Euclidean and quadratic
     targets get the least-squares fit (q11, q12, q22) of g^2, projected to
     positive semi-definite, one row per cell; polygonal targets get sampled
-    gauge rows, symmetrized over antipodes, then deduplicated, and each
-    distinct row convexified.
+    gauge rows, symmetrized over antipodes, rounded relative to their size,
+    then deduplicated, and each distinct row convexified.
     """
     grid = u.grid
     z = np.column_stack([grid.x[ii, jj], grid.y[ii, jj]])
@@ -458,7 +458,10 @@ def _estimate_rows(u, ii, jj):
     if u.target.kind == "polygonal":
         m = len(dirs) // 2
         sym = 0.5 * (g[:, :m] + g[:, m:])
-        uniq, inv = distinct_rows(np.round(sym, 12))
+        # 12 decimals relative to the power of two 2^e <= the row's max, so
+        # the rule is scale-covariant and the scaling is exact
+        e = np.frexp(sym.max(axis=1, keepdims=True))[1] - 1
+        uniq, inv = distinct_rows(np.ldexp(np.round(np.ldexp(sym, -e), 12), e))
         return "sampled", _convexify_gauges(uniq), inv
 
     design = np.column_stack([dirs[:, 0] ** 2, 2 * dirs[:, 0] * dirs[:, 1], dirs[:, 1] ** 2])

@@ -21,7 +21,6 @@ hand the inscribed ellipse over as the packed matrix (m11, m12, m22) of
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,17 +34,11 @@ GAP_TOL = 1e-7             # certified optimality: log-det duality gap of an ins
 DEFAULT_SAMPLES = 64       # default m for sampled semi-norms
 
 # inscribed-ellipse solver (see inscribed_ellipses)
-_STAGE_GAPS = (1e-3, 1e-5, 1e-8)    # barrier gaps m/t at which a KKT polish is tried
-_T_FACTOR = 20.0                    # growth of t once a row is roughly centred
-_CENTRED = 2.0                      # half squared Newton decrement that allows t to grow
-_CONVERGED = 1e-7                   # half squared Newton decrement that ends the last stage
-_MAX_NEWTON = 200                   # Newton steps per stage; unfinished rows leave as they are
-_STEPS = 0.5 ** np.arange(6)        # trial step lengths of the Newton line search
-_DUP_TOL = 1e-9                     # edges this close (relative) coincide; slacks this close tie
-_POLISH_TOL = 1e-9                  # load excess a KKT candidate may carry into rescaling
-_TIGHTEST, _MINIMA = 5, 3           # candidate constraints: tightest, then local minima
-_SETS = [np.array(list(itertools.combinations(range(_TIGHTEST + _MINIMA), k))) for k in (2, 3)]
-_SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])   # 3x3 symmetric from its 6 entries
+_LOAD_TOL = 1e-9                    # load excess that makes a constraint enter the basis
+_MAX_SWAPS = 32                     # basis exchanges per row; rows still violated fail
+# candidate bases of the entering constraint (slot 0) and the basis (slots 1-3):
+# three pairs, written with a repeated second slot, then three triples
+_CANDIDATES = np.array([[0, 1, 1], [0, 2, 2], [0, 3, 3], [0, 1, 2], [0, 1, 3], [0, 2, 3]])
 _CHUNK = 512                        # rows handled together (bounds the per-row arrays)
 
 
@@ -309,27 +302,25 @@ def edge_gauge(half, pts):
 
 def _polygons(values):
     """Vertices (..., 2m, 2) and edge rows c_i (..., 2m, 2) of the unit balls
-    {x : |c_i . x| <= 1} of non-degenerate gauge rows values (..., m)."""
+    {x : |c_i . x| <= 1} of positive gauge rows values (..., m)."""
     dirs = half_circle_directions(values.shape[-1])
     half = dirs * (1.0 / values)[..., None]
-    verts = np.concatenate([half, -half], axis=-2)
-    edges = np.roll(verts, -1, axis=-2) - verts
-    normals = np.stack([edges[..., 1], -edges[..., 0]], axis=-1)
-    norm = np.linalg.norm(normals, axis=-1)
-    if np.any(norm <= 0):
-        raise DegenerateSemiNorm("repeated vertices in sampled unit ball")
-    normals /= norm[..., None]
-    offsets = np.sum(normals * verts, axis=-1)
-    if np.any(offsets <= 0):
-        raise ValueError("sampled gauge is not convex (non-star polygon)")
-    return verts, normals / offsets[..., None]
+    # c_i solves c.d_i = v_i and c.d_(i+1) = v_(i+1) for consecutive sample
+    # directions d, so it is formed from the values and not from the
+    # vertices d_i / v_i, whose differences cancel when a value is tiny
+    d = np.concatenate([dirs, -dirs])
+    d1 = np.roll(d, -1, axis=0)
+    v = np.concatenate([values, values], axis=-1)[..., None]
+    c = v * d1[:, ::-1] - np.roll(v, -1, axis=-2) * d[:, ::-1]
+    c *= [1.0, -1.0] / (d[:, :1] * d1[:, 1:] - d[:, 1:] * d1[:, :1])
+    return np.concatenate([half, -half], axis=-2), c
 
 
-def _live_rows(values, fn, tail=(), dtype=float):
-    """fn of the non-degenerate gauge rows of values (R, m), _CHUNK rows at a
-    time, into an (R,) + tail array of dtype that is zero on degenerate rows."""
+def _live_rows(values, live, fn, tail=(), dtype=float):
+    """fn of the gauge rows values[live] (R, m), _CHUNK rows at a time, into an
+    (R,) + tail array of dtype that is zero on the other rows."""
     out = np.zeros(values.shape[:1] + tail, dtype=dtype)
-    live = np.flatnonzero(~row_degenerate("sampled", values))
+    live = np.flatnonzero(live)
     for k in range(0, live.size, _CHUNK):
         rows = live[k : k + _CHUNK]
         out[rows] = fn(values[rows])
@@ -347,29 +338,32 @@ def convex_rows(values, tol=1e-9):
         cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
         scale = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
         return np.all(cross >= -tol * np.maximum(scale, 1e-300), axis=-1)
-    return _live_rows(values, convex, dtype=bool)
+    return _live_rows(values, ~row_degenerate("sampled", values), convex, dtype=bool)
 
 
 def half_edges(values):
     """Edge rows (R, m, 2) for edge_gauge of the gauge rows values (R, m): one
     antipodal half of each ball polygon, zero for degenerate rows."""
     m = values.shape[1]
-    return _live_rows(values, lambda rows: _polygons(rows)[1][:, :m], (m, 2))
+    return _live_rows(values, ~row_degenerate("sampled", values),
+                      lambda rows: _polygons(rows)[1][:, :m], (m, 2))
 
 
 # -- inscribed ellipses of sampled unit balls ---------------------------------------
 
 def inscribed_ellipses(values):
     """Packed M (R, 3) of the maximal ellipses {v.Mv <= 1} inscribed in the unit
-    balls {|c_i . x| <= 1} of gauge rows values (R, m); M = 0 for degenerate rows.
+    balls {|c_i . x| <= 1} of gauge rows values (R, m); M = 0 for rows with a zero
+    value, whose ball is unbounded.
 
     P = M^-1 maximizes log det P subject to c_i.P c_i <= 1 (Boyd & Vandenberghe,
-    Convex Optimization, 8.4.2): a log barrier with line-searched Newton steps and
-    an exact KKT polish on two or three tight edges at each gap of _STAGE_GAPS.
-    Each row is certified (max_i c_i.P c_i <= 1 + FEAS_TOL; multipliers >= 0, log-det
+    Convex Optimization, 8.4.2): {y.Py <= 1} is the least-area centred ellipse
+    enclosing the points +-c_i, an LP-type problem whose optimum is fixed by two or
+    three constraints (Welzl 1991).  An exact basis exchange finds them.  Each row
+    is certified (max_i c_i.P c_i <= 1 + FEAS_TOL; multipliers >= 0, log-det
     duality gap <= GAP_TOL; else EllipseNotCertified), independently of its batch."""
     values = np.asarray(values, dtype=float)
-    return _live_rows(values, lambda rows: _inv2(_solve_rows(rows)), (3,))
+    return _live_rows(values, values.min(axis=-1) > 0, _solve_rows, (3,))
 
 
 def _outer(c):
@@ -378,8 +372,8 @@ def _outer(c):
 
 
 def _loads(a, p):
-    """c_i.P c_i for constraints a (R, 3, m) and packed P (R, ..., 3)."""
-    return np.einsum("rkm,r...k->r...m", a, p)
+    """c.P c for constraints a = (c1^2, 2 c1 c2, c2^2) and packed P, broadcast."""
+    return a[..., 0] * p[..., 0] + a[..., 1] * p[..., 1] + a[..., 2] * p[..., 2]
 
 
 def _solve3(a, b):
@@ -390,124 +384,74 @@ def _solve3(a, b):
 
 
 def _solve_rows(values):
-    """Certified packed P of the inscribed ellipses of non-degenerate rows."""
+    """Certified packed M of the inscribed ellipses of bounded rows."""
     R, m = values.shape
     verts, c = (x[:, :m] for x in _polygons(values))      # one edge per antipodal pair
-    prev = np.concatenate([-c[:, -1:], c[:, :-1]], axis=1)   # collinear edges repeat
-    distinct = np.abs(c - prev).max(axis=-1) > _DUP_TOL * np.abs(c).max(axis=-1)
     # solve for P' = L^-1 P L^-T, with L L^T the vertex scatter: the ball is
     # about round for P', and containment, multipliers and gap are unchanged
     vx, vy = verts[..., 0], verts[..., 1]
     l11 = np.sqrt(np.sum(vx * vx, axis=-1, keepdims=True))
     l21 = np.sum(vx * vy, axis=-1, keepdims=True) / l11
-    l22 = np.sqrt(np.sum(vy * vy, axis=-1, keepdims=True) - l21**2)
+    l22 = np.linalg.norm(vy - (l21 / l11) * vx, axis=-1, keepdims=True)   # no cancellation
     c = np.stack([l11 * c[..., 0] + l21 * c[..., 1], l22 * c[..., 1]], axis=-1)
-    a = np.moveaxis(_outer(c) * [1.0, 2.0, 1.0], -1, 1)    # c.P c = a.(p11, p12, p22)
-    p = np.outer(0.5 / a[:, [0, 2]].sum(axis=1).max(axis=-1), [1.0, 0.0, 1.0])  # a disc
-    t = np.maximum(1.0, 0.5 * np.sum(1.0 / (1.0 - _loads(a, p)) - 1.0, axis=-1))  # ~centred
+    a = _outer(c) * [1.0, 2.0, 1.0]                        # c.P c = a.(p11, p12, p22)
 
-    pbest, lam, todo = np.empty((R, 3)), np.empty((R, m)), np.arange(R)
+    # start from the longest edge row and the row most across it; a pair basis
+    # repeats its second constraint, with multipliers (1, 1, 0)
+    rows = np.arange(R)
+    first = np.argmax(a[..., 0] + a[..., 2], axis=-1)
+    cf = c[rows, first]
+    across = np.argmax(np.abs(c[..., 0] * cf[:, None, 1] - c[..., 1] * cf[:, None, 0]), axis=-1)
+    basis = np.stack([first, across, across], axis=-1)
+    p = _inv2(_outer(cf) + _outer(c[rows, across]))
+    lam = np.tile([1.0, 1.0, 0.0], (R, 1))
+    todo = rows
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for gap in _STAGE_GAPS:
-            # the last stage's point stands where no polish succeeds: centre it well
-            final = gap == _STAGE_GAPS[-1]
-            p, t = _barrier(a[todo], p, t, gap, _CONVERGED if final else _CENTRED)
-            pp, ll, ok = _polish(c[todo], a[todo], p, distinct[todo])
-            if final:
-                pp[~ok] = p[~ok]
-                ll[~ok] = 1.0 / (t[~ok, None] * (1.0 - _loads(a[todo[~ok]], p[~ok])))
-                ok[:] = True
-            pbest[todo[ok]], lam[todo[ok]] = pp[ok], ll[ok]
-            todo, p, t = todo[~ok], p[~ok], t[~ok]
+        for _ in range(_MAX_SWAPS):
+            loads = _loads(a[todo], p[todo, None])
+            keep = loads.max(axis=-1) > 1.0 + _LOAD_TOL
+            todo, enter = todo[keep], np.argmax(loads[keep], axis=-1)
             if not todo.size:
                 break
-        worst = _loads(a, pbest).max(axis=-1)
-        w = np.sum(lam[:, None, :] * np.moveaxis(_outer(c), -1, 1), axis=-1)
-        dual_gap = np.sum(lam, axis=-1) - 2.0 - np.log(packed_det(w) * packed_det(pbest))
-    bad = ~((worst <= 1.0 + FEAS_TOL) & (dual_gap <= GAP_TOL) & np.all(lam >= 0, axis=-1))
+            basis[todo], p[todo], lam[todo] = _exchange(c[todo], a[todo], basis[todo], enter)
+        worst = _loads(a, p[:, None]).max(axis=-1)
+        solved = worst <= 1.0 + _LOAD_TOL
+        p /= np.maximum(worst, 1.0)[:, None]               # into the ball, rounding included
+        worst = _loads(a, p[:, None]).max(axis=-1)
+        cb = c[rows[:, None], basis]
+        w = np.sum(lam[..., None] * _outer(cb), axis=1)
+        dual_gap = np.sum(lam, axis=-1) - 2.0 - np.log(packed_det(w) * packed_det(p))
+    bad = ~(solved & (worst <= 1.0 + FEAS_TOL) & (dual_gap <= GAP_TOL) & np.all(lam >= 0, axis=-1))
     if np.any(bad):
         raise EllipseNotCertified(f"inscribed-ellipse certificate failed on {int(bad.sum())} of "
-                                  f"{R} rows (load {worst[bad][0]}, gap {dual_gap[bad][0]})")
-    p0, p1, p2 = np.split(pbest, 3, axis=-1)
-    return np.concatenate([l11**2 * p0, l11 * (l21 * p0 + l22 * p1),
-                           l21**2 * p0 + 2 * l21 * l22 * p1 + l22**2 * p2], axis=-1)
+                                  f"{R} rows (load {worst[bad][0]}, gap {dual_gap[bad][0]}, "
+                                  f"{'' if solved[bad][0] else 'not '}solved)")
+    # M = L^-T P'^-1 L^-1: P' is well conditioned, while P = L P' L^T may not
+    # be invertible in floating point (a thin ball off the axes)
+    m0, m1, m2 = np.split(_inv2(p), 3, axis=-1)
+    i11, i21, i22 = 1.0 / l11, -l21 / (l11 * l22), 1.0 / l22      # L^-1
+    return np.concatenate([i11 * (i11 * m0 + i21 * m1) + i21 * (i11 * m1 + i21 * m2),
+                           i22 * (i11 * m1 + i21 * m2), i22 * i22 * m2], axis=-1)
 
 
-def _barrier(a, p, t, gap, converged):
-    """Path-follow t*(-log det P) - sum log(1 - a.p) per row until m/t <= gap and half
-    the squared Newton decrement is <= converged.  Rows leave as they finish; after
-    _MAX_NEWTON steps (rounding can stall Newton at large t) the rest leave as they are."""
-    m = a.shape[-1]
-    idx, sa, sp, st = np.arange(len(p)), a, p, t
-    for _ in range(_MAX_NEWTON):
-        if not idx.size:
-            break
-        sp, dec = _newton(sa, sp, st)
-        reached = m / st <= gap
-        st = np.where(~reached & (dec <= _CENTRED), np.minimum(st * _T_FACTOR, 2 * m / gap), st)
-        keep = ~(reached & (dec <= converged))
-        p[idx[~keep]], t[idx[~keep]] = sp[~keep], st[~keep]
-        idx, sa, sp, st = idx[keep], sa[keep], sp[keep], st[keep]
-    p[idx], t[idx] = sp, st
-    return p, t
-
-
-def _newton(a, p, t):
-    """One line-searched Newton step per row; new points, half squared decrements."""
-    s = 1.0 - _loads(a, p)
-    aw = a / s[:, None, :]
-    u = _inv2(p)
-    u11, u12, u22 = u[:, 0], u[:, 1], u[:, 2]
-    g = np.sum(aw, axis=-1) - t[:, None] * u * [1.0, 2.0, 1.0]
-    # Hessian of -log det P in (p11, p12, p22): tr(U dP U dP) with U = P^-1
-    hl = np.stack([u11 * u11, 2.0 * u11 * u12, u12 * u12, 2.0 * (u12 * u12 + u11 * u22),
-                   2.0 * u12 * u22, u22 * u22], axis=-1)
-    h = aw @ np.swapaxes(aw, 1, 2) + t[:, None, None] * hl[:, _SYM]
-    d = -np.linalg.solve(h, g[..., None])[..., 0]
-    dec = -np.sum(g * d, axis=-1)
-    # first trial step with sufficient decrease, else the (self-concordant) damped step
-    trial = p[:, None, :] + _STEPS[:, None] * d[:, None, :]
-    st, dt = 1.0 - _loads(a, trial), packed_det(trial)
-    f0 = -t * np.log(packed_det(p)) - np.sum(np.log(s), axis=-1)
-    ft = -t[:, None] * np.log(dt) - np.sum(np.log(st), axis=-1)
-    good = ((dt > 0) & (trial[..., 0] > 0) & np.all(st > 0, axis=-1)      # P stays definite
-            & (ft <= f0[:, None] - 0.25 * _STEPS * dec[:, None]))
-    step = np.where(np.any(good, axis=-1), _STEPS[np.argmax(good, axis=-1)],
-                    1.0 / (1.0 + np.sqrt(dec)))
-    return p + step[:, None] * d, 0.5 * dec
-
-
-def _polish(c, a, p, distinct):
-    """Exact KKT points P^-1 = sum lam_l c_l c_l^T, the l tight, on pairs and triples of
-    the _TIGHTEST distinct constraints and the _MINIMA next local minima of the slack.
-    Those with lam >= 0 and feasible up to _POLISH_TOL are scaled into the ball and
-    the largest wins; returns (P, multipliers, found) per row."""
-    R, m = distinct.shape
-    s = 1.0 - _loads(a, p)
-    tight = np.argsort(np.where(distinct, s, np.inf), axis=-1, kind="stable")[:, :_TIGHTEST]
-    # cyclic neighbours; repeats of a constraint tie up to rounding
-    minimum = (distinct & (s <= np.roll(s, 1, axis=-1) + _DUP_TOL)
-               & (s <= np.roll(s, -1, axis=-1) + _DUP_TOL))
-    np.put_along_axis(minimum, tight, False, -1)
-    minima = np.argsort(np.where(minimum, s, np.inf), axis=-1, kind="stable")[:, :_MINIMA]
-    slots = np.concatenate([tight, minima], axis=-1)
-    cs = np.take_along_axis(c, slots[..., None], 1)
-
-    pairs, triples = _SETS
-    ct = cs[:, triples]                                   # (R, T, 3, 2)
-    ptri = _solve3(_outer(ct) * [1.0, 2.0, 1.0], np.ones(ct.shape[:-1]))
-    pc = np.concatenate([_inv2(_outer(cs[:, pairs[:, 0]]) + _outer(cs[:, pairs[:, 1]])),
-                         ptri], axis=1)
-    lc = np.zeros((R, len(pairs) + len(triples), slots.shape[1]))
-    lc[:, np.arange(len(pairs))[:, None], pairs] = 1.0
-    lc[:, len(pairs) + np.arange(len(triples))[:, None], triples] = _solve3(
-        np.swapaxes(_outer(ct), -1, -2), _inv2(ptri))
-    worst, det = _loads(a, pc).max(axis=-1), packed_det(pc)
-    valid = (worst <= 1.0 + _POLISH_TOL) & (det > 0) & np.all(lc >= 0, axis=-1)
-    best = np.argmax(np.where(valid, det / np.maximum(worst, 1.0) ** 2, -np.inf), axis=-1)
-    rows, lam = np.arange(R), np.zeros((R, m))
-    np.add.at(lam, (rows[:, None], slots), lc[rows, best])    # slots may repeat
-    return pc[rows, best] / np.maximum(worst[rows, best], 1.0)[:, None], lam, valid[rows, best]
+def _exchange(c, a, basis, enter):
+    """The optimum over the basis constraints plus the entering one: of the pairs
+    and triples that hold the entering constraint, the largest det P whose P is
+    definite, meets those four constraints and has multipliers >= 0.  Returns the
+    new (basis, P, multipliers) per row."""
+    rows = np.arange(enter.size)[:, None]
+    four = np.concatenate([enter[:, None], basis], axis=-1)
+    sets = four[:, _CANDIDATES]                              # (T, 6, 3); pairs repeat
+    o = _outer(c[rows[..., None], sets])
+    tri = _solve3(o[:, 3:] * [1.0, 2.0, 1.0], np.ones(o[:, 3:].shape[:-1]))
+    p = np.concatenate([_inv2(o[:, :3, 0] + o[:, :3, 1]), tri], axis=1)
+    lam = np.concatenate([np.broadcast_to([1.0, 1.0, 0.0], tri.shape),
+                          _solve3(np.swapaxes(o[:, 3:], -1, -2), _inv2(tri))], axis=1)
+    det = packed_det(p)
+    valid = ((_loads(a[rows, four][:, None], p[:, :, None]).max(axis=-1) <= 1.0 + _LOAD_TOL)
+             & (p[..., 0] > 0) & (det > 0) & np.all(lam >= 0, axis=-1))
+    best = np.argmax(np.where(valid, det, -np.inf), axis=-1)
+    return sets[rows[:, 0], best], p[rows[:, 0], best], lam[rows[:, 0], best]
 
 
 # -- operations on packed rows of one kind ------------------------------------
@@ -558,14 +502,13 @@ def row_regularized(kind, rows, delta):
 
 def row_ellipse(kind, rows, delta=0.0):
     """Packed M (R, 3) of the inscribed ellipses {v.Mv <= 1} of the delta-regularized
-    rows (R, .); M = 0 where degenerate.  A quadratic ball is its own ellipse, zeroed
-    only at delta = 0: Q + delta^2 I may test degenerate at tiny delta > 0."""
+    rows (R, .).  Degenerate rows get M = 0 only at delta = 0: at delta > 0 every row
+    is a norm (Q + delta^2 I, or gauge values >= delta), though it may test degenerate
+    at tiny delta, and gets its ellipse.  A quadratic ball is its own ellipse."""
     m = row_regularized(kind, rows, delta)
-    if kind == "sampled":
-        return inscribed_ellipses(m)
     if delta == 0.0:
         m[row_degenerate(kind, m)] = 0.0
-    return m
+    return inscribed_ellipses(m) if kind == "sampled" else m
 
 
 def row_ball_jacobian(kind, rows):

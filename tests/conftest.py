@@ -16,6 +16,10 @@ def rand_spd(rng, lam_lo=0.3, lam_hi=4.0):
     return r @ np.diag(lams) @ r.T
 
 
+def rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
 def rand_orientation_matrix(rng, scale=1.0):
     """Random 2x2 with positive determinant bounded away from zero."""
     while True:
@@ -43,11 +47,17 @@ def sweep_energy_oracle(s, num=20001):
     return float(np.max(vals) ** 2)
 
 
-def rand_sampled_norm(rng, m=64, bump=0.3):
-    """Random convex sampled norm: perturbed gauge of a random ellipse."""
+def rand_sampled_norm(rng, m=64, bump=0.3, stretch=None):
+    """Random convex sampled norm: perturbed gauge of a random ellipse, of
+    axis ratio stretch if given."""
     from qcreparam.field import _convexify_gauges
 
-    base = qc.SemiNorm2.quadratic(rand_spd(rng, 0.5, 3.0))(half_circle_directions(m))
+    if stretch is None:
+        q = rand_spd(rng, 0.5, 3.0)
+    else:
+        r = rotation(rng.uniform(0, np.pi))
+        q = r @ np.diag([stretch**2, 1.0]) @ r.T
+    base = qc.SemiNorm2.quadratic(q)(half_circle_directions(m))
     return qc.SemiNorm2.sampled(_convexify_gauges((base * (1.0 + rng.uniform(0, bump, m)))[None])[0])
 
 

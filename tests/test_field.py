@@ -3,6 +3,7 @@ import pytest
 
 import qcreparam as qc
 from qcreparam import field as fd
+from qcreparam import seminorm as sn
 from qcreparam.errors import InputFormatError, StencilOutOfDomain
 from qcreparam.seminorm import half_circle_directions
 
@@ -252,6 +253,45 @@ class TestSampledRowsBatched:
                 assert (qc.estimate_derivative(u, i, j).values.tobytes()
                         == f.seminorm_at(i, j).values.tobytes())
 
+    @pytest.mark.parametrize("lam", [1e-12, 1e-10, 1.0, 1e6])
+    def test_sampled_rows_scale_covariant(self, lam):
+        # the stencil dedup rounds each row relative to its own size, so a
+        # scaled map keeps its rows: an absolute rounding merged all rows at
+        # lam = 1e-12 and gave energy < area there
+        def nonlinear(x, y):
+            return np.stack([x + 0.2 * x * y, y + 0.1 * x * x])
+
+        base = qc.estimate_field(make_map(32, nonlinear, qc.TargetSpace.linf()))
+        f = qc.estimate_field(make_map(32, lambda x, y: lam * nonlinear(x, y),
+                                       qc.TargetSpace.linf()))
+        assert len(f.rows) == len(base.rows)
+        assert qc.energy(f) / lam**2 == pytest.approx(qc.energy(base), rel=1e-9)
+        assert qc.energy(f) >= qc.area_intrinsic(f)
+
+    @pytest.mark.parametrize("angle", [0.0, 0.25 * np.pi])
+    def test_regularized_degenerate_row_keeps_its_ellipse(self, angle):
+        # |cos(theta - angle)| vanishes on a sample direction; sqrt(v^2 +
+        # delta^2) is a norm at every delta > 0, also where it still tests
+        # degenerate (delta < 1e-10 here), and gets its certified ellipse
+        # instead of M = 0.  Off the axes the ball is a thin rotated spike:
+        # its vertex scatter once cancelled to a singular matrix at delta =
+        # 2^-30, and below delta ~ 2^-27 the packed M (entries ~1) cannot
+        # hold the small eigenvalue, so there J is rounding noise >= 0
+        grid = qc.DiscGrid(16)
+        row = np.abs(half_circle_directions(64) @ [np.cos(angle), np.sin(angle)])
+        inv = np.zeros(int(grid.interior_mask.sum()), dtype=np.intp)
+        f = qc.DerivativeField.from_interior(grid, "sampled", row[None], inv)
+        assert np.all(f.jacobian_intrinsic_density(0.0) == 0.0)
+        for delta in (2.0**-20, 2.0**-30, 2.0**-40, 2.0**-50, 2.0**-60):
+            reg = np.sqrt(row**2 + delta**2)
+            want = sn.inscribed_ellipses(reg[None])[0]
+            assert np.all(f.ellipse_field(delta) == want)
+            jac = f.jacobian_intrinsic_density(delta)
+            assert np.all(np.isfinite(jac) & (jac <= f.energy_density() + delta**2))
+            assert np.all(jac > 0.0) if angle == 0.0 or delta > 2.0**-27 else np.all(jac >= 0.0)
+            assert np.all(np.abs(f.beltrami_density(delta)) > 0.5)
+        assert sn.row_degenerate("sampled", np.sqrt(row**2 + 2.0**-80)[None])[0]
+
 
 class TestFieldInvariants:
     def test_area_below_energy_random_smooth(self, rng):
@@ -309,8 +349,6 @@ class TestFieldInvariants:
         assert len(uniq) == len(np.unique(a, axis=0))
 
     def test_one_ellipse_solve_per_delta(self, monkeypatch):
-        from qcreparam import seminorm as sn
-
         calls = []
         solve = sn.inscribed_ellipses
         monkeypatch.setattr(sn, "inscribed_ellipses",
@@ -684,11 +722,13 @@ class TestScalarFieldAgreement:
                 r = qc.regularize(s, delta) if delta else s
                 jac = f.jacobian_intrinsic_density(delta)[i, j]
                 mu = f.beltrami_density(delta)[i, j]
-                if delta and kind == "quadratic" and r.degenerate:
-                    # Q + delta^2 I tests degenerate at tiny delta; the field
-                    # keeps it as its ellipse, the one semi-norm has none
+                if delta and r.degenerate:
+                    # Q + delta^2 I and sqrt(v^2 + delta^2) test degenerate at
+                    # tiny delta; the field keeps their ellipse, the one
+                    # semi-norm has none
                     kept += 1
-                    assert self.same(f.ellipse_field(delta)[i, j], r.row)
+                    want = r.row if kind == "quadratic" else sn.inscribed_ellipses(r.row[None])[0]
+                    assert self.same(f.ellipse_field(delta)[i, j], want)
                     assert qc.jacobian_intrinsic(r) == 0.0
                     continue
                 assert self.same(jac, qc.jacobian_intrinsic(r))
@@ -699,7 +739,7 @@ class TestScalarFieldAgreement:
                 lmin, lmax, _ = qc.seminorm.packed_eig(f.ellipse_field(delta)[i, j])
                 e = qc.john_ellipse(r)
                 assert (e.a, e.b) == (1.0 / np.sqrt(lmin), 1.0 / np.sqrt(lmax))
-        assert kept == (2 if kind == "quadratic" else 0)
+        assert kept == (2 if kind == "quadratic" else 1)
 
 
 class TestRowLayoutDifferential:
@@ -730,8 +770,6 @@ class TestRowLayoutDifferential:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_densities_match_per_cell_rows(self, field_):
-        from qcreparam import seminorm as sn
-
         kind, cells = field_.kind, field_.rows[field_.index]
         energy = sn.row_energy(kind, cells)
         self.same(field_.energy_density(), energy)

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 import qcreparam as qc
 from qcreparam import seminorm as sn
-from qcreparam.errors import DegenerateSemiNorm, InputFormatError
+from qcreparam.errors import DegenerateSemiNorm, EllipseNotCertified, InputFormatError
 from qcreparam.seminorm import half_circle_directions
 
 from conftest import (
     linear_wirtinger_oracle,
     rand_sampled_norm,
     rand_spd,
+    rotation,
     sweep_energy_oracle,
     traced_peak,
 )
@@ -118,14 +119,29 @@ class TestInscribedEllipses:
         assert np.array_equal(sn.inscribed_ellipses(batch[perm]), together[perm])
         assert np.all(together[3] == 0.0)             # degenerate row: unbounded ball
 
-    @pytest.mark.parametrize("m", [8, 16, 64])
-    @pytest.mark.parametrize("delta", [0.0, 2.0**-1, 2.0**-4])
+    @staticmethod
+    def exact_rows(m, r):
+        """The sampled l-inf and l1 balls and their images under
+        S diag(2^k, 1) T for random rotations S, T: edges on a side of the
+        image are collinear, so their constraint rows repeat up to rounding."""
+        dirs = half_circle_directions(m)
+        rows = []
+        for k in range(-5, 6):
+            a = rotation(r.uniform(0, np.pi)) @ np.diag([2.0**k, 1.0]) @ rotation(r.uniform(0, np.pi))
+            for d in (dirs, dirs @ a.T):
+                rows += [np.abs(d).max(axis=1), np.abs(d).sum(axis=1)]
+        return rows
+
+    @pytest.mark.parametrize("m", [8, 16, 64, 128])
+    @pytest.mark.parametrize("delta", [0.0, 2.0**-1, 2.0**-4, 2.0**-40])
     def test_exact_containment_and_kkt(self, m, delta):
         from scipy.optimize import nnls
 
         r = np.random.default_rng(900 + m)
-        for _ in range(12):
-            values = rand_sampled_norm(r, m=m).values
+        rows = [rand_sampled_norm(r, m=m).values for _ in range(12)]
+        rows += [rand_sampled_norm(r, m=m, stretch=r.uniform(1.0, 25.0)).values for _ in range(12)]
+        rows += self.exact_rows(m, r)
+        for values in rows:
             if delta:
                 values = np.sqrt(values**2 + delta**2)
             mat = sn.inscribed_ellipses(values[None])[0]
@@ -138,6 +154,19 @@ class TestInscribedEllipses:
             outer = np.stack([act[:, 0] ** 2, act[:, 0] * act[:, 1], act[:, 1] ** 2])
             _, resid = nnls(outer, mat)
             assert resid <= 1e-6 * np.linalg.norm(mat)
+
+    def test_swap_cap_fails_the_certificate(self, monkeypatch):
+        # this row's starting pair is not its optimum; with no exchange
+        # allowed it must fail, not pass on the starting pair
+        values = rand_sampled_norm(np.random.default_rng(3)).values[None]
+        swaps = []
+        exchange = sn._exchange
+        monkeypatch.setattr(sn, "_exchange", lambda *a: swaps.append(1) or exchange(*a))
+        sn.inscribed_ellipses(values)
+        assert swaps
+        monkeypatch.setattr(sn, "_MAX_SWAPS", 0)
+        with pytest.raises(EllipseNotCertified, match="not solved"):
+            sn.inscribed_ellipses(values)
 
 
 class TestJacobians:

@@ -1,4 +1,5 @@
-"""The bit-for-bit kernel checks once more with one BLAS thread.
+"""The bit-for-bit kernel checks once more with one BLAS thread: the gauge,
+the lattice gathers and the inscribed ellipses' batch independence.
 
 The benchmark runs with OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1, and tier-1
 with the default thread count; a reference that BLAS rounds differently
@@ -21,6 +22,7 @@ def test_kernel_references_hold_single_threaded():
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          os.path.join(TESTS, "test_seminorm.py") + "::TestSampledGauge",
+         os.path.join(TESTS, "test_seminorm.py") + "::TestInscribedEllipses",
          os.path.join(TESTS, "test_lattice.py")],
         cwd=os.path.dirname(TESTS), env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
