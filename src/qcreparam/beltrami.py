@@ -39,13 +39,11 @@ from .errors import (
 
 MAX_ITER = 200
 ITER_TOL = 1e-12
-RES_TOL = 1e-3
 K_MARGIN = 0.02
 DET_FLOOR = 1e-12
 INV_TOL = 1e-8
 NEWTON_MAX = 50
 PAD = 2.0          # invert's margin around rho(unit circle), in rho's grid spacings
-CERT_TOL = 0.01
 
 
 # -- pointwise complex calculus -------------------------------------------------

@@ -143,8 +143,6 @@ def cmd_solve(args):
 
 def cmd_reparam(args):
     u = SampledMap.load(args.input)
-    if args.grid and args.grid != u.grid.n:
-        raise ConfigError("grid override must match the input map resolution")
     _check_solver_resolution(2 * u.grid.n)
     if args.epsilon <= 0:
         raise ConfigError("epsilon must be positive")
@@ -233,7 +231,6 @@ def build_parser():
     q = sub.add_parser("reparam")
     q.add_argument("--input", required=True)
     q.add_argument("--epsilon", type=float, required=True)
-    q.add_argument("--grid", type=int)
     q.add_argument("--seed", type=int)
     q.add_argument("--quad-budget", type=float, default=rp.QUAD_BUDGET_REL,
                    help="relative quadrature allowance in the audit")

@@ -24,7 +24,6 @@ from .errors import ImageOutsideDomain, InputFormatError, StencilOutOfDomain
 from .seminorm import SemiNorm2, half_circle_directions
 
 QUADRATIC_STENCIL_DIRECTIONS = 8
-POLYGONAL_STENCIL_DIRECTIONS = 2 * sn.DEFAULT_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -124,6 +123,8 @@ class TargetSpace:
     @staticmethod
     def quadratic(gram):
         gram = np.asarray(gram, dtype=float)
+        if not np.all(np.isfinite(gram)):
+            raise ValueError("Gram matrix must be finite")
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValueError("Gram matrix must be square")
         if not np.allclose(gram, gram.T, atol=1e-12):
@@ -571,13 +572,9 @@ def _composed_sampled_density(uniq, ids, df):
     dirs = half_circle_directions(m)
     order = np.argsort(ids, kind="stable")
     starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
-    rows = np.maximum(uniq[ids[order[starts]]], 0.0)
-    degenerate = sn.row_degenerate("sampled", rows)
-    half = sn.half_edges(rows)
+    half = sn.half_edges(np.maximum(uniq[ids[order[starts]]], 0.0))
     dens = np.empty(len(ids))
     for r, sel in enumerate(np.split(order, starts)[1:]):      # [0] is the empty head
         mapped = np.einsum("kab,mb->kma", df[sel], dirs).reshape(-1, 2)
-        vals = (SemiNorm2.sampled(rows[r])(mapped) if degenerate[r]
-                else sn.edge_gauge(half[r], mapped))
-        dens[sel] = sn.row_energy("sampled", vals.reshape(-1, m))
+        dens[sel] = sn.row_energy("sampled", sn.edge_gauge(half[r], mapped).reshape(-1, m))
     return dens

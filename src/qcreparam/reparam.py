@@ -31,7 +31,6 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import field as fd
-from . import lattice
 from .beltrami import (
     ComplexField,
     invert,
@@ -45,7 +44,7 @@ DELTA_MAX_HALVINGS = 60
 THRESHOLD_MAX_DOUBLINGS = 60
 QUAD_BUDGET_REL = 0.05
 AUDIT_TOL = 0.05
-SOLVER_BOX = 2.0
+SOLVER_BOX = 2.0           # [-2, 2]^2: the disc grid padded by n/2 cells per side
 
 
 def epsilon_internal(area, epsilon):
@@ -111,26 +110,22 @@ def choose_threshold(field_, delta, eps):
 def build_coefficient(field_, delta, thr):
     """Beltrami coefficient field of the regularized derivative on A.
 
-    Returned on the solver box (grid aligned with the disc cells, spacing
-    preserved): nodes with |z| <= 1 - 1/L take the coefficient of their
-    nearest disc cell when that cell is in A, all other nodes are zero.
-    Also returns the per-cell coefficient used for the set-B comparison.
+    Returned on the solver box, the disc grid padded by n/2 cells per side:
+    nodes with |z| <= 1 - 1/L take the coefficient of their disc cell when
+    that cell is in A, all other nodes are zero.  Also returns the per-cell
+    coefficient used for the set-B comparison.
     """
-    grid = field_.grid
     mu_cells = field_.beltrami_density(delta) * thr.mask
-    n_solver = int(round(grid.n * SOLVER_BOX))
-    coords = lattice.centers(-SOLVER_BOX, 2.0 * SOLVER_BOX / n_solver, n_solver)
-    sx, sy = np.meshgrid(coords, coords, indexing="ij")
-    values = mu_cells[grid.nearest_cell(sx, sy)]
-    values[np.hypot(sx, sy) > 1.0 - 1.0 / thr.L] = 0.0
-    return ComplexField(S=SOLVER_BOX, values=values), mu_cells
+    mu = ComplexField(S=SOLVER_BOX, values=np.pad(mu_cells, field_.grid.n // 2))
+    x, y = mu.meshes()
+    mu.values[np.hypot(x, y) > 1.0 - 1.0 / thr.L] = 0.0
+    return mu, mu_cells
 
 
 def _cells_from_solver(mu_field, grid):
-    """Values of a solver-box field at the disc cell centers (aligned nodes)."""
-    i = lattice.nearest(grid.x, -mu_field.S, mu_field.spacing, mu_field.n)
-    j = lattice.nearest(grid.y, -mu_field.S, mu_field.spacing, mu_field.n)
-    return mu_field.values[i, j]
+    """Values of a solver-box field at the disc cell centers (see build_coefficient)."""
+    o = (mu_field.n - grid.n) // 2
+    return mu_field.values[o : o + grid.n, o : o + grid.n]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ A semi-norm is carried in one of two representations:
 * ``sampled``: gauge values s(theta_j) at m directions evenly spaced on the
   half-circle.  The unit ball is the centrally symmetric polygon through the
   sampled boundary points, so all quantities reduce to polygon geometry.
+  Every sampled row, degenerate or not, is evaluated as max_i |c_i . p| over
+  the polygon's edge rows c_i, which are formed from the values and stay
+  finite where a value is zero (an unbounded ball).
 
 The operations: the squared-maximal-stretch energy, the inscribed ellipse of
 maximal area, the two jacobians (inscribed-ellipse normalization and
@@ -195,7 +198,7 @@ class SemiNorm2:
         if self.kind == "quadratic":
             out = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", pts, self.matrix, pts), 0.0))
         else:
-            out = _sampled_gauge(self, pts)
+            out = edge_gauge(self._half_edges(), pts)
         return float(out[0]) if single else out
 
     def scaled(self, c):
@@ -215,14 +218,12 @@ class SemiNorm2:
 
     # -- unit-ball polygon (sampled representation) --------------------------
 
-    def _polygon(self):
-        """Vertices (2m, 2) and edge rows c_i of the ball {|c_i . x| <= 1} of a
-        sampled semi-norm."""
-        if "polygon" not in self._cache:
-            if self.degenerate:
-                raise DegenerateSemiNorm("unit ball of a degenerate semi-norm is unbounded")
-            self._cache["polygon"] = tuple(x[0] for x in _polygons(self.values[None]))
-        return self._cache["polygon"]
+    def _half_edges(self):
+        """Edge rows c_i (m, 2) of one antipodal half of the ball {|c_i . x| <= 1}
+        of a sampled semi-norm."""
+        if "half" not in self._cache:
+            self._cache["half"] = half_edges(self.values[None])[0]
+        return self._cache["half"]
 
     def ball_area(self):
         """Lebesgue area of the unit ball {s <= 1}."""
@@ -260,21 +261,6 @@ class SemiNorm2:
         raise InputFormatError(f"bad semi-norm record {text.strip()!r}")
 
 
-def _sampled_gauge(s, pts):
-    """Gauge of the polygonal unit ball at each row of pts."""
-    if s.degenerate:
-        # Fall back to angular interpolation of the samples; only used for
-        # degenerate semi-norms, where the polygon is unbounded.
-        ang = np.arctan2(pts[:, 1], pts[:, 0]) % np.pi
-        idx = ang / (np.pi / s.m)
-        i0 = np.floor(idx).astype(int) % s.m
-        i1 = (i0 + 1) % s.m
-        t = idx - np.floor(idx)
-        ray = (1 - t) * s.values[i0] + t * s.values[i1]
-        return ray * np.linalg.norm(pts, axis=1)
-    return edge_gauge(s._polygon()[1][: s.m], pts)
-
-
 def edge_gauge(half, pts):
     """max_i |c_i . p| at each row p of pts, for the edge rows half (m, 2) of
     one antipodal half of a unit-ball polygon {|c_i . x| <= 1}."""
@@ -300,20 +286,10 @@ def edge_gauge(half, pts):
     return out
 
 
-def _polygons(values):
-    """Vertices (..., 2m, 2) and edge rows c_i (..., 2m, 2) of the unit balls
-    {x : |c_i . x| <= 1} of positive gauge rows values (..., m)."""
-    dirs = half_circle_directions(values.shape[-1])
-    half = dirs * (1.0 / values)[..., None]
-    # c_i solves c.d_i = v_i and c.d_(i+1) = v_(i+1) for consecutive sample
-    # directions d, so it is formed from the values and not from the
-    # vertices d_i / v_i, whose differences cancel when a value is tiny
-    d = np.concatenate([dirs, -dirs])
-    d1 = np.roll(d, -1, axis=0)
-    v = np.concatenate([values, values], axis=-1)[..., None]
-    c = v * d1[:, ::-1] - np.roll(v, -1, axis=-2) * d[:, ::-1]
-    c *= [1.0, -1.0] / (d[:, :1] * d1[:, 1:] - d[:, 1:] * d1[:, :1])
-    return np.concatenate([half, -half], axis=-2), c
+def _vertices(values):
+    """Vertices d_j / v_j (..., m, 2) of one antipodal half of the ball polygons
+    of positive gauge rows values (..., m)."""
+    return half_circle_directions(values.shape[-1]) * (1.0 / values)[..., None]
 
 
 def _live_rows(values, live, fn, tail=(), dtype=float):
@@ -332,7 +308,8 @@ def convex_rows(values, tol=1e-9):
     turn between consecutive edges is left, up to tol relative; False for
     degenerate rows, whose ball is unbounded."""
     def convex(rows):
-        verts = _polygons(rows)[0]
+        half = _vertices(rows)
+        verts = np.concatenate([half, -half], axis=-2)
         a = np.roll(verts, -1, axis=-2) - verts
         b = np.roll(a, -1, axis=-2)
         cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
@@ -342,11 +319,20 @@ def convex_rows(values, tol=1e-9):
 
 
 def half_edges(values):
-    """Edge rows (R, m, 2) for edge_gauge of the gauge rows values (R, m): one
-    antipodal half of each ball polygon, zero for degenerate rows."""
-    m = values.shape[1]
-    return _live_rows(values, ~row_degenerate("sampled", values),
-                      lambda rows: _polygons(rows)[1][:, :m], (m, 2))
+    """Edge rows c_i (R, m, 2) for edge_gauge of the gauge rows values (R, m):
+    the edges of one antipodal half of each ball polygon {|c_i . x| <= 1}."""
+    def edges(rows):
+        # c_i solves c.d_i = v_i and c.d_(i+1) = v_(i+1) for consecutive sample
+        # directions d (d_m = -d_0), so it is formed from the values and not
+        # from the vertices d_i / v_i, whose differences cancel when a value is
+        # tiny; a zero value gives finite edge rows
+        d = half_circle_directions(rows.shape[-1])
+        d1 = np.concatenate([d[1:], -d[:1]])
+        v = rows[..., None]
+        c = v * d1[:, ::-1] - np.roll(v, -1, axis=-2) * d[:, ::-1]
+        c *= [1.0, -1.0] / (d[:, :1] * d1[:, 1:] - d[:, 1:] * d1[:, :1])
+        return c
+    return _live_rows(values, np.ones(len(values), dtype=bool), edges, values.shape[1:] + (2,))
 
 
 # -- inscribed ellipses of sampled unit balls ---------------------------------------
@@ -386,7 +372,7 @@ def _solve3(a, b):
 def _solve_rows(values):
     """Certified packed M of the inscribed ellipses of bounded rows."""
     R, m = values.shape
-    verts, c = (x[:, :m] for x in _polygons(values))      # one edge per antipodal pair
+    verts, c = _vertices(values), half_edges(values)      # one edge per antipodal pair
     # solve for P' = L^-1 P L^-T, with L L^T the vertex scatter: the ball is
     # about round for P', and containment, multipliers and gap are unchanged
     vx, vy = verts[..., 0], verts[..., 1]

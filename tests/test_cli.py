@@ -225,6 +225,19 @@ class TestErrors:
         code, _, err = run(["energy", "--input", str(bad)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("entries", ["1 0 0 inf", "1 0 0 nan"])
+    def test_non_finite_gram_target(self, capsys, tmp_path, entries):
+        # an inf entry gave energy = nan with exit 0, a nan entry a symmetry
+        # error: both are an input error that names finiteness
+        src = tmp_path / "id32.map"
+        assert main(["fixture", "--kind", "identity", "--n", "32", "--out", str(src)]) == 0
+        bad = tmp_path / "bad.map"
+        bad.write_text(f"32 2 quadratic 2 {entries}\n" + src.read_text().split("\n", 1)[1])
+        capsys.readouterr()
+        code, _, err = run(["energy", "--input", str(bad)], capsys)
+        assert code == 2
+        assert "Gram matrix must be finite" in err
+
     @pytest.mark.parametrize("record", ["40 5 0.5 0.5", "-1 -1 1e9 1e9", "3 32 0 0"])
     def test_cell_index_outside_grid(self, capsys, tmp_path, record):
         # an n=32 map with one extra record outside the grid: an input error

@@ -237,7 +237,7 @@ class TestSampledRowsBatched:
             s = qc.SemiNorm2.sampled(np.maximum(uniq[r], 0.0))
             sel = ids == r
             pts = np.einsum("kab,mb->kma", df[sel], dirs).reshape(-1, 2)
-            vals = s(pts) if s.degenerate else np.max(np.abs(pts @ s._polygon()[1][:m].T), axis=1)
+            vals = np.max(np.abs(pts @ s._half_edges().T), axis=1)
             want[sel] = np.max(vals.reshape(-1, m), axis=1) ** 2
         got = fd._composed_sampled_density(uniq, ids, df)
         assert got.tobytes() == want.tobytes()

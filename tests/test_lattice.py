@@ -24,11 +24,11 @@ def disc_centers(n):                       # DiscGrid.centers
     return (np.arange(n) + 0.5) * (2.0 / n) - 1.0
 
 
-def box_coords(S, n):                      # ComplexField.coords, build_coefficient
+def box_coords(S, n):                      # ComplexField.coords
     return -S + (np.arange(n) + 0.5) * (2.0 * S / n)
 
 
-def disc_nearest(x, h, n):                 # composed_energy, build_coefficient
+def disc_nearest(x, h, n):                 # composed_energy
     return np.clip(np.round((x + 1.0) / h - 0.5).astype(int), 0, n - 1)
 
 
@@ -36,7 +36,7 @@ def disc_nearest_scalar(x, h, n):          # audit_cases, one node at a time
     return int(np.clip(round((x + 1.0) / h - 0.5), 0, n - 1))
 
 
-def box_nearest(x, S, spacing, n):         # _cells_from_solver, ComplexField.sample_at
+def box_nearest(x, S, spacing, n):         # build_coefficient, _cells_from_solver
     return np.clip(np.round((x + S) / spacing - 0.5).astype(int), 0, n - 1)
 
 
@@ -113,7 +113,7 @@ def test_nearest_matches_the_replaced_formulas(rng, n):
     assert same_bits(j, disc_nearest(y, grid.h, n))
     assert same_bits(lattice.nearest(x, -1.0, grid.h, n), disc_nearest(x, grid.h, n))
     assert [int(k) for k in i] == [disc_nearest_scalar(v, grid.h, n) for v in x]
-    # 2-D coordinate arrays, as build_coefficient passes them
+    # 2-D coordinate arrays
     xx = x[:100].reshape(10, 10)
     assert same_bits(grid.nearest_cell(xx, xx)[0], disc_nearest(xx, grid.h, n))
 
@@ -121,6 +121,17 @@ def test_nearest_matches_the_replaced_formulas(rng, n):
     spacing = 2.0 * S / m
     xs = np.concatenate([probe_points(rng, -S, spacing, m), grid.x.ravel()])
     assert same_bits(lattice.nearest(xs, -S, spacing, m), box_nearest(xs, S, spacing, m))
+
+
+@pytest.mark.parametrize("n", [16, 32, 48, 64, 96, 128, 256, 1024])
+def test_solver_box_is_the_disc_grid_padded(n):
+    # the box [-2, 2]^2 of 2n nodes is the disc grid padded by n/2 cells per
+    # side: the nearest box node of disc cell i is i + n/2, and every other
+    # box node lies beyond [-1, 1], where the radius cut zeroes it
+    grid, m = qc.DiscGrid(n), 2 * n
+    assert same_bits(box_nearest(grid.centers, 2.0, 4.0 / m, m), np.arange(n) + n // 2)
+    box = qc.ComplexField(S=2.0, values=np.zeros((m, m))).coords
+    assert np.all(np.abs(np.delete(box, np.arange(n) + n // 2)) > 1.0)
 
 
 def test_nearest_rounds_halfway_points_to_even():

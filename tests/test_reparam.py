@@ -8,6 +8,7 @@ import pytest
 
 import qcreparam as qc
 from qcreparam import field as fd
+from qcreparam import lattice
 from qcreparam import reparam as rp
 from qcreparam.errors import AuditFailed, QcreparamError, SearchExhausted
 
@@ -131,6 +132,20 @@ class TestBuildCoefficient:
         thr = rp.choose_threshold(f, delta, 0.3)
         mu, _ = rp.build_coefficient(f, delta, thr)
         assert mu.sup_norm() <= thr.k_apriori + 1e-12
+
+    def test_matches_the_nearest_cell_gather(self, stretch_field):
+        # the padded disc grid against the gathers it replaced: each box
+        # node took its nearest disc cell, then the radius cut applied, and
+        # each disc cell read its nearest box node
+        grid = stretch_field.grid
+        thr = rp.choose_threshold(stretch_field, 0.125, 0.2)
+        mu, mu_cells = rp.build_coefficient(stretch_field, 0.125, thr)
+        x, y = mu.meshes()
+        ref = mu_cells[grid.nearest_cell(x, y)]
+        ref[np.hypot(x, y) > 1.0 - 1.0 / thr.L] = 0.0
+        assert mu.values.tobytes() == ref.tobytes()
+        i, j = (lattice.nearest(c, -mu.S, mu.spacing, mu.n) for c in (grid.x, grid.y))
+        assert rp._cells_from_solver(mu, grid).tobytes() == mu.values[i, j].tobytes()
 
     def test_support_inside_radius_cut(self, stretch_field):
         thr = rp.choose_threshold(stretch_field, 0.125, 0.2)
@@ -438,17 +453,12 @@ class TestSampledLayerDifferential:
         from qcreparam import field as fd
         from qcreparam import seminorm as sn
 
-        gauge = sn._sampled_gauge
-
         def unique_rows(rows):
             calls.add("dedup")
             return np.unique(rows, axis=0, return_inverse=True)
 
-        def sampled_gauge(s, pts):
+        def edge_gauge(half, pts):
             calls.add("gauge")
-            if s.degenerate:
-                return gauge(s, pts)
-            half = s._polygon()[1][: s.m]
             return np.max(np.abs(pts @ half.T), axis=1)
 
         def composed_density(uniq, ids, df):
@@ -464,7 +474,7 @@ class TestSampledLayerDifferential:
             return dens
 
         monkeypatch.setattr(fd, "distinct_rows", unique_rows)
-        monkeypatch.setattr(sn, "_sampled_gauge", sampled_gauge)
+        monkeypatch.setattr(sn, "edge_gauge", edge_gauge)
         monkeypatch.setattr(fd, "_composed_sampled_density", composed_density)
 
     @pytest.mark.parametrize("name", ["shared", "bump"])

@@ -43,16 +43,27 @@ class TestSampledGauge:
         # polygon's antipodal edge rows, zero vectors of both signs included,
         # across the kernel's block edges (1 024 points at m = 64)
         for s in (LINF, L1, rand_sampled_norm(rng)):
-            half = s._polygon()[1][: s.m]
+            half = s._half_edges()
             pts = rng.normal(size=(count, 2))
             pts[:3] = [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]]
             ref = abs_max_reference(half, pts)
             assert np.array_equal(s(pts).view(np.uint64), ref.view(np.uint64))
 
+    @pytest.mark.parametrize("alpha", [0.0, math.pi / 4, None])
+    def test_degenerate_rows_are_exact(self, rng, alpha):
+        # |cos(theta - alpha)| and the zero row (alpha None) have finite edge
+        # rows, so their gauge is |p . (cos alpha, sin alpha)| and 0 to rounding
+        u = np.zeros(2) if alpha is None else np.array([math.cos(alpha), math.sin(alpha)])
+        s = qc.SemiNorm2.sampled(np.abs(D64 @ u))
+        assert s.degenerate
+        pts = rng.normal(size=(4096, 2))
+        err = np.abs(s(pts) - np.abs(pts @ u))
+        assert np.all(err <= 1e-13 * np.linalg.norm(pts, axis=1))
+
     def test_peak_memory_is_one_block(self, rng):
         # the (m, N) product is formed about 2^16 entries at a time, so at
         # m = 64 the call needs at most 2 MB beyond its output
-        half = LINF._polygon()[1][: LINF.m]
+        half = LINF._half_edges()
         out, peak = traced_peak(sn.edge_gauge, half, rng.normal(size=((1 << 17) + 3, 2)))
         assert peak - out.nbytes <= 2 << 20
 
