@@ -331,6 +331,55 @@ def _periodic_wirtinger(values, spacing):
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
+def _support_block(m):
+    """(rows, columns) slices of the smallest block that holds every nonzero
+    of m (empty slices for a zero m)."""
+    def span(hot):
+        idx = np.flatnonzero(hot)
+        return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
+    hot = m != 0
+    return span(hot.any(axis=1)), span(hot.any(axis=0))
+
+
+def _neumann(m, beurling):
+    """(h, iterations, contraction rate) of h <- m (1 + S h) from h = 0.
+
+    Only the block of m's support is iterated: h vanishes off it, so the
+    forward transform runs along axis 1 over the block's rows only and the
+    inverse transform along axis 0 over its columns only.  The axis order is
+    that of fft2 / ifft2 and numpy transforms each line on its own, so S h on
+    the block has the bits of the full-box transform.  The update is written
+    (1 + S h) * m, the operand order numpy uses when it reuses the temporary
+    1 + S h of a box of 128^2 nodes or more.
+    """
+    n = m.shape[0]
+    r, c = _support_block(m)
+    mb = m[r, c]
+    hb = np.zeros_like(mb)
+    rows = np.zeros((mb.shape[0], n), dtype=complex)      # the block's rows, full width
+    spec = np.zeros((n, n), dtype=complex)
+    inc, prev, rate, it = 0.0, None, math.nan, 0
+    for it in range(1, MAX_ITER + 1):
+        rows[:, c] = hb
+        spec[r] = np.fft.fft(rows, axis=1)
+        half = np.fft.ifft(beurling * np.fft.fft(spec, axis=0), axis=1)[:, c]
+        h_new = (1.0 + np.fft.ifft(half, axis=0)[r]) * mb
+        diff = h_new - hb
+        inc = math.sqrt(np.vdot(diff, diff).real / n**2)
+        if prev is not None and prev > 0:
+            rate = inc / prev
+        prev = inc
+        hb = h_new
+        if inc <= ITER_TOL:
+            break
+    if inc > ITER_TOL:
+        raise NoConvergence(
+            f"iteration increment {inc:.3e} above {ITER_TOL} after {MAX_ITER} steps")
+    h = np.zeros_like(m)
+    h[r, c] = hb
+    return h, it, rate
+
+
 def solve_beltrami(mu):
     """Solve f_zbar = mu f_z for a compactly supported coefficient.
 
@@ -340,6 +389,12 @@ def solve_beltrami(mu):
     the dilatation bound are stored on the result; they are meaningful
     whenever mu is resolved by the grid, and they are measured rather than
     trusted either way.
+
+    The Neumann iteration (`_neumann`) runs on the smallest block that holds
+    mu's support, and computes the update as (1 + S h) * mu; the mean of h
+    and the spectral antiderivative are taken over the whole box.  On boxes
+    of 128^2 nodes and more, the result has the bits of the full-box loop
+    h <- mu * (1 + S h); on smaller boxes it can differ in the last bit.
     """
     k = mu.sup_norm()
     if k >= 1.0 - K_MARGIN:
@@ -350,24 +405,7 @@ def solve_beltrami(mu):
     n, d = mu.n, mu.spacing
     beurling, cauchy = _spectral_multipliers(n, d)
     m = mu.values
-    h = np.zeros_like(m)
-    inc = 0.0
-    rate = math.nan
-    prev = None
-    it = 0
-    for it in range(1, MAX_ITER + 1):
-        sh = np.fft.ifft2(beurling * np.fft.fft2(h))
-        h_new = m * (1.0 + sh)
-        inc = float(np.sqrt(np.mean(np.abs(h_new - h) ** 2)))
-        if prev is not None and prev > 0:
-            rate = inc / prev
-        prev = inc
-        h = h_new
-        if inc <= ITER_TOL:
-            break
-    if inc > ITER_TOL:
-        raise NoConvergence(
-            f"iteration increment {inc:.3e} above {ITER_TOL} after {MAX_ITER} steps")
+    h, it, rate = _neumann(m, beurling)
 
     a = complex(np.mean(h))
     part = np.fft.ifft2(cauchy * np.fft.fft2(h))
@@ -397,6 +435,29 @@ def solve_beltrami(mu):
     )
 
 
+def _nearest_offered(p, x0, y0, spacing, n):
+    """Per node of the n x n lattice (x0 + i spacing, y0 + j spacing), flat in
+    row-major order: the index of the nearest of the points p (complex) that
+    lie in one of the node's four lattice cells, the smallest index on ties,
+    or -1 where no point lies in them."""
+    i0 = np.floor((p.real - x0) / spacing).astype(int)
+    j0 = np.floor((p.imag - y0) / spacing).astype(int)
+    q = np.flatnonzero((i0 >= -1) & (i0 < n) & (j0 >= -1) & (j0 < n))
+    ii = (i0[q, None] + (0, 1, 0, 1)).ravel()             # the cell's four corners
+    jj = (j0[q, None] + (0, 0, 1, 1)).ravel()
+    q = np.repeat(q, 4)
+    ok = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
+    ii, jj, q = ii[ok], jj[ok], q[ok]
+    d2 = (p.real[q] - (x0 + ii * spacing)) ** 2 + (p.imag[q] - (y0 + jj * spacing)) ** 2
+    node = ii * n + jj
+    best = np.full(n * n, np.inf)
+    np.minimum.at(best, node, d2)
+    win = d2 == best[node]
+    out = np.full(n * n, p.size)
+    np.minimum.at(out, node[win], q[win])
+    return np.where(out < p.size, out, -1)
+
+
 def invert(rho, *, n=256):
     """Newton inversion of rho restricted to the image of the unit disc.
 
@@ -404,6 +465,13 @@ def invert(rho, *, n=256):
     rho(unit circle); cells whose preimage falls outside the disc are
     unmasked.  Per masked node, |rho(phi(w)) - w| <= INV_TOL and
     Dphi(w) = Drho(phi(w))^{-1}.
+
+    Newton starts each node w at the rho node whose image is nearest among
+    those whose images lie in one of w's four cells (`_nearest_offered`).  A
+    node offered none lies more than a cell from rho's whole sampled image,
+    so it starts at the inverse (w - a conj(w)) / (1 - |a|^2) of rho's far
+    field z + a conj(z), a = meta["affine"] (0 for a map without one).
+    rho's value and differential come from one bilinear gather per step.
     """
     img, pad = rho.image_of_circle(), PAD * rho.spacing
     lo_x, hi_x = img.real.min() - pad, img.real.max() + pad
@@ -417,18 +485,25 @@ def invert(rho, *, n=256):
     wx, wy = np.meshgrid(xs, ys, indexing="ij")
     w = (wx + 1j * wy).ravel()
 
-    from scipy.spatial import cKDTree
-
     gx, gy = rho.node_coords()
-    tree = cKDTree(np.column_stack([rho.values.real.ravel(), rho.values.imag.ravel()]))
-    _, nearest = tree.query(np.column_stack([w.real, w.imag]), k=1)
-    z = (gx.ravel()[nearest] + 1j * gy.ravel()[nearest]).astype(complex)
+    near = _nearest_offered(rho.values.ravel(), x0, y0, spacing, n)
+    a = rho.meta.get("affine", 0)
+    z = np.where(near >= 0, gx.ravel()[near] + 1j * gy.ravel()[near],
+                 (w - a * np.conj(w)) / (1 - abs(a) ** 2))
+
+    # value (real, imag) and differential of rho in one (N, M, 6) stack
+    stack = np.concatenate([rho.values.real[..., None], rho.values.imag[..., None],
+                            rho.df.reshape(rho.shape + (4,))], axis=-1)
+
+    def sample(p):
+        s = lattice.bilinear(stack, (p.real - rho.x0) / rho.spacing,
+                             (p.imag - rho.y0) / rho.spacing)
+        return s[:, 0] + 1j * s[:, 1], s[:, 2:].reshape(-1, 2, 2)
 
     resid = np.full(w.shape, np.inf)
     active = np.ones(w.shape, dtype=bool)
     for _ in range(NEWTON_MAX):
-        pts = np.column_stack([z[active].real, z[active].imag])
-        fval = rho.value_at(pts)
+        fval, dfs = sample(z[active])
         r = fval - w[active]
         resid[active] = np.abs(r)
         still = np.abs(r) > INV_TOL
@@ -437,7 +512,7 @@ def invert(rho, *, n=256):
         if not np.any(still):
             break
         sub = idx[still]
-        d = rho.df_at(np.column_stack([z[sub].real, z[sub].imag]))
+        d = dfs[still]
         det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
         rr = r[still]
         dx = (d[:, 1, 1] * rr.real - d[:, 0, 1] * rr.imag) / det
@@ -456,7 +531,7 @@ def invert(rho, *, n=256):
             f"{int(failed_interior.sum())} interior nodes failed to invert")
     mask = (converged & inside).reshape(shape)
 
-    drho = rho.df_at(np.column_stack([z.real, z.imag]))
+    drho = sample(z)[1]
     det = drho[:, 0, 0] * drho[:, 1, 1] - drho[:, 0, 1] * drho[:, 1, 0]
     det = np.where(det == 0, 1.0, det)
     dphi = np.stack([drho[:, 1, 1], -drho[:, 0, 1], -drho[:, 1, 0], drho[:, 0, 0]], axis=-1)

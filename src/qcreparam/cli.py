@@ -144,8 +144,8 @@ def cmd_solve(args):
 def cmd_reparam(args):
     u = SampledMap.load(args.input)
     _check_solver_resolution(2 * u.grid.n)
-    if args.epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+    if not (np.isfinite(args.epsilon) and args.epsilon > 0):
+        raise ConfigError(f"epsilon must be finite and positive, got {args.epsilon}")
     outdir = args.outdir or "."
     os.makedirs(outdir, exist_ok=True)
     try:

@@ -24,6 +24,7 @@ from .errors import ImageOutsideDomain, InputFormatError, StencilOutOfDomain
 from .seminorm import SemiNorm2, half_circle_directions
 
 QUADRATIC_STENCIL_DIRECTIONS = 8
+WRITE_ROWS = 1 << 10        # rows formatted per block by write_cells
 
 
 @dataclass(frozen=True)
@@ -253,10 +254,15 @@ class SampledMap:
 def write_cells(path, header, fmt, mask, *columns):
     """Write a cell file or a CSV grid: the header line, then fmt % (i, j, ...)
     per cell (i, j) of mask in np.nonzero order; columns hold one entry, or one
-    row of entries, per cell of mask."""
+    row of entries, per cell of mask.  Rows are formatted as Python floats,
+    WRITE_ROWS at a time, so the text in memory stays bounded on large grids."""
     ii, jj = np.nonzero(mask)
-    np.savetxt(path, np.column_stack((ii, jj) + columns), fmt=fmt, header=header,
-               comments="")
+    table = np.column_stack((ii, jj) + columns)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(table), WRITE_ROWS):
+            block = table[start:start + WRITE_ROWS].tolist()
+            fh.write("\n".join([fmt % tuple(row) for row in block]) + "\n")
 
 
 def _read_cell_file(path):

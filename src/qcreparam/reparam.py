@@ -281,8 +281,8 @@ def epsilon_conformal(u, epsilon, *, quad_rel=QUAD_BUDGET_REL, seed=None):
     Returns (phi, omega, report).  Raises PipelineBudgetExceeded (with the
     report attached) if any reported inequality fails.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     field_ = fd.estimate_field(u)
     return epsilon_conformal_from_field(field_, epsilon, quad_rel=quad_rel, seed=seed)
 

@@ -88,6 +88,32 @@ def bump_coefficient(n=256, k=0.2, radius=0.7, box=2.0):
     return qc.ComplexField(S=box, values=vals.astype(complex))
 
 
+def _random_smooth(x, y, c=np.random.default_rng(0).normal(scale=0.1, size=6)):
+    return np.stack([x + c[0] * np.sin(np.pi * x) * np.cos(np.pi * y) + c[1] * x * y,
+                     y + c[2] * np.cos(np.pi * x) * np.sin(np.pi * y) + c[3] * x * x
+                     + c[4] * y + c[5] * x])
+
+
+# Euclidean maps whose pipeline coefficients exercise the solver: the stretch
+# and random-smooth fixtures, and the anisotropic diag(4, 1)
+PIPELINE_MAPS = {
+    "stretch": lambda x, y: np.stack([2.0 * x, y]),
+    "random-smooth": _random_smooth,
+    "diag41": lambda x, y: np.stack([4.0 * x, y]),
+}
+
+
+def pipeline_coefficient(name, n, epsilon=0.2 * np.pi):
+    """The smoothed coefficient that epsilon_conformal solves for the map
+    PIPELINE_MAPS[name] on DiscGrid(n), on a solver box of 2n nodes."""
+    field_ = qc.estimate_field(qc.SampledMap.from_function(
+        qc.DiscGrid(n), qc.TargetSpace.euclidean(2), PIPELINE_MAPS[name]))
+    eps_i = qc.epsilon_internal(qc.area_intrinsic(field_), epsilon)
+    delta = qc.choose_delta(field_, eps_i)
+    mu, mu_cells = qc.build_coefficient(field_, delta, qc.choose_threshold(field_, delta, eps_i))
+    return qc.smooth_coefficient(mu, mu.sup_norm(), eps_i, field_, mu_cells=mu_cells).mu_tilde
+
+
 def traced_peak(fn, *args):
     """(fn(*args), the peak bytes tracemalloc saw allocated during the call)."""
     tracemalloc.start()

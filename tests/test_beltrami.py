@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcreparam as qc
+from qcreparam.beltrami import ITER_TOL, MAX_ITER, _nearest_offered, _spectral_multipliers
 from qcreparam.errors import (
     CoefficientTooLarge,
     DegenerateDerivative,
@@ -13,10 +16,13 @@ from qcreparam.errors import (
 )
 
 from conftest import (
+    PIPELINE_MAPS,
     bump_coefficient,
     linear_qcmap,
     linear_wirtinger_oracle,
+    pipeline_coefficient,
     rand_orientation_matrix,
+    traced_peak,
 )
 
 
@@ -257,6 +263,38 @@ class TestSolver:
         assert np.array_equal(out.values, x + 1j * y)
         assert out.K_certified == pytest.approx(1.0, abs=1e-12)
         assert out.residual_l2 == 0.0
+        assert out.iterations == 1
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("name", sorted(PIPELINE_MAPS))
+    def test_matches_full_box_reference(self, name, n):
+        # the Neumann loop runs on the coefficient's support block only; on
+        # solver boxes of 128^2 nodes and more it keeps the full-box bits
+        mu = pipeline_coefficient(name, n)
+        out = qc.solve_beltrami(mu)
+        beurling, cauchy = _spectral_multipliers(mu.n, mu.spacing)
+        m = mu.values
+        h = np.zeros_like(m)
+        for it in range(1, MAX_ITER + 1):
+            h_new = m * (1.0 + np.fft.ifft2(beurling * np.fft.fft2(h)))
+            inc, h = np.sqrt(np.mean(np.abs(h_new - h) ** 2)), h_new
+            if inc <= ITER_TOL:
+                break
+        x, y = mu.meshes()
+        z = x + 1j * y
+        ref = z + complex(np.mean(h)) * np.conj(z) + np.fft.ifft2(cauchy * np.fft.fft2(h))
+        assert out.iterations == it
+        if mu.n >= 128:
+            assert np.array_equal(out.values, ref)
+        else:
+            np.testing.assert_allclose(out.values, ref, rtol=0, atol=1e-15)
+
+    def test_peak_memory(self):
+        # the full-box loop, whose buffers lived on through the certificates,
+        # peaked at 4 591 819 traced bytes on this coefficient (128^2 nodes)
+        mu = pipeline_coefficient("stretch", 64)
+        _, peak = traced_peak(qc.solve_beltrami, mu)
+        assert peak <= 4_591_819
 
     def test_bump_certificates(self):
         mu = bump_coefficient(n=256, k=0.2)
@@ -351,6 +389,45 @@ class TestInvert:
         fz, fzb = qc.mat_to_wirtinger(rot.df.reshape(-1, 2, 2))
         det = np.abs(fz) ** 2 - np.abs(fzb) ** 2
         assert det.min() > 0
+
+
+class TestNewtonStart:
+    @pytest.mark.parametrize("name", ["stretch", "diag41"])
+    def test_nearest_offered_node_is_the_nearest_node(self, name):
+        rho = qc.solve_beltrami(pipeline_coefficient(name, 64))
+        phi = qc.invert(rho, n=64)
+        near = _nearest_offered(rho.values.ravel(), phi.x0, phi.y0, phi.spacing, 64)
+        wx, wy = (c.ravel() for c in phi.node_coords())
+        p = rho.values.ravel()
+        has = np.flatnonzero(near >= 0)
+        brute = np.concatenate([
+            np.argmin((p.real - wx[k, None]) ** 2 + (p.imag - wy[k, None]) ** 2, axis=1)
+            for k in np.array_split(has, 32)])
+        assert np.array_equal(near[has], brute)
+        # a node offered no rho node starts from the far field and stays unmasked
+        assert not phi.mask.ravel()[near < 0].any()
+        if name == "diag41":
+            assert np.count_nonzero(near < 0) > 0.2 * near.size
+
+    def test_node_offered_none_starts_from_the_far_field(self):
+        # rho(z) = z + a conj(z) is its own far field: such a node starts, and
+        # stays, at the exact preimage
+        a = 0.6
+        rho = replace(linear_qcmap(np.diag([1 + a, 1 - a])), meta={"affine": a})
+        phi = qc.invert(rho, n=64)
+        none = _nearest_offered(rho.values.ravel(), phi.x0, phi.y0, phi.spacing, 64) < 0
+        w = (phi.node_coords()[0] + 1j * phi.node_coords()[1]).ravel()[none]
+        assert w.size > 0
+        assert np.array_equal(phi.values.ravel()[none], (w - a * np.conj(w)) / (1 - a**2))
+        assert not phi.mask.ravel()[none].any()
+
+    def test_offers_no_node_beyond_one_cell(self):
+        p = np.array([0.5 + 0.5j, 0.5 + 0.5j, 2.9 + 0.2j, 7.0 + 7.0j])
+        near = _nearest_offered(p, 0.0, 0.0, 1.0, 4).reshape(4, 4)
+        # points 0 and 1 tie in the cell [0, 1]^2: the smaller index wins
+        assert near[0, 0] == near[1, 0] == near[0, 1] == near[1, 1] == 0
+        assert near[2, 0] == near[3, 0] == near[2, 1] == near[3, 1] == 2
+        assert np.count_nonzero(near >= 0) == 8
 
 
 class TestSerialization:

@@ -151,6 +151,13 @@ class TestReparamCommand:
                             "--epsilon", "-1.0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+    def test_rejects_nonfinite_epsilon(self, fixtures, capsys, tmp_path, epsilon):
+        code, _, err = run(["reparam", "--input", str(fixtures / "st.map"),
+                            f"--epsilon={epsilon}", "--outdir", str(tmp_path)], capsys)
+        assert code == 2
+        assert "epsilon must be finite and positive" in err
+
 
     def test_resolution_need_not_be_a_power_of_two(self, capsys, tmp_path):
         # n = 48 puts 96 nodes on the solver grid: inside [64, 2048]
@@ -294,3 +301,22 @@ class TestNumericalExit:
         assert code == 0
         for name in ("mu_abs.csv", "mu_arg.csv", "det.csv"):
             assert (out_dir / name).exists()
+
+
+def test_euclidean_pipeline_leaves_out_scipy_spatial():
+    # the Newton start is a lattice scatter; only dented gauge rows of a
+    # sampled field reach for scipy.spatial.ConvexHull
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
+    script = """
+import sys
+import numpy as np
+import qcreparam as qc
+u = qc.SampledMap.from_function(qc.DiscGrid(32), qc.TargetSpace.euclidean(2),
+                                lambda x, y: np.stack([x + 0.2 * x * y, y + 0.1 * x * x]))
+phi, omega, report = qc.epsilon_conformal(u, 0.6283)
+assert report.failures() == []
+assert "scipy.spatial" not in sys.modules, "scipy.spatial was imported"
+"""
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -309,6 +309,12 @@ class TestPipeline:
         with pytest.raises(ValueError):
             qc.epsilon_conformal(u, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_epsilon(self, epsilon):
+        u = make_map(32, lambda x, y: np.stack([x, y]))
+        with pytest.raises(ValueError, match="finite and positive"):
+            qc.epsilon_conformal(u, epsilon)
+
 
 class TestSearchFailure:
     def test_search_exhausted_carries_achieved(self):
