@@ -138,7 +138,7 @@ class TargetSpace:
     @staticmethod
     def polygonal(gauge_values):
         s = SemiNorm2.sampled(gauge_values)
-        if s.degenerate:
+        if not s.is_convex():       # degenerate balls are unbounded, so not convex
             raise ValueError("polygonal gauge must be a norm")
         return TargetSpace(kind="polygonal", d=2, gauge=s.values)
 
@@ -416,10 +416,7 @@ class DerivativeField:
 # -- derivative estimation -----------------------------------------------------
 
 def _stencil_directions(target):
-    if target.kind == "polygonal":
-        mdir = 2 * target.gauge.size
-    else:
-        mdir = QUADRATIC_STENCIL_DIRECTIONS
+    mdir = 2 * target.gauge.size if target.kind == "polygonal" else QUADRATIC_STENCIL_DIRECTIONS
     ang = np.arange(mdir) * (2.0 * np.pi / mdir)
     return np.column_stack([np.cos(ang), np.sin(ang)])
 
@@ -453,18 +450,20 @@ def _estimate_rows(u, ii, jj):
     gauge rows, symmetrized over antipodes, rounded relative to their size,
     then deduplicated, and each distinct row convexified.
     """
-    grid = u.grid
-    z = np.column_stack([grid.x[ii, jj], grid.y[ii, jj]])
+    n = u.grid.n
+    flat, k = np.ascontiguousarray(u.values).reshape(n * n, -1), ii * n + jj
     dirs = _stencil_directions(u.target)
-    base = u.values[ii, jj]
-    g = np.empty((len(ii), len(dirs)))
+    base = flat.take(k, axis=0)
+    g = np.empty((len(dirs), len(ii)))
     for kdir, v in enumerate(dirs):
-        pts = z + grid.h * v[None, :]
-        g[:, kdir] = u.target.distance(u.sample(pts), base) / grid.h
+        # z + h v sits at offset v from each cell's node: one set of weights
+        o = np.floor(v)
+        at = lattice.blend(flat, k + int(o[0]) * n + int(o[1]), n, *(v - o))
+        g[kdir] = u.target.distance(at, base) / u.grid.h
 
     if u.target.kind == "polygonal":
         m = len(dirs) // 2
-        sym = 0.5 * (g[:, :m] + g[:, m:])
+        sym = 0.5 * (g[:m] + g[m:]).T
         # 12 decimals relative to the power of two 2^e <= the row's max, so
         # the rule is scale-covariant and the scaling is exact
         e = np.frexp(sym.max(axis=1, keepdims=True))[1] - 1
@@ -473,7 +472,9 @@ def _estimate_rows(u, ii, jj):
 
     design = np.column_stack([dirs[:, 0] ** 2, 2 * dirs[:, 0] * dirs[:, 1], dirs[:, 1] ** 2])
     pinv = np.linalg.pinv(design)
-    return "quadratic", _project_psd(g**2 @ pinv.T), np.arange(len(ii))
+    # a fixed-order sum over the directions: a matmul would round by batch
+    coef = sum(g[kdir, :, None] ** 2 * pinv[:, kdir] for kdir in range(len(dirs)))
+    return "quadratic", _project_psd(coef), np.arange(len(ii))
 
 
 def distinct_rows(rows):
@@ -569,18 +570,17 @@ def composed_density(field_, pts, df):
 
 
 def _composed_sampled_density(uniq, ids, df):
-    """I_+^2(s_ids[k] . df[k]) per node k for the sampled rows uniq.
-
-    A stable argsort groups the nodes of each id into one run, in node
-    order; the edge rows of the ids met are built in one batch, and each run
-    costs one gauge call."""
+    """I_+^2(s_ids[k] . df[k]) = max_d s(df[k] d)^2 over the m sample directions
+    d, per node k, for the sampled rows uniq, GAUGE_BLOCK points at a time."""
     m = uniq.shape[-1]
     dirs = half_circle_directions(m)
-    order = np.argsort(ids, kind="stable")
-    starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
-    half = sn.half_edges(np.maximum(uniq[ids[order[starts]]], 0.0))
+    met, row = np.unique(ids, return_inverse=True)
+    half = sn.half_edges(np.maximum(uniq[met], 0.0)).reshape(-1, 2)
     dens = np.empty(len(ids))
-    for r, sel in enumerate(np.split(order, starts)[1:]):      # [0] is the empty head
-        mapped = np.einsum("kab,mb->kma", df[sel], dirs).reshape(-1, 2)
-        dens[sel] = sn.row_energy("sampled", sn.edge_gauge(half[r], mapped).reshape(-1, m))
+    step = max(1, sn.GAUGE_BLOCK // m)
+    for k in range(0, len(ids), step):
+        a = df[k:k + step]
+        x, y = (a[:, r, 0, None] * dirs[:, 0] + a[:, r, 1, None] * dirs[:, 1] for r in (0, 1))
+        gauge = sn.sector_gauge(half, m, x, y, row[k:k + step, None] * m)
+        dens[k:k + step] = sn.row_energy("sampled", gauge)
     return dens

@@ -32,10 +32,15 @@ def bilinear(values, ti, tj):
     i0 = np.clip(np.floor(ti).astype(int), 0, ni - 2)
     j0 = np.clip(np.floor(tj).astype(int), 0, nj - 2)
     trail = (...,) + (None,) * (values.ndim - 2)
-    tx, ty = (ti - i0)[trail], (tj - j0)[trail]
+    return blend(values.reshape((ni * nj,) + values.shape[2:]), i0 * nj + j0, nj,
+                 (ti - i0)[trail], (tj - j0)[trail])
+
+
+def blend(flat, k, nj, tx, ty):
+    """Bilinear blend at fractional offsets (tx, ty), arrays or scalars, of the
+    nodes k, k + 1, k + nj and k + nj + 1 of a flattened lattice of nj columns."""
     sx, sy = 1 - tx, 1 - ty
     # each corner is one take along the flat node axis, several times
     # cheaper than a 2-D fancy index when trailing dimensions ride along
-    flat, k = values.reshape((ni * nj,) + values.shape[2:]), i0 * nj + j0
     return (sx * sy * flat.take(k, axis=0) + tx * sy * flat.take(k + nj, axis=0)
             + sx * ty * flat.take(k + 1, axis=0) + tx * ty * flat.take(k + nj + 1, axis=0))

@@ -7,9 +7,10 @@ A semi-norm is carried in one of two representations:
 * ``sampled``: gauge values s(theta_j) at m directions evenly spaced on the
   half-circle.  The unit ball is the centrally symmetric polygon through the
   sampled boundary points, so all quantities reduce to polygon geometry.
-  Every sampled row, degenerate or not, is evaluated as max_i |c_i . p| over
-  the polygon's edge rows c_i, which are formed from the values and stay
-  finite where a value is zero (an unbounded ball).
+  Its vertices lie on the sample rays, so p lies in the cone of one edge j,
+  and every row, degenerate or not, is evaluated as |c_j . p| (sector_gauge).
+  The edge rows c_j are formed from the values and stay finite where a value
+  is zero (an unbounded ball), so s(d_j) = v_j on every row, convex or not.
 
 The operations: the squared-maximal-stretch energy, the inscribed ellipse of
 maximal area, the two jacobians (inscribed-ellipse normalization and
@@ -35,6 +36,7 @@ DEGEN_TOL = 1e-10          # relative floor under which a direction counts as co
 FEAS_TOL = 1e-6            # certified containment: max_i c_i.P c_i <= 1 + FEAS_TOL
 GAP_TOL = 1e-7             # certified optimality: log-det duality gap of an inscribed ellipse
 DEFAULT_SAMPLES = 64       # default m for sampled semi-norms
+GAUGE_BLOCK = 1 << 14      # points per block of a sector gauge (bounds its temporaries)
 
 # inscribed-ellipse solver (see inscribed_ellipses)
 _LOAD_TOL = 1e-9                    # load excess that makes a constraint enter the basis
@@ -262,28 +264,21 @@ class SemiNorm2:
 
 
 def edge_gauge(half, pts):
-    """max_i |c_i . p| at each row p of pts, for the edge rows half (m, 2) of
-    one antipodal half of a unit-ball polygon {|c_i . x| <= 1}."""
-    # max(max, -min) over the rows of the (m, N) block gives the same floats
-    # as max(abs) with one temporary instead of two, and + 0.0 keeps the zero
-    # vector at +0.0.  A block of about 2^16 entries of the product (1 024
-    # points, 512 KB at m = 64) stays in cache, keeps the peak memory flat
-    # in N and is formed by BLAS in one thread; smaller blocks cost more in
-    # calls than they save.  Blocks start at multiples of 8 points and the
-    # last takes the remainder: a short trailing call would round some
-    # products differently from one call over all points.  The edge rows
-    # are not deduplicated for the same reason: fewer rows, other rounding.
-    n = pts.shape[0]
-    out = np.empty(n)
-    step = max(8, (1 << 16) // len(half) // 8 * 8)
-    last = step * max(n // step - 1, 0)
-    for k in range(0, last + 1, step):
-        stop = n if k == last else k + step
-        blk = half @ pts[k:stop].T
-        chunk = out[k:stop]
-        np.maximum(blk.max(axis=0), -blk.min(axis=0), out=chunk)
-        chunk += 0.0
+    """sector_gauge at each row p of pts for the edge rows half (m, 2) of one
+    gauge row, GAUGE_BLOCK points at a time to bound the temporaries."""
+    out = np.empty(len(pts))
+    for k in range(0, len(pts), GAUGE_BLOCK):
+        out[k:k + GAUGE_BLOCK] = sector_gauge(half, len(half), *pts[k:k + GAUGE_BLOCK].T)
     return out
+
+
+def sector_gauge(half, m, x, y, first=0):
+    """|c . p| at the points p = (x, y) with c = half[first + j]: half (R m, 2)
+    holds the edge rows of R gauge rows, first the start of p's row, and j =
+    floor(atan2(y, x) m / pi) mod m is the edge whose cone holds p or -p.  On a
+    convex row this is max_i |c_i . p|.  Elementwise, so batch-independent."""
+    c = half.take(np.floor(np.arctan2(y, x) * (m / math.pi)).astype(np.intp) % m + first, axis=0)
+    return np.abs(c[..., 0] * x + c[..., 1] * y)
 
 
 def _vertices(values):

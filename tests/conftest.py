@@ -47,6 +47,21 @@ def sweep_energy_oracle(s, num=20001):
     return float(np.max(vals) ** 2)
 
 
+def sector_reference(half, pts):
+    """The sector gauge in one unblocked pass: |c_j . p| at each row p of pts,
+    with j = floor(atan2(p_y, p_x) m / pi) mod m the edge of the m edge rows
+    half whose cone holds p or -p."""
+    x, y = pts[:, 0], pts[:, 1]
+    j = np.floor(np.arctan2(y, x) * (len(half) / np.pi)).astype(int) % len(half)
+    return np.abs(half[j, 0] * x + half[j, 1] * y)
+
+
+def edge_max_reference(half, pts):
+    """max_i |c_i . p| over all m edge rows half, the gauge formula the sector
+    rule replaced: the same gauge on a convex ball, up to rounding."""
+    return np.max(np.abs(pts @ half.T), axis=1)
+
+
 def rand_sampled_norm(rng, m=64, bump=0.3, stretch=None):
     """Random convex sampled norm: perturbed gauge of a random ellipse, of
     axis ratio stretch if given."""

@@ -258,6 +258,22 @@ class TestErrors:
         assert code == 2
         assert "outside the 32 x 32 grid" in err
 
+    def test_dented_polygonal_target(self, capsys, tmp_path):
+        # l-inf values with v[5] raised 20 %: a ball that is not convex is no
+        # norm, and the sector gauge assumes one (exit 2)
+        src = tmp_path / "id32.map"
+        assert main(["fixture", "--kind", "identity", "--n", "32", "--out", str(src)]) == 0
+        v = np.abs(qc.seminorm.half_circle_directions(64)).max(axis=1)
+        v[5] *= 1.2
+        bad = tmp_path / "bad.map"
+        bad.write_text(f"32 2 polygonal 64 {' '.join(format(x, '.17g') for x in v)}\n"
+                       + src.read_text().split("\n", 1)[1])
+        capsys.readouterr()
+        code, _, err = run(["reparam", "--input", str(bad), "--epsilon", "0.6",
+                            "--outdir", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert "polygonal gauge must be a norm" in err
+
     def test_repeated_cell(self, capsys, tmp_path):
         # an n=32 map naming cell (16, 16) twice: an input error (exit 2)
         src = tmp_path / "id32.map"

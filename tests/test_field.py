@@ -7,7 +7,7 @@ from qcreparam import seminorm as sn
 from qcreparam.errors import InputFormatError, StencilOutOfDomain
 from qcreparam.seminorm import half_circle_directions
 
-from conftest import linear_qcmap, rand_sampled_norm, rand_spd, traced_peak
+from conftest import linear_qcmap, rand_sampled_norm, rand_spd, sector_reference, traced_peak
 
 EUCLID = qc.TargetSpace.euclidean(2)
 
@@ -66,6 +66,19 @@ class TestTargetSpace:
             assert t.distance(a, b)[0] == pytest.approx(t.distance(b, a)[0], rel=1e-12)
             assert t.distance(a, c)[0] <= t.distance(a, b)[0] + t.distance(b, c)[0] + 1e-12
 
+    def test_polygonal_gauge_must_be_convex(self):
+        # the gauge is read by sector, the max over all edges only on a convex
+        # ball: l-inf values with v[5] raised 20 % are rejected, l-inf and l1
+        # and degenerate values too
+        v = np.abs(half_circle_directions(64)).max(axis=1)
+        v[5] *= 1.2
+        for bad in (v, np.abs(half_circle_directions(64)[:, 0])):
+            assert not qc.SemiNorm2.sampled(bad).is_convex()
+            with pytest.raises(ValueError, match="polygonal gauge must be a norm"):
+                qc.TargetSpace.polygonal(bad)
+        for good in (qc.TargetSpace.linf(), qc.TargetSpace.l1(), qc.TargetSpace.linf(8)):
+            assert good.kind == "polygonal"
+
     def test_descriptor_roundtrip(self, rng):
         for t in (EUCLID, qc.TargetSpace.quadratic(rand_spd(rng)), qc.TargetSpace.linf()):
             t2 = qc.TargetSpace.from_descriptor(t.descriptor())
@@ -97,11 +110,36 @@ class TestEstimateDerivative:
             qc.estimate_derivative(u, int(edge[0]), int(edge[1]))
 
     def test_field_matches_cellwise_estimates(self):
-        u = stretch_map(64)
-        f = qc.estimate_field(u)
-        s = f.seminorm_at(32, 40)
-        assert np.allclose(s.matrix, qc.estimate_derivative(u, 32, 40).matrix,
-                           atol=1e-12)
+        # the quadratic fit is a fixed-order sum over the directions, so one
+        # cell gets the field's bits (a matmul moved q11 by 8.9e-16 at (32, 40))
+        for fn in (lambda x, y: np.stack([2.0 * x, y]),
+                   lambda x, y: np.stack([x + 0.2 * x * y, y + 0.1 * x * x])):
+            u = make_map(64, fn)
+            f = qc.estimate_field(u)
+            for i, j in ((32, 40), (20, 30), (45, 33)):
+                assert (qc.estimate_derivative(u, i, j).row.tobytes()
+                        == f.seminorm_at(i, j).row.tobytes())
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_stencil_shift_matches_sample(self, monkeypatch, n):
+        # each stencil point z + h v sits at offset v from its cell's node, so
+        # the shifted corners and weights must give SampledMap.sample's
+        # bilinear value there, on every direction of either stencil
+        seen, distance = [], qc.TargetSpace.distance
+        monkeypatch.setattr(qc.TargetSpace, "distance",
+                            lambda self, xs, ys: seen.append(xs) or distance(self, xs, ys))
+        for target in (qc.TargetSpace.linf(), EUCLID):
+            u = make_map(n, lambda x, y: np.stack([x + 0.2 * x * y, 3.0 + y + 0.1 * x * x]),
+                         target)
+            seen.clear()
+            qc.estimate_field(u)
+            ii, jj = np.nonzero(u.grid.interior_mask)
+            z = np.column_stack([u.grid.x[ii, jj], u.grid.y[ii, jj]])
+            dirs = fd._stencil_directions(target)
+            assert len(seen) == len(dirs)
+            scale = np.abs(u.values[u.grid.disc_mask]).max()
+            for v, got in zip(dirs, seen):
+                assert np.all(np.abs(got - u.sample(z + u.grid.h * v)) <= 1e-15 * scale)
 
 
 class TestQuadrature:
@@ -237,15 +275,16 @@ class TestSampledRowsBatched:
             s = qc.SemiNorm2.sampled(np.maximum(uniq[r], 0.0))
             sel = ids == r
             pts = np.einsum("kab,mb->kma", df[sel], dirs).reshape(-1, 2)
-            vals = np.max(np.abs(pts @ s._half_edges().T), axis=1)
+            vals = sector_reference(s._half_edges(), pts)
             want[sel] = np.max(vals.reshape(-1, m), axis=1) ** 2
-        got = fd._composed_sampled_density(uniq, ids, df)
-        assert got.tobytes() == want.tobytes()
+        # across the kernel's node blocks (256 nodes at m = 64)
+        for count in (600, 256, 513):
+            got = fd._composed_sampled_density(uniq, ids[:count], df[:count])
+            assert got.tobytes() == want[:count].tobytes()
 
     def test_estimate_derivative_is_the_field_row(self):
-        # sampled rows are computed per cell, so one cell gives the field's
-        # bits (a quadratic fit is one matmul, whose rounding may depend on
-        # the batch: see test_field_matches_cellwise_estimates)
+        # rows are computed per cell, so one cell gives the field's bits
+        # (quadratic rows too: see test_field_matches_cellwise_estimates)
         for target in (qc.TargetSpace.linf(), qc.TargetSpace.l1()):
             u = make_map(64, lambda x, y: np.stack([x + 0.2 * x * y, y + 0.1 * x * x]), target)
             f = qc.estimate_field(u)

@@ -12,6 +12,8 @@ from qcreparam import lattice
 from qcreparam import reparam as rp
 from qcreparam.errors import AuditFailed, QcreparamError, SearchExhausted
 
+from conftest import edge_max_reference, sector_reference
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 EUCLID = qc.TargetSpace.euclidean(2)
@@ -416,6 +418,16 @@ class TestPipelineEdges:
         assert rep.energy_after == 0.0
         assert rep.k == 0.0
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_constant_map_into_linf_keeps_its_energy(self, n):
+        # the field of a constant map is rounding noise, and some of its rows
+        # are dented and degenerate, so the field leaves them as measured; the
+        # max over all edges then read energy_after 400 times energy_before
+        u = make_map(n, lambda x, y: np.stack([0 * x + 0.3, 0 * y - 0.2]), qc.TargetSpace.linf())
+        rep = qc.epsilon_conformal(u, 0.2 * np.pi)[2]
+        assert rep.failures() == []
+        assert rep.energy_after <= rep.energy_before * (1.0 + 1e-9)
+
     def test_localized_spike_binds_stretch_cut(self):
         def spike(x, y):
             r2 = ((x - 0.2) ** 2 + y**2) / 0.05**2
@@ -449,13 +461,29 @@ class TestPipelineEdges:
         assert qc.audit_cases(rep, phi, np.random.default_rng(5), num=48) == 48
 
 
+def report_numbers(text):
+    """{key: float} of every number in a rendered report, each inequality's
+    lhs, rhs and slack under "name.lhs" and so on."""
+    out = {}
+    for line in text.splitlines():
+        if " : " in line:
+            name, terms = line.split(" : ")
+            out.update((f"{name}.{k}", float(v)) for k, v in
+                       (term.split(" = ") for term in terms.split(" ; ")))
+        elif " = " in line and not line.startswith(("seed", "status")):
+            key, value = line.split(" = ")
+            out[key] = float(value)
+    return out
+
+
 class TestSampledLayerDifferential:
-    """The sampled field layer against the plain numpy forms it replaced:
-    np.unique(axis=0) row dedup, max(abs(pts @ half.T)) gauge and a per-id
-    mask loop in composed_energy.  Reports must agree byte for byte."""
+    """The sampled field layer against plain numpy forms: np.unique(axis=0)
+    row dedup, the sector gauge in one unblocked pass and a per-id mask loop
+    in composed_energy give the same report bytes; max(abs(pts @ half.T)),
+    the gauge the sector rule replaced, gives the same report to rounding."""
 
     @staticmethod
-    def _patch_reference(monkeypatch, calls):
+    def _patch_reference(monkeypatch, calls, gauge=sector_reference):
         from qcreparam import field as fd
         from qcreparam import seminorm as sn
 
@@ -465,7 +493,7 @@ class TestSampledLayerDifferential:
 
         def edge_gauge(half, pts):
             calls.add("gauge")
-            return np.max(np.abs(pts @ half.T), axis=1)
+            return gauge(half, pts)
 
         def composed_density(uniq, ids, df):
             calls.add("composed")
@@ -483,8 +511,7 @@ class TestSampledLayerDifferential:
         monkeypatch.setattr(sn, "edge_gauge", edge_gauge)
         monkeypatch.setattr(fd, "_composed_sampled_density", composed_density)
 
-    @pytest.mark.parametrize("name", ["shared", "bump"])
-    def test_report_bytes_match_reference(self, monkeypatch, name):
+    def _reports(self, monkeypatch, name, gauge=sector_reference):
         def bump(x, y):
             w = np.exp(-((x - 0.1) ** 2 + y**2) / 0.08)
             return np.stack([x + 0.15 * w * y, y + 0.1 * w * x])
@@ -494,7 +521,25 @@ class TestSampledLayerDifferential:
         fast = qc.epsilon_conformal(u, 0.2 * np.pi)[2].render()
         calls = set()
         with monkeypatch.context() as mp:
-            self._patch_reference(mp, calls)
+            self._patch_reference(mp, calls, gauge)
             ref = qc.epsilon_conformal(u, 0.2 * np.pi)[2].render()
         assert calls == {"dedup", "gauge", "composed"}
+        return fast, ref
+
+    @pytest.mark.parametrize("name", ["shared", "bump"])
+    def test_report_bytes_match_reference(self, monkeypatch, name):
+        fast, ref = self._reports(monkeypatch, name)
         assert fast == ref
+
+    @pytest.mark.parametrize("name", ["shared", "bump"])
+    def test_report_near_edge_max_gauge(self, monkeypatch, name):
+        # the fields' rows are convex or degenerate, so the two gauges differ
+        # by rounding: 1e-9 relative on every number, 1e-7 on the slacks
+        # (differences of near values) and on phi_inv_residual (a Newton
+        # residual at the 1e-8 tolerance)
+        fast, ref = (report_numbers(r) for r in self._reports(monkeypatch, name,
+                                                              edge_max_reference))
+        assert fast.keys() == ref.keys()
+        for key, value in fast.items():
+            loose = key.endswith(".slack") or key == "phi_inv_residual"
+            assert value == pytest.approx(ref[key], rel=1e-7 if loose else 1e-9, abs=0.0), key

@@ -11,10 +11,12 @@ from qcreparam.errors import DegenerateSemiNorm, EllipseNotCertified, InputForma
 from qcreparam.seminorm import half_circle_directions
 
 from conftest import (
+    edge_max_reference,
     linear_wirtinger_oracle,
     rand_sampled_norm,
     rand_spd,
     rotation,
+    sector_reference,
     sweep_energy_oracle,
     traced_peak,
 )
@@ -25,29 +27,52 @@ L1 = qc.SemiNorm2.sampled(np.abs(D64).sum(axis=1))
 DIAG41 = qc.SemiNorm2.quadratic(np.diag([4.0, 1.0]))
 
 
-def abs_max_reference(half, pts, piece=256):
-    """max_i |c_i . p| over the products half @ pts.T.  BLAS forms them in
-    calls of `piece` points (a multiple of 8, the last call taking the
-    remainder), each too small to be threaded: one call over all points
-    may be threaded, and a threaded call rounds some points differently."""
-    cuts = np.arange(piece, len(pts) - piece + 1, piece)
-    prod = np.concatenate([half @ p.T for p in np.split(pts, cuts)], axis=1)
-    return np.max(np.abs(prod), axis=0)
-
-
 class TestSampledGauge:
     @pytest.mark.parametrize("count", [5, 1023, 1024, 1027, 1029, 1031,
                                        (1 << 17) - 1, 1 << 17, (1 << 17) + 3])
     def test_matches_abs_max_reference(self, rng, count):
-        # bit for bit against max_i |c_i . p| over the first half of the
-        # polygon's antipodal edge rows, zero vectors of both signs included,
-        # across the kernel's block edges (1 024 points at m = 64)
+        # bit for bit against the sector rule in one unblocked pass, across
+        # the kernel's block edges (GAUGE_BLOCK = 16 384 points), with zero
+        # vectors of both signs at +0.0; these rows are convex, so that is
+        # max_i |c_i . p| over the polygon's edge rows up to rounding
         for s in (LINF, L1, rand_sampled_norm(rng)):
             half = s._half_edges()
             pts = rng.normal(size=(count, 2))
             pts[:3] = [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]]
-            ref = abs_max_reference(half, pts)
-            assert np.array_equal(s(pts).view(np.uint64), ref.view(np.uint64))
+            got = s(pts)
+            assert np.array_equal(got.view(np.uint64), sector_reference(half, pts).view(np.uint64))
+            assert got[:3].view(np.uint64).tolist() == [0, 0, 0]
+            near = np.abs(got - edge_max_reference(half, pts))
+            assert np.all(near <= 1e-14 * np.linalg.norm(pts, axis=1)
+                          * np.linalg.norm(half, axis=1).max())
+
+    def test_sector_rule_is_the_edge_max_on_convex_rows(self, rng):
+        # on a convex ball the edge whose cone holds p is the farthest one, so
+        # the sector gauge is the max over all edges, the formula it replaced,
+        # up to rounding: on l-inf, l1 and 20 convexified random gauges, at
+        # points of many scales and on the sample rays, where sectors meet
+        pts = rng.normal(size=(4096, 2)) * np.exp(rng.uniform(-20, 20, size=(4096, 1)))
+        pts = np.vstack([pts, 3.0 * D64, -D64])
+        bound = 1e-14 * np.linalg.norm(pts, axis=1)
+        for s in [LINF, L1] + [rand_sampled_norm(rng) for _ in range(20)]:
+            assert s.is_convex()
+            half = s._half_edges()
+            err = np.abs(s(pts) - edge_max_reference(half, pts))
+            assert np.all(err <= bound * np.linalg.norm(half, axis=1).max())
+
+    def test_dented_degenerate_row_keeps_its_samples(self):
+        # |cos theta| with v[10] halved: an unbounded ball, dented, which the
+        # field's convexification leaves as measured.  The sector gauge reads
+        # each sample back within 2 ulp of the edge rows meeting there; the
+        # max over all edges read 8.99 against v[10] = 0.44
+        v = np.abs(D64[:, 0])
+        v[10] *= 0.5
+        s = qc.SemiNorm2.sampled(v)
+        assert s.degenerate and not s.is_convex()
+        size = np.linalg.norm(s._half_edges(), axis=1)
+        ulp = np.spacing(np.maximum(size, np.roll(size, 1)))     # edges j - 1 and j
+        for sign in (1.0, -1.0):
+            assert np.all(np.abs(s(sign * D64) - v) <= 2 * ulp)
 
     @pytest.mark.parametrize("alpha", [0.0, math.pi / 4, None])
     def test_degenerate_rows_are_exact(self, rng, alpha):
@@ -61,8 +86,8 @@ class TestSampledGauge:
         assert np.all(err <= 1e-13 * np.linalg.norm(pts, axis=1))
 
     def test_peak_memory_is_one_block(self, rng):
-        # the (m, N) product is formed about 2^16 entries at a time, so at
-        # m = 64 the call needs at most 2 MB beyond its output
+        # points go GAUGE_BLOCK at a time, so the call needs at most 2 MB
+        # beyond its output
         half = LINF._half_edges()
         out, peak = traced_peak(sn.edge_gauge, half, rng.normal(size=((1 << 17) + 3, 2)))
         assert peak - out.nbytes <= 2 << 20
