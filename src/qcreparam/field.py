@@ -13,10 +13,10 @@ value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from . import lattice
 from . import seminorm as sn
@@ -25,11 +25,14 @@ from .seminorm import SemiNorm2, half_circle_directions
 
 QUADRATIC_STENCIL_DIRECTIONS = 8
 WRITE_ROWS = 1 << 10        # rows formatted per block by write_cells
+EXT_BLOCK = 1 << 14         # cells per block of DiscGrid.extension_indices
 
 
 @dataclass(frozen=True)
 class DiscGrid:
-    """Cell grid on [-1,1]^2 masked to the unit disc."""
+    """Cell grid on [-1,1]^2 masked to the unit disc; every cell reads its
+    nearest interior cell (extension_indices), found from the interior mask
+    alone."""
 
     n: int
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -89,12 +92,64 @@ class DiscGrid:
         return self.h * self.h
 
     def extension_indices(self):
-        """For every cell, the (i, j) index of the nearest interior cell."""
+        """For every cell, the (i, j) index of the nearest interior cell; among
+        equally near ones the least column, as an exact Euclidean distance
+        transform chooses.
+
+        Row r of the interior mask, a lattice disc, is one interval [lo_r, hi_r],
+        so the nearest interior cell to p = (i, j) within row r is
+        (r, clip(j, lo_r, hi_r)), and the nearest of all is the least
+        (d^2, column) over the rows (the mask is convex, so no two nearest cells
+        share a column).  Only rows that can hold it are searched.  In index
+        units about the grid centre c, let P be the largest squared radius of an
+        interior cell, and q0 the candidate in the row of p's radial projection
+        onto the disc of radius sqrt(P), at distance D from p.  The nearest cell
+        is no farther than q0, so it lies within D rows of i, and in the lens
+        where the discs of radius D about p and sqrt(P) about c meet.  Their
+        common chord lies at t = (|p-c|^2 + D^2 - P) / (2 |p-c|) from p, and
+        0 <= t <= |p-c|, as p is exterior (|p-c|^2 >= P) and q0 lies on p's side
+        ((p-c).(q0-c) >= 0, so D^2 <= |p-c|^2 + P).  Neither cap of the lens is
+        then more than a half disc, so the lens lies in the disc on the chord, of
+        radius sqrt(D^2 - t^2): the rows of that disc, widened by 1e-3 against
+        rounding, are the ones searched.
+        """
         if "ext" not in self._cache:
-            _, idx = ndimage.distance_transform_edt(
-                ~self.interior_mask, return_indices=True
-            )
-            self._cache["ext"] = (idx[0], idx[1])
+            mask, n = self.interior_mask, self.n
+            live = np.flatnonzero(mask.any(axis=1))
+            lo = np.argmax(mask, axis=1)
+            hi = n - 1 - np.argmax(mask[:, ::-1], axis=1)
+            c = 0.5 * (n - 1)
+            big_p = np.max((live - c) ** 2 + np.maximum(c - lo[live], hi[live] - c) ** 2)
+            i, j = np.nonzero(~mask)
+            di, dj = i - c, j - c
+            pc2 = di * di + dj * dj
+            pc = np.sqrt(pc2)
+            r0 = np.clip(np.rint(c + di * (np.sqrt(big_p) / pc)).astype(np.intp),
+                         live[0], live[-1])
+            dd = (i - r0) ** 2 + (j - np.clip(j, lo[r0], hi[r0])) ** 2
+            reach = np.sqrt(dd).astype(np.intp)     # floor(D): dd is an integer
+            t = (pc2 - big_p + dd) / (2.0 * pc)
+            mid = i - t * (di / pc)
+            half = np.sqrt(np.maximum(dd - t * t, 0.0)) + 1e-3
+            first = np.maximum(np.maximum(i - reach, live[0]),
+                               np.floor(mid - half).astype(np.intp))
+            last = np.minimum(np.minimum(i + reach, live[-1]),
+                              np.ceil(mid + half).astype(np.intp))
+            # one entry per (cell, searched row), keyed (d^2, column, row), for
+            # EXT_BLOCK cells at a time
+            best = np.empty_like(i)
+            for b in range(0, len(i), EXT_BLOCK):
+                cells = slice(b, b + EXT_BLOCK)
+                width = last[cells] - first[cells] + 1
+                start = np.cumsum(width) - width
+                row = np.arange(width.sum()) - np.repeat(start - first[cells], width)
+                ri, rj = np.repeat(i[cells], width), np.repeat(j[cells], width)
+                col = np.clip(rj, lo[row], hi[row])
+                key = (((ri - row) ** 2 + (rj - col) ** 2) * n + col) * n + row
+                best[cells] = np.minimum.reduceat(key, start)
+            ei, ej = np.indices((n, n))
+            ei[i, j], ej[i, j] = best % n, best // n % n
+            self._cache["ext"] = (ei, ej)
         return self._cache["ext"]
 
     def extend(self, arr):
@@ -209,7 +264,9 @@ class SampledMap:
     values: np.ndarray          # (n, n, d), finite on grid.disc_mask
 
     def __post_init__(self):
-        v = self.values
+        # C order, so that the flat (n * n, d) view of a cell stencil is no copy
+        v = np.ascontiguousarray(self.values)
+        object.__setattr__(self, "values", v)
         if v.shape != (self.grid.n, self.grid.n, self.target.d):
             raise ValueError("value array shape does not match grid/target")
         if not np.all(np.isfinite(v[self.grid.disc_mask])):
@@ -451,7 +508,7 @@ def _estimate_rows(u, ii, jj):
     then deduplicated, and each distinct row convexified.
     """
     n = u.grid.n
-    flat, k = np.ascontiguousarray(u.values).reshape(n * n, -1), ii * n + jj
+    flat, k = u.values.reshape(n * n, -1), ii * n + jj
     dirs = _stencil_directions(u.target)
     base = flat.take(k, axis=0)
     g = np.empty((len(dirs), len(ii)))
@@ -508,20 +565,50 @@ def _project_psd(coef):
 
 def _convexify_gauges(rows):
     """Convex-hull correction of sampled gauge rows (R, m): noise can dent the
-    ball.  Degenerate rows stay as measured; one batched test finds the
-    dented rows, and only those get a hull."""
+    ball.  Degenerate rows stay as measured; one batched test finds the dented
+    rows, and only those get a hull.
+
+    The vertices +-d_j / v_j of a ball polygon come sorted by angle around 0;
+    the farthest (least v_j) and its antipode are hull vertices.  One Graham
+    pass over the m + 1 vertices from the one to the other finds the hull
+    between them, popping a vertex while its turn fails the test of
+    seminorm.convex_rows; the other half mirrors it.  A kept sample keeps v_j, a
+    dropped one gets c.d_j, where c.d_p = v_p and c.d_q = v_q for its kept
+    neighbours p and q (the edge of seminorm.half_edges).
+    """
     out = rows.copy()
     dented = np.flatnonzero(~(sn.convex_rows(rows) | sn.row_degenerate("sampled", rows)))
-    if dented.size:
-        from scipy.spatial import ConvexHull
-
-        dirs = half_circle_directions(rows.shape[1])
-        for k in dented:
-            verts = np.vstack([dirs / rows[k, :, None], -dirs / rows[k, :, None]])
-            hull = ConvexHull(verts)
-            normals = -hull.equations[:, :2]
-            offsets = hull.equations[:, 2]
-            out[k] = np.max((dirs @ normals.T) / offsets[None, :], axis=1)
+    m = rows.shape[1]
+    pos = np.arange(m + 1)
+    # chain[r, b]: vertex b of the pass on dented row r, of direction d[r, b]
+    chain = (np.argmin(rows[dented], axis=1)[:, None] + pos) % (2 * m)
+    dirs = half_circle_directions(m)
+    d = np.concatenate([dirs, -dirs])[chain]
+    v = rows[dented[:, None], chain % m]
+    kept = np.zeros(chain.shape, dtype=bool)
+    for r, (x, y) in enumerate(np.moveaxis(d * (1.0 / v)[..., None], -1, 1).tolist()):
+        hull = [0]
+        for b in range(1, m + 1):
+            while len(hull) > 1:
+                p, q = hull[-2], hull[-1]
+                ax, ay, bx, by = x[q] - x[p], y[q] - y[p], x[b] - x[q], y[b] - y[q]
+                cross = ax * by - ay * bx
+                if cross >= 0 or cross >= -sn.CONVEX_TOL * max(
+                        math.sqrt(ax * ax + ay * ay) * math.sqrt(bx * bx + by * by), 1e-300):
+                    break
+                hull.pop()
+            hull.append(b)
+        kept[r, hull] = True
+    # each dropped vertex b lies between its kept neighbours p < b < q
+    p = np.maximum.accumulate(np.where(kept, pos, 0), axis=1)
+    q = np.minimum.accumulate(np.where(kept, pos, m)[:, ::-1], axis=1)[:, ::-1]
+    r, b = np.nonzero(~kept)
+    p, q = p[r, b], q[r, b]
+    dp, dq = d[r, p], d[r, q]
+    det = dp[:, 0] * dq[:, 1] - dp[:, 1] * dq[:, 0]
+    cx = (v[r, p] * dq[:, 1] - v[r, q] * dp[:, 1]) / det
+    cy = (v[r, q] * dp[:, 0] - v[r, p] * dq[:, 0]) / det
+    out[dented[r], chain[r, b] % m] = cx * d[r, b, 0] + cy * d[r, b, 1]
     return out
 
 

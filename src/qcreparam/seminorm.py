@@ -37,6 +37,7 @@ FEAS_TOL = 1e-6            # certified containment: max_i c_i.P c_i <= 1 + FEAS_
 GAP_TOL = 1e-7             # certified optimality: log-det duality gap of an inscribed ellipse
 DEFAULT_SAMPLES = 64       # default m for sampled semi-norms
 GAUGE_BLOCK = 1 << 14      # points per block of a sector gauge (bounds its temporaries)
+CONVEX_TOL = 1e-9          # relative turn below which a ball polygon counts as dented
 
 # inscribed-ellipse solver (see inscribed_ellipses)
 _LOAD_TOL = 1e-9                    # load excess that makes a constraint enter the basis
@@ -233,7 +234,7 @@ class SemiNorm2:
             return math.inf
         return math.pi / float(row_ball_jacobian(self.kind, self.row))
 
-    def is_convex(self, tol=1e-9):
+    def is_convex(self, tol=CONVEX_TOL):
         """True if the sampled ball polygon is convex (quadratic: always)."""
         if self.kind == "quadratic":
             return True
@@ -298,7 +299,7 @@ def _live_rows(values, live, fn, tail=(), dtype=float):
     return out
 
 
-def convex_rows(values, tol=1e-9):
+def convex_rows(values, tol=CONVEX_TOL):
     """True per gauge row of values (R, m) whose ball polygon is convex: every
     turn between consecutive edges is left, up to tol relative; False for
     degenerate rows, whose ball is unbounded."""

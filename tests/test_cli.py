@@ -196,13 +196,16 @@ class TestCsvGrids:
 
 
 def test_import_graph_leaves_out_scipy_signal(tmp_path):
-    # a mollify that convolves (eta of 3 spacings) and one reparam run
+    # a mollify that convolves (eta of 3 spacings), one Euclidean reparam run,
+    # and one on an l-inf map with a bump (diag(4, 1) plus a smooth bump of
+    # radius 0.07), whose dented gauge rows take the hull: no scipy module at all
     src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
     script = f"""
 import sys
 import numpy as np
 import qcreparam as qc
 import qcreparam.cli as cli
+import qcreparam.field as fd
 from conftest import bump_coefficient
 mu = bump_coefficient(n=64, radius=0.5)
 assert not np.array_equal(qc.mollify(mu, 3 * mu.spacing).values, mu.values)
@@ -211,7 +214,29 @@ u = qc.SampledMap.from_function(qc.DiscGrid(32), qc.TargetSpace.euclidean(2),
 u.save({str(tmp_path / "m.map")!r})
 assert cli.main(["reparam", "--input", {str(tmp_path / "m.map")!r}, "--epsilon", "0.6283",
                  "--outdir", {str(tmp_path / "out")!r}]) == 0
-assert "scipy.signal" not in sys.modules, "scipy.signal was imported"
+
+def bump(x, y, c=np.random.default_rng(0).normal(scale=0.1, size=4), radius=0.07):
+    xs, ys = x / radius, y / radius
+    t = np.minimum(np.hypot(xs, ys), 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        w = np.where(t < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - t * t, 1e-300)), 0.0)
+    return np.stack([4.0 * (x + radius * w * (c[0] * np.sin(np.pi * xs) + c[1] * ys)),
+                     y + radius * w * (c[2] * np.sin(np.pi * ys) + c[3] * xs)])
+
+hulls = []
+convexify = fd._convexify_gauges
+def counted(rows):
+    out = convexify(rows)
+    hulls.append(np.count_nonzero(np.any(out != rows, axis=1)))
+    return out
+fd._convexify_gauges = counted
+qc.SampledMap.from_function(qc.DiscGrid(32), qc.TargetSpace.linf(), bump).save(
+    {str(tmp_path / "b.map")!r})
+assert cli.main(["reparam", "--input", {str(tmp_path / "b.map")!r}, "--epsilon", "0.6283",
+                 "--outdir", {str(tmp_path / "bout")!r}]) == 0
+assert max(hulls) > 0, hulls
+loaded = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+assert not loaded, loaded
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.path.dirname(os.path.abspath(__file__))]))
@@ -320,8 +345,8 @@ class TestNumericalExit:
 
 
 def test_euclidean_pipeline_leaves_out_scipy_spatial():
-    # the Newton start is a lattice scatter; only dented gauge rows of a
-    # sampled field reach for scipy.spatial.ConvexHull
+    # the Newton start is a lattice scatter, the extension a search over the
+    # interior mask's row intervals: the pipeline loads no scipy module
     src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
     script = """
 import sys
@@ -331,7 +356,8 @@ u = qc.SampledMap.from_function(qc.DiscGrid(32), qc.TargetSpace.euclidean(2),
                                 lambda x, y: np.stack([x + 0.2 * x * y, y + 0.1 * x * x]))
 phi, omega, report = qc.epsilon_conformal(u, 0.6283)
 assert report.failures() == []
-assert "scipy.spatial" not in sys.modules, "scipy.spatial was imported"
+loaded = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+assert not loaded, loaded
 """
     done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcreparam as qc
 from qcreparam import field as fd
@@ -45,6 +47,19 @@ class TestDiscGrid:
         ext = g.extend(arr)
         assert np.array_equal(ext[g.interior_mask], arr[g.interior_mask])
 
+    def test_extension_matches_distance_transform(self):
+        # the nearest interior cell on every cell, ties to the least column, as
+        # scipy's exact Euclidean distance transform finds it; the large sizes
+        # include ones where a fixed band of rows about the radial projection
+        # misses the nearest cell
+        from scipy import ndimage
+
+        for n in [*range(16, 301), 401, 418, 442, 511, 512, 1000, 1024, 2048]:
+            g = qc.DiscGrid(n)
+            _, want = ndimage.distance_transform_edt(~g.interior_mask, return_indices=True)
+            got = np.stack(g.extension_indices()).astype(want.dtype)
+            assert got.tobytes() == want.tobytes(), n
+
 
 class TestTargetSpace:
     def test_euclidean_distance(self):
@@ -86,6 +101,18 @@ class TestTargetSpace:
 
 
 class TestEstimateDerivative:
+    def test_from_function_values_c_contiguous(self):
+        # fn's (d, n, n) output is stored C-contiguous (n, n, d) with its bits,
+        # so the stencil's flat (n * n, d) view and lattice.bilinear copy nothing
+        def fn(x, y):
+            return np.stack([x + 0.2 * x * y, y + 0.1 * x * x])
+
+        u = make_map(32, fn)
+        assert u.values.flags.c_contiguous
+        want = np.moveaxis(fn(u.grid.x, u.grid.y), 0, -1)
+        assert u.values.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert np.shares_memory(u.values.reshape(32 * 32, -1), u.values)
+
     def test_linear_map_exact(self):
         u = stretch_map(64)
         s = qc.estimate_derivative(u, 32, 40)
@@ -222,21 +249,47 @@ class TestSampledRowsBatched:
 
     @staticmethod
     def convexify_row(values):
-        # the per-row correction: degenerate rows as measured, convex rows as
-        # they are, a convex hull for the rest
-        from scipy.spatial import ConvexHull
-
+        # the per-row rule: degenerate and convex rows as they are; else drop a
+        # ball vertex whose turn fails convex_rows' test, first in cyclic order,
+        # until none does, and give each dropped sample the edge of its kept
+        # neighbours
         vmax = values.max(initial=0.0)
         if vmax <= 0 or values.min() < qc.seminorm.DEGEN_TOL * vmax:
             return values
+        m = values.size
+        dirs = np.vstack([half_circle_directions(m), -half_circle_directions(m)])
+        v = np.concatenate([values, values])
+        verts = dirs * (1.0 / v)[:, None]
+
+        kept = np.arange(2 * m)
+        while True:
+            a = verts[kept] - verts[np.roll(kept, 1)]       # the edge into kept[t]
+            b = np.roll(a, -1, axis=0)                      # the edge out of it
+            cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+            scale = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+            bad = np.flatnonzero(cross < -qc.seminorm.CONVEX_TOL * np.maximum(scale, 1e-300))
+            if not bad.size:
+                break
+            kept = np.delete(kept, bad[0])
+        if kept.size == 2 * m:
+            return values
+        out = values.copy()
+        for j in sorted(set(range(m)) - set(kept)):
+            t = np.searchsorted(kept, j)
+            p, q = kept[t - 1], kept[t % kept.size]
+            det = dirs[p, 0] * dirs[q, 1] - dirs[p, 1] * dirs[q, 0]
+            cx = (v[p] * dirs[q, 1] - v[q] * dirs[p, 1]) / det
+            cy = (v[q] * dirs[p, 0] - v[p] * dirs[q, 0]) / det
+            out[j] = cx * dirs[j, 0] + cy * dirs[j, 1]
+        return out
+
+    @staticmethod
+    def hull_row(values):
+        # the gauge of the qhull convex hull of the ball polygon's vertices
+        from scipy.spatial import ConvexHull
+
         dirs = half_circle_directions(values.size)
         verts = np.vstack([dirs / values[:, None], -dirs / values[:, None]])
-        a = verts[np.r_[1 : len(verts), 0]] - verts
-        b = np.roll(a, -1, axis=0)
-        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-        scale = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-        if np.all(cross >= -1e-9 * np.maximum(scale, 1e-300)):
-            return values
         hull = ConvexHull(verts)
         normals, offsets = -hull.equations[:, :2], hull.equations[:, 2]
         return np.max((dirs @ normals.T) / offsets[None, :], axis=1)
@@ -253,14 +306,34 @@ class TestSampledRowsBatched:
         return np.array(rows)
 
     def test_convexify_matches_per_row(self, rng):
+        # bitwise the per-row rule; within rounding the qhull hull, whose own
+        # precision model kept or dropped near-collinear vertices before
         rows = self.gauge_rows(rng)
         fixed = fd._convexify_gauges(rows)
         dented = 0
         for row, got in zip(rows, fixed):
             want = self.convexify_row(row)
             assert got.tobytes() == want.tobytes()
-            dented += want is not row
+            if want is not row:
+                dented += 1
+                hull = self.hull_row(row)
+                assert np.max(np.abs(got - hull) / hull) <= 1e-11
         assert 0 < dented < len(rows) - 4
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31), m=st.sampled_from([8, 16, 64, 128]))
+    def test_convexify_properties(self, seed, m):
+        # convex, dented, l-inf, sub-tolerance-dent and degenerate rows: every
+        # live row ends convex and below its samples; rows that need no hull
+        # keep their bits
+        rows = self.gauge_rows(np.random.default_rng(seed), m=m, count=12)
+        fixed = fd._convexify_gauges(rows)
+        live = ~sn.row_degenerate("sampled", rows)
+        assert np.array_equal(sn.convex_rows(fixed), live)
+        assert np.all(fixed <= rows)
+        same = sn.convex_rows(rows) | ~live
+        assert fixed[same].tobytes() == rows[same].tobytes()
+        assert not np.array_equal(fixed, rows)
 
     def test_composed_density_matches_per_row(self, rng):
         rows = self.gauge_rows(rng, count=12)
