@@ -11,6 +11,7 @@ files (floats printed to 17 significant digits, no timestamps).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -250,9 +251,12 @@ def build_parser():
     return p
 
 
+# built on the first main() call and kept: parsing leaves the parser as it was
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (InputFormatError, ConfigError, FileNotFoundError, ValueError) as exc:

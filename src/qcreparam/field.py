@@ -427,6 +427,24 @@ class DerivativeField:
         """Inscribed-ellipse jacobian of the (optionally regularized) semi-norm."""
         return sn.ellipse_jacobian(self._ellipse_rows(delta))[self.index]
 
+    def jacobian_estimate(self, delta):
+        """Quadrature over the disc of sqrt(det(M0 + delta^2 I)), for the delta = 0
+        ellipses M0 and without a new solve: an estimate of the quadrature of
+        jacobian_intrinsic_density(delta).  {v.M0v <= 1} lies in the ball of s,
+        so {v.(M0 + delta^2 I)v <= 1} lies in the ball of the regularized
+        sqrt(s^2 + delta^2 |.|^2), and the estimate bounds the jacobian from
+        above, up to the sampling of a polygonal ball; it falls short on
+        degenerate cells, whose M0 is 0.  Summed over the rows, each weighted by
+        its disc cells, as det(M0 + delta^2 I) = det M0 + delta^2 (tr M0 + delta^2)."""
+        if "estimate" not in self._cache:
+            m0 = self._ellipse_rows(0.0)
+            cells = np.bincount(self.index[self.grid.disc_mask], minlength=len(self.rows))
+            self._cache["estimate"] = (cells * self.grid.weight, sn.packed_det(m0),
+                                       m0[:, 0] + m0[:, 2])
+        weight, det, trace = self._cache["estimate"]
+        d2 = delta * delta
+        return float(np.dot(weight, np.sqrt(np.maximum(det + d2 * (trace + d2), 0.0))))
+
     def jacobian_hausdorff_density(self):
         """Unit-ball-area jacobian per cell (extended)."""
         return sn.row_ball_jacobian(self.kind, self.rows)[self.index]
@@ -506,17 +524,27 @@ def _estimate_rows(u, ii, jj):
     positive semi-definite, one row per cell; polygonal targets get sampled
     gauge rows, symmetrized over antipodes, rounded relative to their size,
     then deduplicated, and each distinct row convexified.
+
+    The N cells go through the directions in blocks of B = floor(GAUGE_BLOCK
+    / N) directions (at least one): z + h v sits at offset v from each cell's
+    node, so a block is one lattice.blend of (B, N) node indices with (B, 1, 1)
+    weights and one target.distance of its B N points against the N base
+    values, broadcast.  Each entry of g sees the same operations as a
+    one-direction pass, so the blocks change no bit of it.
     """
     n = u.grid.n
     flat, k = u.values.reshape(n * n, -1), ii * n + jj
     dirs = _stencil_directions(u.target)
     base = flat.take(k, axis=0)
     g = np.empty((len(dirs), len(ii)))
-    for kdir, v in enumerate(dirs):
-        # z + h v sits at offset v from each cell's node: one set of weights
+    step = max(1, sn.GAUGE_BLOCK // len(ii))
+    for b in range(0, len(dirs), step):
+        v = dirs[b:b + step]
         o = np.floor(v)
-        at = lattice.blend(flat, k + int(o[0]) * n + int(o[1]), n, *(v - o))
-        g[kdir] = u.target.distance(at, base) / u.grid.h
+        shift = (o[:, 0].astype(np.intp) * n + o[:, 1].astype(np.intp))[:, None]
+        tx, ty = (v - o).T[..., None, None]
+        at = lattice.blend(flat, k + shift, n, tx, ty)
+        g[b:b + step] = u.target.distance(at, base).reshape(len(v), -1) / u.grid.h
 
     if u.target.kind == "polygonal":
         m = len(dirs) // 2
@@ -662,12 +690,12 @@ def _composed_sampled_density(uniq, ids, df):
     m = uniq.shape[-1]
     dirs = half_circle_directions(m)
     met, row = np.unique(ids, return_inverse=True)
-    half = sn.half_edges(np.maximum(uniq[met], 0.0)).reshape(-1, 2)
+    table = sn.wrapped_edges(sn.half_edges(np.maximum(uniq[met], 0.0))).reshape(-1, 2)
     dens = np.empty(len(ids))
     step = max(1, sn.GAUGE_BLOCK // m)
     for k in range(0, len(ids), step):
         a = df[k:k + step]
         x, y = (a[:, r, 0, None] * dirs[:, 0] + a[:, r, 1, None] * dirs[:, 1] for r in (0, 1))
-        gauge = sn.sector_gauge(half, m, x, y, row[k:k + step, None] * m)
+        gauge = sn.sector_gauge(table, m, x, y, row[k:k + step, None])
         dens[k:k + step] = sn.row_energy("sampled", gauge)
     return dens

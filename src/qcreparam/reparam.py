@@ -59,16 +59,38 @@ def epsilon_internal(area, epsilon):
 
 def choose_delta(field_, eps):
     """Largest delta in {1, 1/2, 1/4, ...} whose regularized jacobian
-    integral stays within eps of the intrinsic area."""
+    integral stays within eps of the intrinsic area.
+
+    The regularized semi-norm sqrt(s^2 + delta^2 |.|^2) grows with delta, so
+    its ball and the inscribed ellipse shrink, and J_delta, the integral of
+    the inscribed-ellipse jacobian, rises with delta: fits(delta) and not
+    fits(2 delta) make delta the largest dyadic fit.  The search starts at the
+    first delta from the top whose estimate fits (jacobian_estimate, from the
+    delta = 0 ellipses that area_intrinsic solved), checks it and 2 delta with
+    exact solves, and walks down or up one halving at a time while either
+    check fails.  The report's soundness needs only fits(delta), which the
+    exact solve at the returned delta shows.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    grid = field_.grid
     target = fd.area_intrinsic(field_) + eps
-    delta = 1.0
-    for _ in range(DELTA_MAX_HALVINGS + 1):
-        val = field_.grid.integrate(field_.jacobian_intrinsic_density(delta))
+
+    def value(k):
+        return grid.integrate(field_.jacobian_intrinsic_density(0.5**k))
+
+    k = next((k for k in range(DELTA_MAX_HALVINGS + 1)
+              if field_.jacobian_estimate(0.5**k) <= target), DELTA_MAX_HALVINGS)
+    val = value(k)
+    if val <= target:
+        while k > 0 and value(k - 1) <= target:
+            k -= 1
+        return 0.5**k
+    while k < DELTA_MAX_HALVINGS:
+        k += 1
+        val = value(k)
         if val <= target:
-            return delta
-        delta *= 0.5
+            return 0.5**k
     raise SearchExhausted("no regularization scale fits the area budget",
                           achieved=val)
 

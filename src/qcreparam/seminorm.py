@@ -267,18 +267,30 @@ class SemiNorm2:
 def edge_gauge(half, pts):
     """sector_gauge at each row p of pts for the edge rows half (m, 2) of one
     gauge row, GAUGE_BLOCK points at a time to bound the temporaries."""
+    table = wrapped_edges(half)
     out = np.empty(len(pts))
     for k in range(0, len(pts), GAUGE_BLOCK):
-        out[k:k + GAUGE_BLOCK] = sector_gauge(half, len(half), *pts[k:k + GAUGE_BLOCK].T)
+        out[k:k + GAUGE_BLOCK] = sector_gauge(table, len(half), *pts[k:k + GAUGE_BLOCK].T)
     return out
 
 
-def sector_gauge(half, m, x, y, first=0):
-    """|c . p| at the points p = (x, y) with c = half[first + j]: half (R m, 2)
-    holds the edge rows of R gauge rows, first the start of p's row, and j =
-    floor(atan2(y, x) m / pi) mod m is the edge whose cone holds p or -p.  On a
-    convex row this is max_i |c_i . p|.  Elementwise, so batch-independent."""
-    c = half.take(np.floor(np.arctan2(y, x) * (m / math.pi)).astype(np.intp) % m + first, axis=0)
+def wrapped_edges(half):
+    """The edge rows half (..., m, 2) repeated as a table (..., 2m + 2, 2) whose
+    row t + m + 1 is half[t mod m], for every t = -m - 1 .. m that
+    floor(atan2(y, x) m / pi) takes: atan2 lies in [-pi, pi], and its product
+    with the rounded m / pi falls just below -m for some m (14, 28, 56, ...)."""
+    m = half.shape[-2]
+    return half[..., np.arange(-m - 1, m + 1) % m, :]
+
+
+def sector_gauge(table, m, x, y, row=0):
+    """|c . p| at the points p = (x, y), with c edge t mod m of gauge row row
+    and t = floor(atan2(y, x) m / pi), the edge whose cone holds p or -p: table
+    (R (2m + 2), 2) holds the wrapped_edges of R gauge rows, so c is row
+    row (2m + 2) + m + 1 + t of it.  On a convex row this is max_i |c_i . p|.
+    Elementwise, so batch-independent."""
+    first = row * (2 * m + 2) + (m + 1)
+    c = table.take(np.floor(np.arctan2(y, x) * (m / math.pi)).astype(np.intp) + first, axis=0)
     return np.abs(c[..., 0] * x + c[..., 1] * y)
 
 
@@ -359,10 +371,20 @@ def _loads(a, p):
 
 
 def _solve3(a, b):
-    """Solutions of the 3x3 systems a x = b by Cramer's rule (nan if singular)."""
-    c0, c1, c2 = (np.cross(a[..., i, :], a[..., j, :]) for i, j in ((1, 2), (2, 0), (0, 1)))
-    det = np.sum(a[..., 0, :] * c0, axis=-1)
-    return (b[..., 0, None] * c0 + b[..., 1, None] * c1 + b[..., 2, None] * c2) / det[..., None]
+    """Solutions of the 3x3 systems a x = b by Cramer's rule (nan if singular):
+    x = (b_0 c_0 + b_1 c_1 + b_2 c_2) / (a_0 . c_0) for the rows a_i of a and
+    the cross products c_0 = a_1 x a_2, c_1 = a_2 x a_0, c_2 = a_0 x a_1,
+    written out entry by entry.  The det sum starts from +0.0, so a zero det is
+    +0.0 and the infinities of a singular system take the numerator's sign."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = (
+        [a[..., i, j] for j in range(3)] for i in range(3))
+    c0 = (a11 * a22 - a12 * a21, a12 * a20 - a10 * a22, a10 * a21 - a11 * a20)
+    c1 = (a21 * a02 - a22 * a01, a22 * a00 - a20 * a02, a20 * a01 - a21 * a00)
+    c2 = (a01 * a12 - a02 * a11, a02 * a10 - a00 * a12, a00 * a11 - a01 * a10)
+    det = 0.0 + a00 * c0[0] + a01 * c0[1] + a02 * c0[2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([(b0 * u + b1 * v + b2 * w) / det for u, v, w in zip(c0, c1, c2)],
+                    axis=-1)
 
 
 def _solve_rows(values):

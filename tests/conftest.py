@@ -56,6 +56,34 @@ def sector_reference(half, pts):
     return np.abs(half[j, 0] * x + half[j, 1] * y)
 
 
+def estimate_rows_reference(u, ii, jj):
+    """field._estimate_rows with its stencil run one direction at a time: one
+    lattice.blend with scalar weights and one target.distance per direction,
+    then the same rows from g."""
+    from qcreparam import field as fd
+    from qcreparam import lattice
+
+    n = u.grid.n
+    flat, k = u.values.reshape(n * n, -1), ii * n + jj
+    dirs = fd._stencil_directions(u.target)
+    base = flat.take(k, axis=0)
+    g = np.empty((len(dirs), len(ii)))
+    for kdir, v in enumerate(dirs):
+        o = np.floor(v)
+        at = lattice.blend(flat, k + int(o[0]) * n + int(o[1]), n, *(v - o))
+        g[kdir] = u.target.distance(at, base) / u.grid.h
+    if u.target.kind == "polygonal":
+        m = len(dirs) // 2
+        sym = 0.5 * (g[:m] + g[m:]).T
+        e = np.frexp(sym.max(axis=1, keepdims=True))[1] - 1
+        uniq, inv = fd.distinct_rows(np.ldexp(np.round(np.ldexp(sym, -e), 12), e))
+        return "sampled", fd._convexify_gauges(uniq), inv
+    design = np.column_stack([dirs[:, 0] ** 2, 2 * dirs[:, 0] * dirs[:, 1], dirs[:, 1] ** 2])
+    pinv = np.linalg.pinv(design)
+    coef = sum(g[kdir, :, None] ** 2 * pinv[:, kdir] for kdir in range(len(dirs)))
+    return "quadratic", fd._project_psd(coef), np.arange(len(ii))
+
+
 def edge_max_reference(half, pts):
     """max_i |c_i . p| over all m edge rows half, the gauge formula the sector
     rule replaced: the same gauge on a convex ball, up to rounding."""

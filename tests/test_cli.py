@@ -177,6 +177,56 @@ class TestReparamCommand:
                 == per_row_csv(rows, header="k,_,x,y,_"))
 
 
+class TestParser:
+    def test_built_on_first_main_not_at_import(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
+        script = """
+import qcreparam.cli as cli
+assert cli._parser.cache_info().currsize == 0
+assert cli.main(["identities", "--count", "3"]) == 0
+assert cli.main(["identities", "--count", "3"]) == 0
+info = cli._parser.cache_info()
+assert (info.misses, info.hits) == (1, 1), info
+"""
+        done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("argv", [["--help"], ["reparam", "--help"],
+                                      ["fixture", "--help"], ["energy", "-h"]])
+    def test_help_unchanged(self, capsys, argv):
+        # the kept parser prints the help of a freshly built one, every time
+        from qcreparam import cli
+
+        def printed(parse):
+            with pytest.raises(SystemExit) as done:
+                parse(argv)
+            assert done.value.code == 0
+            return capsys.readouterr().out
+
+        want = printed(cli.build_parser().parse_args)
+        assert want.startswith("usage: qcreparam")
+        assert printed(main) == want
+        assert printed(main) == want
+
+    def test_repeated_mains_write_the_same_bytes(self, fixtures, capsys, tmp_path):
+        # one process, one parser: a rejected command line between two runs
+        # leaves the second run's outputs byte-identical to the first's
+        outs = []
+        for k in range(2):
+            out_dir = tmp_path / f"run{k}"
+            code, out, _ = run(["reparam", "--input", str(fixtures / "li.map"),
+                                "--epsilon", "0.6283185307179586", "--outdir", str(out_dir),
+                                "--seed", "5"], capsys)
+            assert code == 0
+            outs.append([out] + [(out_dir / name).read_bytes() for name in
+                                 ("report.txt", "phi.qcmap", "omega_boundary.csv")])
+            with pytest.raises(SystemExit):
+                main(["reparam", "--epsilon", "x"])
+            capsys.readouterr()
+        assert outs[0] == outs[1]
+
+
 class TestCsvGrids:
     @pytest.mark.parametrize("command, density", [
         ("energy", "energy_density"), ("area", "jacobian_intrinsic_density"),

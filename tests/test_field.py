@@ -9,7 +9,8 @@ from qcreparam import seminorm as sn
 from qcreparam.errors import InputFormatError, StencilOutOfDomain
 from qcreparam.seminorm import half_circle_directions
 
-from conftest import linear_qcmap, rand_sampled_norm, rand_spd, sector_reference, traced_peak
+from conftest import (estimate_rows_reference, linear_qcmap, rand_sampled_norm, rand_spd,
+                      sector_reference, traced_peak)
 
 EUCLID = qc.TargetSpace.euclidean(2)
 
@@ -163,10 +164,33 @@ class TestEstimateDerivative:
             ii, jj = np.nonzero(u.grid.interior_mask)
             z = np.column_stack([u.grid.x[ii, jj], u.grid.y[ii, jj]])
             dirs = fd._stencil_directions(target)
-            assert len(seen) == len(dirs)
+            # the stencil hands over blocks of directions, (B, N, d) each
+            points = np.concatenate([xs.reshape(-1, len(ii), u.target.d) for xs in seen])
+            assert len(points) == len(dirs)
             scale = np.abs(u.values[u.grid.disc_mask]).max()
-            for v, got in zip(dirs, seen):
+            for v, got in zip(dirs, points):
                 assert np.all(np.abs(got - u.sample(z + u.grid.h * v)) <= 1e-15 * scale)
+
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 164])
+    def test_blocked_stencil_matches_per_direction(self, n):
+        # blocks of GAUGE_BLOCK // N directions run the same operations on the
+        # same operands as one direction at a time, so the rows and their index
+        # keep every bit; at n = 164, N > GAUGE_BLOCK and a block is one direction
+        targets = [EUCLID, qc.TargetSpace.quadratic([[2.0, 0.3], [0.3, 0.5]]),
+                   qc.TargetSpace.linf(), qc.TargetSpace.l1()]
+        if n == 164:
+            assert np.count_nonzero(qc.DiscGrid(n).interior_mask) > sn.GAUGE_BLOCK
+            targets = targets[::2]
+        for target in targets:
+            u = make_map(n, lambda x, y: np.stack([x + 0.2 * x * y + 0.05 * np.sin(3.0 * y),
+                                                   y + 0.1 * x * x]), target)
+            ii, jj = np.nonzero(u.grid.interior_mask)
+            kind, rows, inv = fd._estimate_rows(u, ii, jj)
+            want_kind, want_rows, want_inv = estimate_rows_reference(u, ii, jj)
+            assert kind == want_kind
+            assert rows.tobytes() == want_rows.tobytes()
+            assert np.array_equal(inv, want_inv)
 
 
 class TestQuadrature:

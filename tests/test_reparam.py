@@ -75,6 +75,92 @@ class TestChooseDelta:
         assert deltas == sorted(deltas, reverse=True)
 
 
+def choose_delta_reference(field_, eps):
+    """choose_delta as an exact solve at every delta from 1 downward: the first
+    delta whose regularized jacobian integral fits area + eps."""
+    target = qc.area_intrinsic(field_) + eps
+    delta = 1.0
+    for _ in range(rp.DELTA_MAX_HALVINGS + 1):
+        val = field_.grid.integrate(field_.jacobian_intrinsic_density(delta))
+        if val <= target:
+            return delta
+        delta *= 0.5
+    raise SearchExhausted("no regularization scale fits the area budget", achieved=val)
+
+
+def fresh(field_):
+    """The same field with no ellipse solved yet."""
+    return fd.DerivativeField(grid=field_.grid, kind=field_.kind, rows=field_.rows,
+                              index=field_.index)
+
+
+def _bending(x, y):
+    return np.stack([x + 0.2 * x * y, y + 0.1 * x * x])
+
+
+# fields of both representations: the fixtures, the nonlinear map into l-inf
+# and l1, an anisotropic linear map into l-inf and a constant (degenerate) map
+DELTA_FIELDS = {
+    "stretch": (EUCLID, lambda x, y: np.stack([2.0 * x, y])),
+    "random-smooth": (EUCLID, None),
+    "linf-identity": (qc.TargetSpace.linf(), lambda x, y: np.stack([x, y])),
+    "linf-bending": (qc.TargetSpace.linf(), _bending),
+    "l1-bending": (qc.TargetSpace.l1(), _bending),
+    "linf-diag41": (qc.TargetSpace.linf(), lambda x, y: np.stack([4.0 * x, y])),
+    "linf-constant": (qc.TargetSpace.linf(), lambda x, y: np.stack([0 * x + 1.0, 0 * y])),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DELTA_FIELDS))
+def delta_field(request):
+    from conftest import PIPELINE_MAPS
+
+    target, fn = DELTA_FIELDS[request.param]
+    return qc.estimate_field(make_map(64, fn or PIPELINE_MAPS[request.param], target))
+
+
+class TestChooseDeltaSearch:
+    @pytest.mark.parametrize("epsilon", [0.2 * np.pi, 0.05])
+    def test_matches_top_down_search(self, delta_field, epsilon, monkeypatch):
+        # the estimate from the delta = 0 ellipses, then at most two exact
+        # solves, give the delta of a solve at every delta from 1 downward
+        eps = rp.epsilon_internal(qc.area_intrinsic(delta_field), epsilon)
+        want = choose_delta_reference(fresh(delta_field), eps)
+        solves, row_ellipse = [], rp.fd.sn.row_ellipse
+        monkeypatch.setattr(rp.fd.sn, "row_ellipse",
+                            lambda kind, rows, delta=0.0: solves.append(delta)
+                            or row_ellipse(kind, rows, delta))
+        field_ = fresh(delta_field)
+        assert rp.choose_delta(field_, eps) == want
+        assert len([d for d in solves if d > 0]) <= 2
+        # the exact check of the returned delta is the one the report shows
+        val = field_.grid.integrate(field_.jacobian_intrinsic_density(want))
+        assert val <= qc.area_intrinsic(field_) + eps
+
+    @pytest.mark.parametrize("scale", [0.25, 4.0])
+    def test_walks_from_a_wrong_estimate(self, delta_field, scale, monkeypatch):
+        # an estimate read at 4 delta or delta / 4 starts the search two halvings
+        # off; the walk down or up from there still ends at the largest fit
+        eps = rp.epsilon_internal(qc.area_intrinsic(delta_field), 0.05)
+        want = choose_delta_reference(fresh(delta_field), eps)
+        estimate = fd.DerivativeField.jacobian_estimate
+        monkeypatch.setattr(fd.DerivativeField, "jacobian_estimate",
+                            lambda self, delta: estimate(self, scale * delta))
+        assert rp.choose_delta(fresh(delta_field), eps) == want
+
+    @pytest.mark.parametrize("target, rank", [(EUCLID, 0), (EUCLID, 1),
+                                              (qc.TargetSpace.linf(), 0)])
+    def test_exhausted_reports_the_last_value(self, target, rank):
+        # a degenerate field keeps J_delta - area at delta^2 or more at every
+        # delta, so no delta fits a budget of 1e-300
+        f = qc.estimate_field(make_map(32, lambda x, y: np.stack([rank * x, 0 * y]), target))
+        with pytest.raises(SearchExhausted) as want:
+            choose_delta_reference(fresh(f), 1e-300)
+        with pytest.raises(SearchExhausted) as got:
+            rp.choose_delta(fresh(f), 1e-300)
+        assert got.value.achieved == want.value.achieved
+
+
 class TestChooseThreshold:
     def test_bounded_field_annulus(self, stretch_field):
         delta = 0.125

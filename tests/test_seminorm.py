@@ -85,6 +85,33 @@ class TestSampledGauge:
         err = np.abs(s(pts) - np.abs(pts @ u))
         assert np.all(err <= 1e-13 * np.linalg.norm(pts, axis=1))
 
+    @pytest.mark.parametrize("m", [8, 14, 28, 64, 117])
+    def test_wrapped_table_matches_sector_reference(self, rng, m):
+        # the wrapped table read at floor(atan2 m / pi) + m + 1 gives the bits
+        # of the mod-m rule, on random points, the sample rays, both sides of
+        # +-x with signed zeros, and the rows of a stacked table; at m = 14 and
+        # 28 the product with m / pi puts (-1, -0.0) at -m - 1
+        rows = np.vstack([np.abs(half_circle_directions(m)).max(axis=1),
+                          np.abs(half_circle_directions(m)).sum(axis=1),
+                          1.0 + rng.uniform(0, 0.3, m)])
+        d = half_circle_directions(m)
+        pts = np.vstack([rng.normal(size=(2000, 2)), d, -d, 2.5 * d,
+                         [[1.0, 0.0], [1.0, -0.0], [-1.0, 0.0], [-1.0, -0.0],
+                          [0.0, 1.0], [0.0, -1.0], [0.0, 0.0], [-0.0, -0.0]]])
+        x, y = pts.T
+        t = np.floor(np.arctan2(y, x) * (m / math.pi)).astype(np.intp)
+        assert t.min() >= -m - 1 and t.max() <= m
+        if m in (14, 28):
+            assert t.min() == -m - 1
+        halves = sn.half_edges(rows)
+        table = sn.wrapped_edges(halves)
+        assert table.shape == (3, 2 * m + 2, 2)
+        for r, half in enumerate(halves):
+            want = sector_reference(half, pts).view(np.uint64)
+            got = sn.sector_gauge(table.reshape(-1, 2), m, x, y, r)
+            assert np.array_equal(got.view(np.uint64), want)
+            assert np.array_equal(sn.edge_gauge(half, pts).view(np.uint64), want)
+
     def test_peak_memory_is_one_block(self, rng):
         # points go GAUGE_BLOCK at a time, so the call needs at most 2 MB
         # beyond its output
@@ -415,3 +442,31 @@ class TestValidation:
         assert not qc.SemiNorm2.sampled(vals).is_convex()
         vals[5] = 0.0     # degenerate: the ball is unbounded
         assert not qc.SemiNorm2.sampled(vals).is_convex()
+
+
+def solve3_reference(a, b):
+    """Cramer's rule with numpy's cross products, a row sum for det."""
+    c0, c1, c2 = (np.cross(a[..., i, :], a[..., j, :]) for i, j in ((1, 2), (2, 0), (0, 1)))
+    det = np.sum(a[..., 0, :] * c0, axis=-1)
+    return (b[..., 0, None] * c0 + b[..., 1, None] * c1 + b[..., 2, None] * c2) / det[..., None]
+
+
+class TestSolve3:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_cross_product_reference(self, seed):
+        # bit for bit, nan and signed infinities of singular systems included:
+        # repeated or opposite rows, a zero column, all -0.0, zero right sides
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(400, 3, 3, 3))
+        b = rng.normal(size=(400, 3, 3))
+        a[:40, :, 2] = a[:40, :, 1]
+        a[40:80, :, 0] = -a[40:80, :, 1]
+        a[80:120, ..., 2] = 0.0
+        a[120:160] = -0.0
+        b[160:200] = 0.0
+        a[200:240] *= np.exp(rng.uniform(-300, 300, size=(40, 1, 1, 1)))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            for aa in (a, np.swapaxes(a, -1, -2)):
+                want = solve3_reference(aa, b)
+                assert not np.all(np.isfinite(want))
+                assert sn._solve3(aa, b).tobytes() == want.tobytes()
