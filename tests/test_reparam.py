@@ -12,7 +12,7 @@ from qcreparam import lattice
 from qcreparam import reparam as rp
 from qcreparam.errors import AuditFailed, QcreparamError, SearchExhausted
 
-from conftest import edge_max_reference, sector_reference
+from conftest import PIPELINE_MAPS, edge_max_reference, sector_reference
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -102,7 +102,7 @@ def _bending(x, y):
 # and l1, an anisotropic linear map into l-inf and a constant (degenerate) map
 DELTA_FIELDS = {
     "stretch": (EUCLID, lambda x, y: np.stack([2.0 * x, y])),
-    "random-smooth": (EUCLID, None),
+    "random-smooth": (EUCLID, PIPELINE_MAPS["random-smooth"]),
     "linf-identity": (qc.TargetSpace.linf(), lambda x, y: np.stack([x, y])),
     "linf-bending": (qc.TargetSpace.linf(), _bending),
     "l1-bending": (qc.TargetSpace.l1(), _bending),
@@ -113,10 +113,8 @@ DELTA_FIELDS = {
 
 @pytest.fixture(scope="module", params=sorted(DELTA_FIELDS))
 def delta_field(request):
-    from conftest import PIPELINE_MAPS
-
     target, fn = DELTA_FIELDS[request.param]
-    return qc.estimate_field(make_map(64, fn or PIPELINE_MAPS[request.param], target))
+    return qc.estimate_field(make_map(64, fn, target))
 
 
 class TestChooseDeltaSearch:
