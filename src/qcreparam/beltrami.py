@@ -127,8 +127,8 @@ class ComplexField:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.S <= 1.0:
-            raise ValueError("box half-width must exceed 1")
+        if not (math.isfinite(self.S) and self.S > 1.0):
+            raise ValueError(f"box half-width must be finite and exceed 1, got {self.S}")
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("field must be a square grid")

@@ -147,6 +147,8 @@ def cmd_reparam(args):
     _check_solver_resolution(2 * u.grid.n)
     if not (np.isfinite(args.epsilon) and args.epsilon > 0):
         raise ConfigError(f"epsilon must be finite and positive, got {args.epsilon}")
+    if not (np.isfinite(args.quad_budget) and args.quad_budget >= 0):
+        raise ConfigError(f"quad budget must be finite and non-negative, got {args.quad_budget}")
     outdir = args.outdir or "."
     os.makedirs(outdir, exist_ok=True)
     try:

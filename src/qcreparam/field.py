@@ -5,10 +5,10 @@ midpoint quadrature with weight h^2 per cell).  Map values live on every cell
 whose center lies in the open disc; derivative semi-norms are estimated on
 the interior cells (margin 2.5h from the boundary: the stencil radius h plus
 sqrt(2) h for the bilinear support) so that all finite difference stencils
-stay inside the sampled region.  Integrals extend the
-interior integrand to the remaining boundary cells by nearest interior cell,
-which keeps constant integrands exact and the domain area at its lattice
-value.
+stay inside the sampled region.  Integrals extend the interior integrand by
+nearest interior cell to the cells within radius 1 + h, the disc cells and
+the nearest cells of points in the closed disc; this keeps constant
+integrands exact and the domain area at its lattice value.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ from .seminorm import SemiNorm2, half_circle_directions
 
 QUADRATIC_STENCIL_DIRECTIONS = 8
 WRITE_ROWS = 1 << 10        # rows formatted per block by write_cells
-EXT_BLOCK = 1 << 14         # cells per block of DiscGrid.extension_indices
 
 
 @dataclass(frozen=True)
 class DiscGrid:
-    """Cell grid on [-1,1]^2 masked to the unit disc; every cell reads its
-    nearest interior cell (extension_indices), found from the interior mask
-    alone."""
+    """Cell grid on [-1,1]^2 masked to the unit disc; cells within radius
+    1 + h read their nearest interior cell (extension_indices), found from the
+    interior mask alone."""
 
     n: int
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -92,68 +91,36 @@ class DiscGrid:
         return self.h * self.h
 
     def extension_indices(self):
-        """For every cell, the (i, j) index of the nearest interior cell; among
-        equally near ones the least column, as an exact Euclidean distance
-        transform chooses.
+        """For every cell within radius 1 + h, the (i, j) index of the nearest
+        interior cell, ties to the least column, then row, as an exact
+        Euclidean distance transform chooses; every other cell maps to itself.
 
-        Row r of the interior mask, a lattice disc, is one interval [lo_r, hi_r],
-        so the nearest interior cell to p = (i, j) within row r is
-        (r, clip(j, lo_r, hi_r)), and the nearest of all is the least
-        (d^2, column) over the rows (the mask is convex, so no two nearest cells
-        share a column).  Only rows that can hold it are searched.  In index
-        units about the grid centre c, let P be the largest squared radius of an
-        interior cell, and q0 the candidate in the row of p's radial projection
-        onto the disc of radius sqrt(P), at distance D from p.  The nearest cell
-        is no farther than q0, so it lies within D rows of i, and in the lens
-        where the discs of radius D about p and sqrt(P) about c meet.  Their
-        common chord lies at t = (|p-c|^2 + D^2 - P) / (2 |p-c|) from p, and
-        0 <= t <= |p-c|, as p is exterior (|p-c|^2 >= P) and q0 lies on p's side
-        ((p-c).(q0-c) >= 0, so D^2 <= |p-c|^2 + P).  Neither cap of the lens is
-        then more than a half disc, so the lens lies in the disc on the chord, of
-        radius sqrt(D^2 - t^2): the rows of that disc, widened by 1e-3 against
-        rounding, are the ones searched.
-        """
+        The program reads disc cells and the nearest cells of points in the
+        closed disc, all within radius 1 + h.  In index units such a cell lies
+        at radius rho < n/2 + 1, and interior cells at rho < n/2 - margin / h.
+        The cell holding the point of radius n/2 - margin / h - sqrt(2)/2 on its
+        ray is interior, within rho - n/2 + margin / h + sqrt(2) < 4.92 cells,
+        so the offsets with d^2 <= 24, in (d^2, column, row) order, find it."""
         if "ext" not in self._cache:
-            mask, n = self.interior_mask, self.n
-            live = np.flatnonzero(mask.any(axis=1))
-            lo = np.argmax(mask, axis=1)
-            hi = n - 1 - np.argmax(mask[:, ::-1], axis=1)
-            c = 0.5 * (n - 1)
-            big_p = np.max((live - c) ** 2 + np.maximum(c - lo[live], hi[live] - c) ** 2)
-            i, j = np.nonzero(~mask)
-            di, dj = i - c, j - c
-            pc2 = di * di + dj * dj
-            pc = np.sqrt(pc2)
-            r0 = np.clip(np.rint(c + di * (np.sqrt(big_p) / pc)).astype(np.intp),
-                         live[0], live[-1])
-            dd = (i - r0) ** 2 + (j - np.clip(j, lo[r0], hi[r0])) ** 2
-            reach = np.sqrt(dd).astype(np.intp)     # floor(D): dd is an integer
-            t = (pc2 - big_p + dd) / (2.0 * pc)
-            mid = i - t * (di / pc)
-            half = np.sqrt(np.maximum(dd - t * t, 0.0)) + 1e-3
-            first = np.maximum(np.maximum(i - reach, live[0]),
-                               np.floor(mid - half).astype(np.intp))
-            last = np.minimum(np.minimum(i + reach, live[-1]),
-                              np.ceil(mid + half).astype(np.intp))
-            # one entry per (cell, searched row), keyed (d^2, column, row), for
-            # EXT_BLOCK cells at a time
-            best = np.empty_like(i)
-            for b in range(0, len(i), EXT_BLOCK):
-                cells = slice(b, b + EXT_BLOCK)
-                width = last[cells] - first[cells] + 1
-                start = np.cumsum(width) - width
-                row = np.arange(width.sum()) - np.repeat(start - first[cells], width)
-                ri, rj = np.repeat(i[cells], width), np.repeat(j[cells], width)
-                col = np.clip(rj, lo[row], hi[row])
-                key = (((ri - row) ** 2 + (rj - col) ** 2) * n + col) * n + row
-                best[cells] = np.minimum.reduceat(key, start)
+            n, mask = self.n, self.interior_mask
+            reach = 1.0 + self.margin / self.h + math.sqrt(2.0)
+            w = int(reach)          # the window's half-width; the mask is padded by it
+            di, dj = np.indices((2 * w + 1, 2 * w + 1)).reshape(2, -1) - w
+            d2 = di * di + dj * dj
+            window = np.lexsort((di, dj, d2))[:np.count_nonzero(d2 <= reach * reach)]
+            di, dj, m = di[window], dj[window], n + 2 * w
+            i, j = np.nonzero(~mask & (self.radius < 1.0 + self.h))
+            # one flat gather: far cheaper than a gather by two index arrays
+            hit = np.pad(mask, w).ravel()[((i + w) * m + j + w)[:, None] + (di * m + dj)]
+            first = np.argmax(hit, axis=1)
             ei, ej = np.indices((n, n))
-            ei[i, j], ej[i, j] = best % n, best // n % n
+            ei[i, j], ej[i, j] = i + di[first], j + dj[first]
             self._cache["ext"] = (ei, ej)
         return self._cache["ext"]
 
     def extend(self, arr):
-        """Nearest-interior extension of a per-cell array onto all cells."""
+        """Nearest-interior extension of a per-cell array onto the cells within
+        radius 1 + h; every other cell keeps its own value."""
         ei, ej = self.extension_indices()
         return arr[ei, ej]
 
@@ -376,19 +343,21 @@ class DerivativeField:
 
     Stored as the packed rows the stencil found, (q11, q12, q22) per interior
     cell or m gauge values per distinct row, and each cell's row number,
-    extended to all cells by nearest interior cell.  A density is its
-    seminorm row_* function applied to the rows and gathered by the index.
+    extended by nearest interior cell to the cells within radius 1 + h.  A
+    density is a seminorm row_* function of the rows, gathered by the index.
     """
 
     grid: DiscGrid
     kind: str                       # "quadratic" | "sampled"
     rows: np.ndarray                # (R, 3 or m) packed rows
-    index: np.ndarray               # (n, n) row of each cell, extended
+    index: np.ndarray               # (n, n) row of each cell, extended; 0 beyond 1 + h
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def from_interior(grid, kind, rows, inv):
-        """The field whose interior cells, in np.nonzero order, carry rows[inv]."""
+        """The field whose interior cells, in np.nonzero order, carry rows[inv];
+        cells beyond radius 1 + h hold row 0, unread yet finite, as
+        build_coefficient multiplies the whole Beltrami density by the A mask."""
         index = np.zeros((grid.n, grid.n), dtype=np.intp)
         index[grid.interior_mask] = inv
         return DerivativeField(grid=grid, kind=kind, rows=rows, index=grid.extend(index))
@@ -401,7 +370,8 @@ class DerivativeField:
         """SemiNorm2 of the cell (nearest-interior extension applied)."""
         return SemiNorm2.from_row(self.kind, self.rows[self.index[i, j]])
 
-    # per-cell (n, n, k) views read by bench/spans.py; ROADMAP item 1 deletes them
+    # per-cell (n, n, k) views read by bench/spans.py (on interior cells only);
+    # cells beyond radius 1 + h hold row 0.  ROADMAP item 1 deletes them
     quad = property(lambda self: self.rows[self.index] if self.kind == "quadratic" else None)
     samp = property(lambda self: self.rows[self.index] if self.kind == "sampled" else None)
 

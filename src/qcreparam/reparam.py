@@ -256,7 +256,8 @@ class ReparamReport:
         return [(name, lhs, rhs, rhs - lhs) for name, lhs, rhs in rows]
 
     def failures(self):
-        return [name for name, _, _, slack in self.inequalities() if slack < 0]
+        # a NaN slack fails too: only a checked slack >= 0 passes
+        return [name for name, _, _, slack in self.inequalities() if not slack >= 0]
 
     def render(self):
         f = lambda v: format(float(v), ".17g")
@@ -305,6 +306,8 @@ def epsilon_conformal(u, epsilon, *, quad_rel=QUAD_BUDGET_REL, seed=None):
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    if not (math.isfinite(quad_rel) and quad_rel >= 0):
+        raise ValueError(f"quad budget must be finite and non-negative, got {quad_rel}")
     field_ = fd.estimate_field(u)
     return epsilon_conformal_from_field(field_, epsilon, quad_rel=quad_rel, seed=seed)
 

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 
@@ -120,6 +121,17 @@ class TestSolveCommand:
         code, _, err = run(["solve", "--input", str(path)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("half_width", [float("nan"), float("inf")])
+    def test_solve_rejects_nonfinite_box(self, capsys, tmp_path, half_width):
+        # the layout of ComplexField.save, with a box half-width it refuses
+        path = tmp_path / "mu.bin"
+        path.write_bytes(struct.pack("<dq", half_width, 64) + bytes(64 * 64 * 16))
+        code, out, err = run(["solve", "--input", str(path), "--outdir",
+                              str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert "box half-width must be finite and exceed 1" in err
+        assert out == "" and not (tmp_path / "out").exists()
+
 
 class TestReparamCommand:
     def test_stretch_report(self, fixtures, capsys, tmp_path):
@@ -157,6 +169,23 @@ class TestReparamCommand:
                             f"--epsilon={epsilon}", "--outdir", str(tmp_path)], capsys)
         assert code == 2
         assert "epsilon must be finite and positive" in err
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-0.5"])
+    def test_rejects_bad_quad_budget(self, fixtures, capsys, tmp_path, budget):
+        # a NaN budget would make every slack NaN, and inf would pass every check
+        out_dir = tmp_path / "out"
+        code, out, err = run(["reparam", "--input", str(fixtures / "st.map"), "--epsilon",
+                              "0.6283", f"--quad-budget={budget}", "--outdir", str(out_dir)],
+                             capsys)
+        assert code == 2
+        assert "quad budget must be finite and non-negative" in err
+        assert out == "" and not out_dir.exists()
+
+    def test_accepts_zero_quad_budget(self, fixtures, capsys, tmp_path):
+        code, out, _ = run(["reparam", "--input", str(fixtures / "st.map"), "--epsilon",
+                            "0.6283", "--quad-budget", "0", "--outdir", str(tmp_path)], capsys)
+        assert code in (0, 4)
+        assert "quad_budget = 0\n" in out
 
 
     def test_resolution_need_not_be_a_power_of_two(self, capsys, tmp_path):
@@ -395,8 +424,8 @@ class TestNumericalExit:
 
 
 def test_euclidean_pipeline_leaves_out_scipy_spatial():
-    # the Newton start is a lattice scatter, the extension a search over the
-    # interior mask's row intervals: the pipeline loads no scipy module
+    # the Newton start is a lattice scatter, the extension a fixed window over
+    # the interior mask: the pipeline loads no scipy module
     src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
     script = """
 import sys

@@ -49,17 +49,18 @@ class TestDiscGrid:
         assert np.array_equal(ext[g.interior_mask], arr[g.interior_mask])
 
     def test_extension_matches_distance_transform(self):
-        # the nearest interior cell on every cell, ties to the least column, as
-        # scipy's exact Euclidean distance transform finds it; the large sizes
-        # include ones where a fixed band of rows about the radial projection
-        # misses the nearest cell
+        # the nearest interior cell on every cell within radius 1 + h, ties to
+        # the least column, as scipy's exact Euclidean distance transform finds
+        # it; every other cell maps to itself
         from scipy import ndimage
 
         for n in [*range(16, 301), 401, 418, 442, 511, 512, 1000, 1024, 2048]:
             g = qc.DiscGrid(n)
             _, want = ndimage.distance_transform_edt(~g.interior_mask, return_indices=True)
             got = np.stack(g.extension_indices()).astype(want.dtype)
-            assert got.tobytes() == want.tobytes(), n
+            ring = g.radius < 1.0 + g.h
+            assert got[:, ring].tobytes() == want[:, ring].tobytes(), n
+            assert np.array_equal(got[:, ~ring], np.indices((n, n))[:, ~ring]), n
 
 
 class TestTargetSpace:
@@ -720,10 +721,11 @@ class TestCellFiles:
         self.check_map(qc.SampledMap(grid=grid, target=qc.TargetSpace.euclidean(6),
                                      values=values), tmp_path / "rand.map")
         cells = int(grid.interior_mask.sum())
+        ring = grid.radius < 1.0 + grid.h       # the cells the program reads
         gauges = np.abs(random_floats(rng, cells * 16)).reshape(cells, 16)
         f = qc.DerivativeField.from_interior(grid, "sampled", gauges, np.arange(cells))
         g = self.check_field(f, tmp_path / "sampled.txt")
-        assert same_bits(g.rows[g.index], f.rows[f.index] + 0.0)
+        assert same_bits(g.rows[g.index[ring]], f.rows[f.index[ring]] + 0.0)
         a, c = np.abs(random_floats(rng, 2 * cells)).reshape(2, cells)
         a[a > 1e300] *= 1e-10              # keep the trace of a row finite
         c[c > 1e300] *= 1e-10
@@ -732,7 +734,7 @@ class TestCellFiles:
         quad = np.column_stack([a, b, c])
         f = qc.DerivativeField.from_interior(grid, "quadratic", quad, np.arange(cells))
         g = self.check_field(f, tmp_path / "quadratic.txt")
-        assert same_bits(g.rows[g.index], f.rows[f.index] + 0.0)
+        assert same_bits(g.rows[g.index[ring]], f.rows[f.index[ring]] + 0.0)
 
     @staticmethod
     def edited(path, old, new):

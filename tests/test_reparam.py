@@ -383,6 +383,9 @@ class TestPipeline:
         rep.energy_after = 1e9
         assert "budget-exceeded" in rep.render()
         assert "final_integrated_bound" in ",".join(rep.failures())
+        rep.energy_after = np.nan           # a NaN slack is no pass
+        assert rep.render().endswith(
+            "status = budget-exceeded final_integrated_bound,headline\n")
 
     def test_determinism(self):
         u = make_map(64, lambda x, y: np.stack([2.0 * x, y]))
@@ -400,6 +403,27 @@ class TestPipeline:
         u = make_map(32, lambda x, y: np.stack([x, y]))
         with pytest.raises(ValueError, match="finite and positive"):
             qc.epsilon_conformal(u, epsilon)
+
+    @pytest.mark.parametrize("quad_rel", [np.nan, np.inf, -0.5])
+    def test_rejects_bad_quad_budget(self, quad_rel):
+        u = make_map(32, lambda x, y: np.stack([x, y]))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            qc.epsilon_conformal(u, 0.5, quad_rel=quad_rel)
+
+    @pytest.mark.parametrize("target", [EUCLID, qc.TargetSpace.linf()], ids=["quadratic", "linf"])
+    def test_cells_beyond_the_ring_are_never_read(self, target):
+        # every cell at radius >= 1 + h points to an appended sentinel row: the
+        # report keeps its bytes.  The row must be finite, as build_coefficient
+        # multiplies the whole Beltrami density by the A mask.
+        f = qc.estimate_field(make_map(64, _bending, target))
+        grid = f.grid
+        beyond = grid.radius >= 1.0 + grid.h
+        assert np.count_nonzero(beyond) == 708
+        sentinel = np.full((1, f.rows.shape[1]), 7.0)
+        g = fd.DerivativeField(grid=grid, kind=f.kind, rows=np.vstack([f.rows, sentinel]),
+                               index=np.where(beyond, len(f.rows), f.index))
+        want = rp.epsilon_conformal_from_field(f, 0.2 * np.pi)[2].render()
+        assert rp.epsilon_conformal_from_field(g, 0.2 * np.pi)[2].render() == want
 
 
 class TestSearchFailure:
