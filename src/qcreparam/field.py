@@ -356,8 +356,7 @@ class DerivativeField:
     @staticmethod
     def from_interior(grid, kind, rows, inv):
         """The field whose interior cells, in np.nonzero order, carry rows[inv];
-        cells beyond radius 1 + h hold row 0, unread yet finite, as
-        build_coefficient multiplies the whole Beltrami density by the A mask."""
+        cells beyond radius 1 + h hold row 0, on which no result depends."""
         index = np.zeros((grid.n, grid.n), dtype=np.intp)
         index[grid.interior_mask] = inv
         return DerivativeField(grid=grid, kind=kind, rows=rows, index=grid.extend(index))

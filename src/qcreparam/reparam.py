@@ -130,18 +130,16 @@ def choose_threshold(field_, delta, eps):
 
 
 def build_coefficient(field_, delta, thr):
-    """Beltrami coefficient field of the regularized derivative on A.
+    """Beltrami coefficient of the regularized derivative on A, zero elsewhere,
+    as the one field the pipeline carries from here to the solve.
 
     Returned on the solver box, the disc grid padded by n/2 cells per side:
-    nodes with |z| <= 1 - 1/L take the coefficient of their disc cell when
-    that cell is in A, all other nodes are zero.  Also returns the per-cell
-    coefficient used for the set-B comparison.
+    for even n every box node over the disc grid is a cell center and takes
+    its cell's value, so no radius cut is needed, A lying in |z| <= 1 - 1/L
+    already.  Every node off A holds +0.0.
     """
-    mu_cells = field_.beltrami_density(delta) * thr.mask
-    mu = ComplexField(S=SOLVER_BOX, values=np.pad(mu_cells, field_.grid.n // 2))
-    x, y = mu.meshes()
-    mu.values[np.hypot(x, y) > 1.0 - 1.0 / thr.L] = 0.0
-    return mu, mu_cells
+    mu = np.where(thr.mask, field_.beltrami_density(delta), 0.0)
+    return ComplexField(S=SOLVER_BOX, values=np.pad(mu, field_.grid.n // 2))
 
 
 def _cells_from_solver(mu_field, grid):
@@ -160,17 +158,19 @@ class SmoothingResult:
     k: float
 
 
-def smooth_coefficient(mu, k, eps, field_, *, mu_cells):
-    """Mollify mu at the largest radius whose off-B energy fits eps / K.
+def smooth_coefficient(mu, eps, field_):
+    """Mollify mu, the solver-box field of build_coefficient, at the largest
+    radius whose off-B energy fits eps / K, with k = sup |mu|.
 
     B is the a-posteriori set of disc cells where the mollified coefficient
-    stays within (1 - k^2) eps / (2 + eps) of the raw one; the search
-    decreases eta geometrically from just under the support-to-circle
-    distance and always terminates because a sub-grid radius reproduces mu
-    exactly on the nodes.  mu_cells is mu on the disc cells, as
-    build_coefficient returns it.
+    stays within (1 - k^2) eps / (2 + eps) of mu, both read at the cell
+    centers; the search decreases eta geometrically from just under the
+    support-to-circle distance and always terminates because a sub-grid
+    radius reproduces mu exactly on the nodes.
     """
     grid = field_.grid
+    k = mu.sup_norm()
+    mu_cells = _cells_from_solver(mu, grid)
     K = (1.0 + k) / (1.0 - k)
     budget = eps / K
     bound = (1.0 - k * k) * eps / (2.0 + eps)
@@ -326,9 +326,8 @@ def epsilon_conformal_from_field(field_, epsilon, *, quad_rel=QUAD_BUDGET_REL,
 
     delta = choose_delta(field_, eps_i)
     thr = choose_threshold(field_, delta, eps_i)
-    mu, mu_cells = build_coefficient(field_, delta, thr)
-    k_meas = mu.sup_norm()
-    smooth = smooth_coefficient(mu, k_meas, eps_i, field_, mu_cells=mu_cells)
+    mu = build_coefficient(field_, delta, thr)
+    smooth = smooth_coefficient(mu, eps_i, field_)
     k = smooth.k
     K = (1.0 + k) / (1.0 - k)
 
@@ -365,9 +364,9 @@ def epsilon_conformal_from_field(field_, epsilon, *, quad_rel=QUAD_BUDGET_REL,
         omega_area=omega.area,
         seed=seed,
         extras={"A_mask": thr.mask, "B_mask": smooth.mask,
-                "mu_cells": mu_cells,
+                "mu_cells": _cells_from_solver(mu, grid),
                 "mu_tilde_cells": _cells_from_solver(smooth.mu_tilde, grid),
-                "k_apriori": thr.k_apriori, "k_measured": k_meas,
+                "k_apriori": thr.k_apriori, "k_measured": mu.sup_norm(),
                 "field": field_, "rho": rho},
     )
     if report.failures():
@@ -387,51 +386,47 @@ def audit_cases(report, phi, rng, num=64):
       on B off A:   I2(s_z . Dphi) <= I2(s_z) det Dphi * (1+m)/(1-m) * (1+tol)
       off B:        I2(s_z . Dphi) <= K * I2(s_z) det Dphi * (1+tol)
 
-    where m is the measured coefficient of the normalized composition,
-    sourced from the stored differentials rather than assumed; m itself is
-    checked against epsilon_internal/(2+epsilon_internal) plus the measured
-    solver deviation |mu_rho - mu_tilde| at z (scaled by 1/(1-k^2)).
-    Returns the number of nodes checked.  Raises AuditFailed on failure.
+    where m = |mu_z - mu_rho| / |1 - mu_z conj(mu_rho)| is the measured
+    coefficient of the normalized composition, mu_z the coefficient of
+    build_coefficient at z (zero off A).  Both Dphi terms come from the
+    stored differential, in one batch: with (phi_w, phi_wbar) its Wirtinger
+    pair, det Dphi = |phi_w|^2 - |phi_wbar|^2, and since rho = phi^-1, rho's
+    coefficient at z = phi(w) is mu_rho = -phi_wbar / conj(phi_w).  On B, m
+    itself is checked against epsilon_internal/(2+epsilon_internal) plus the
+    measured solver deviation |mu_rho - mu_tilde| at z (scaled by 1/(1-k^2)).
+    Returns the number of nodes checked.  Raises AuditFailed at the first
+    failing node in sample order, naming the cell and the failed check.
     """
     field_ = report.extras["field"]
     grid = field_.grid
-    amask = report.extras["A_mask"]
-    bmask = report.extras["B_mask"]
-    mu_cells = report.extras["mu_cells"]
-    mu_t_cells = report.extras["mu_tilde_cells"]
     eps_i = report.epsilon_internal
-    delta = report.delta
     k = report.k
-    K = report.K
 
     vals, dfs, _ = phi.domain_samples()
     take = rng.choice(len(vals), size=min(num, len(vals)), replace=False)
-    jd = field_.jacobian_intrinsic_density(delta)
-    en = field_.energy_density()
-    cells = zip(*grid.nearest_cell(vals[take].real, vals[take].imag))
+    i, j = grid.nearest_cell(vals[take].real, vals[take].imag)
+    on_a, on_b = report.extras["A_mask"][i, j], report.extras["B_mask"][i, j]
     # composed integrand, exactly as the energy quadrature evaluates it
-    composed = fd.composed_density(field_, vals[take], dfs[take])
+    lhs = fd.composed_density(field_, vals[take], dfs[take])
 
-    checked = 0
-    for t, (i, j), lhs in zip(take, cells, composed):
-        dphi = dfs[t]
-        det = dphi[0, 0] * dphi[1, 1] - dphi[0, 1] * dphi[1, 0]
+    pw, pwb = mat_to_wirtinger(dfs[take])
+    det = np.abs(pw) ** 2 - np.abs(pwb) ** 2
+    mu_rho = -pwb / np.conj(pw)
+    mu_z = np.where(on_a, report.extras["mu_cells"][i, j], 0.0)
+    m = np.abs(mu_z - mu_rho) / np.abs(1.0 - mu_z * np.conj(mu_rho))
+    dev = np.abs(report.extras["mu_tilde_cells"][i, j] - mu_rho)
+    m_bound = eps_i / (2.0 + eps_i) + dev / (1.0 - k * k) + 1e-9
+    en = field_.energy_density()[i, j]
+    jd = field_.jacobian_intrinsic_density(report.delta)[i, j]
+    rhs = np.where(on_b, np.where(on_a, jd, en) * det * (1.0 + m) / (1.0 - m),
+                   report.K * en * det) * (1.0 + AUDIT_TOL)
 
-        # measured coefficient of rho at z, from the stored inverse differential
-        drho = np.linalg.inv(dphi)
-        fz, fzb = mat_to_wirtinger(drho)
-        mu_rho = fzb / fz
-        if bmask[i, j]:
-            mu_z = mu_cells[i, j] if amask[i, j] else 0.0      # off A, m = |mu_rho|
-            m = abs(mu_z - mu_rho) / abs(1.0 - mu_z * np.conj(mu_rho))
-            dev = abs(mu_t_cells[i, j] - mu_rho)
-            if not m <= eps_i / (2.0 + eps_i) + dev / (1.0 - k * k) + 1e-9:
-                raise AuditFailed()
-            rhs = ((jd if amask[i, j] else en)[i, j] * det * (1.0 + m) / (1.0 - m)
-                   * (1.0 + AUDIT_TOL))
-        else:
-            rhs = K * en[i, j] * det * (1.0 + AUDIT_TOL)
-        if not lhs <= rhs + 1e-12:
-            raise AuditFailed(f"case audit failed at cell ({i},{j}): {lhs} > {rhs}")
-        checked += 1
-    return checked
+    m_fails = on_b & ~(m <= m_bound)
+    fails = m_fails | ~(lhs <= rhs + 1e-12)
+    if fails.any():
+        t = int(np.argmax(fails))
+        at = f"case audit failed at cell ({i[t]},{j[t]})"
+        if m_fails[t]:
+            raise AuditFailed(f"{at}: coefficient {m[t]} > {m_bound[t]}")
+        raise AuditFailed(f"{at}: {lhs[t]} > {rhs[t]}")
+    return len(take)

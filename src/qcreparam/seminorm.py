@@ -234,11 +234,11 @@ class SemiNorm2:
             return math.inf
         return math.pi / float(row_ball_jacobian(self.kind, self.row))
 
-    def is_convex(self, tol=CONVEX_TOL):
+    def is_convex(self):
         """True if the sampled ball polygon is convex (quadratic: always)."""
         if self.kind == "quadratic":
             return True
-        return bool(convex_rows(self.values[None], tol)[0])
+        return bool(convex_rows(self.values[None])[0])
 
     # -- serialization -------------------------------------------------------
 
@@ -311,10 +311,10 @@ def _live_rows(values, live, fn, tail=(), dtype=float):
     return out
 
 
-def convex_rows(values, tol=CONVEX_TOL):
+def convex_rows(values):
     """True per gauge row of values (R, m) whose ball polygon is convex: every
-    turn between consecutive edges is left, up to tol relative; False for
-    degenerate rows, whose ball is unbounded."""
+    turn between consecutive edges is left, up to CONVEX_TOL relative; False
+    for degenerate rows, whose ball is unbounded."""
     def convex(rows):
         half = _vertices(rows)
         verts = np.concatenate([half, -half], axis=-2)
@@ -322,7 +322,7 @@ def convex_rows(values, tol=CONVEX_TOL):
         b = np.roll(a, -1, axis=-2)
         cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
         scale = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
-        return np.all(cross >= -tol * np.maximum(scale, 1e-300), axis=-1)
+        return np.all(cross >= -CONVEX_TOL * np.maximum(scale, 1e-300), axis=-1)
     return _live_rows(values, ~row_degenerate("sampled", values), convex, dtype=bool)
 
 

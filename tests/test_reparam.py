@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -33,6 +34,11 @@ def stretch_field():
 def iso_field():
     u = make_map(96, lambda x, y: np.stack([x, y]))
     return qc.estimate_field(u)
+
+
+@pytest.fixture(scope="module")
+def linf_field():
+    return qc.estimate_field(make_map(64, _bending, qc.TargetSpace.linf()))
 
 
 class TestEpsilonInternal:
@@ -192,15 +198,15 @@ class TestChooseThreshold:
 class TestBuildCoefficient:
     def test_isotropic_field_zero(self, iso_field):
         thr = rp.choose_threshold(iso_field, 0.5, 0.1)
-        mu, mu_cells = rp.build_coefficient(iso_field, 0.5, thr)
+        mu = rp.build_coefficient(iso_field, 0.5, thr)
         assert mu.sup_norm() <= 1e-12
-        assert np.max(np.abs(mu_cells)) <= 1e-12
 
     def test_constant_field_modulus_shrinks_with_delta(self, stretch_field):
         values = []
         for delta in (0.125, 0.5, 2.0):
             thr = rp.choose_threshold(stretch_field, delta, 0.2)
-            mu, mu_cells = rp.build_coefficient(stretch_field, delta, thr)
+            mu_cells = rp._cells_from_solver(rp.build_coefficient(stretch_field, delta, thr),
+                                             stretch_field.grid)
             on = thr.mask & (np.abs(mu_cells) > 0)
             vals = np.abs(mu_cells[on])
             assert vals.max() < 1 / 3
@@ -216,35 +222,44 @@ class TestBuildCoefficient:
         f = qc.estimate_field(u)
         delta = rp.choose_delta(f, 0.3)
         thr = rp.choose_threshold(f, delta, 0.3)
-        mu, _ = rp.build_coefficient(f, delta, thr)
+        mu = rp.build_coefficient(f, delta, thr)
         assert mu.sup_norm() <= thr.k_apriori + 1e-12
 
-    def test_matches_the_nearest_cell_gather(self, stretch_field):
+    @pytest.mark.parametrize("name", ["stretch_field", "linf_field"], ids=["quadratic", "linf"])
+    def test_matches_the_nearest_cell_gather(self, name, request):
         # the padded disc grid against the gathers it replaced: each box
         # node took its nearest disc cell, then the radius cut applied, and
-        # each disc cell read its nearest box node
-        grid = stretch_field.grid
-        thr = rp.choose_threshold(stretch_field, 0.125, 0.2)
-        mu, mu_cells = rp.build_coefficient(stretch_field, 0.125, thr)
+        # each disc cell read its nearest box node.  A holds the cells that
+        # choose_threshold's rule keeps at L = 2, so the cut |z| = 1/2 runs
+        # through disc cells, and on the stretch field (stretch 2 up to
+        # rounding) A also leaves out cells inside the cut.
+        f = request.getfixturevalue(name)
+        grid, L = f.grid, 2.0
+        cut = 1.0 - 1.0 / L
+        mask = grid.disc_mask & (grid.radius <= cut) & (np.sqrt(f.energy_density()) <= L)
+        assert np.any(grid.disc_mask & (grid.radius > cut))
+        thr = rp.ThresholdResult(L=L, mask=mask, off_energy=0.0, K_ecc=0.0, k_apriori=0.0)
+        mu = rp.build_coefficient(f, 0.125, thr)
         x, y = mu.meshes()
-        ref = mu_cells[grid.nearest_cell(x, y)]
-        ref[np.hypot(x, y) > 1.0 - 1.0 / thr.L] = 0.0
+        ref = np.where(mask, f.beltrami_density(0.125), 0.0)[grid.nearest_cell(x, y)]
+        beyond = np.hypot(x, y) > cut
+        ref[beyond] = 0.0
         assert mu.values.tobytes() == ref.tobytes()
+        assert mu.values[beyond].tobytes() == bytes(mu.values[beyond].nbytes)   # +0.0
         i, j = (lattice.nearest(c, -mu.S, mu.spacing, mu.n) for c in (grid.x, grid.y))
         assert rp._cells_from_solver(mu, grid).tobytes() == mu.values[i, j].tobytes()
 
     def test_support_inside_radius_cut(self, stretch_field):
         thr = rp.choose_threshold(stretch_field, 0.125, 0.2)
-        mu, _ = rp.build_coefficient(stretch_field, 0.125, thr)
+        mu = rp.build_coefficient(stretch_field, 0.125, thr)
         assert mu.support_radius() <= 1.0 - 1.0 / thr.L + 1e-12
 
 
 class TestSmoothCoefficient:
     def test_zero_coefficient(self, iso_field):
         thr = rp.choose_threshold(iso_field, 0.5, 0.1)
-        mu, mu_cells = rp.build_coefficient(iso_field, 0.5, thr)
-        sm = rp.smooth_coefficient(mu, mu.sup_norm(), 0.1, iso_field,
-                                   mu_cells=mu_cells)
+        mu = rp.build_coefficient(iso_field, 0.5, thr)
+        sm = rp.smooth_coefficient(mu, 0.1, iso_field)
         assert sm.mu_tilde.sup_norm() <= 1e-12
         assert np.all(sm.mask[iso_field.grid.disc_mask])
         assert sm.off_energy == 0.0
@@ -252,18 +267,16 @@ class TestSmoothCoefficient:
     def test_sup_never_grows(self, stretch_field):
         delta = 0.125
         thr = rp.choose_threshold(stretch_field, delta, 0.2)
-        mu, mu_cells = rp.build_coefficient(stretch_field, delta, thr)
-        sm = rp.smooth_coefficient(mu, mu.sup_norm(), 0.2, stretch_field,
-                                   mu_cells=mu_cells)
+        mu = rp.build_coefficient(stretch_field, delta, thr)
+        sm = rp.smooth_coefficient(mu, 0.2, stretch_field)
         assert sm.mu_tilde.sup_norm() <= sm.k + 1e-15
         assert sm.k >= mu.sup_norm()
 
     def test_budget_certified(self, stretch_field):
         delta = 0.125
         thr = rp.choose_threshold(stretch_field, delta, 0.2)
-        mu, mu_cells = rp.build_coefficient(stretch_field, delta, thr)
-        k = mu.sup_norm()
-        sm = rp.smooth_coefficient(mu, k, 0.2, stretch_field, mu_cells=mu_cells)
+        mu = rp.build_coefficient(stretch_field, delta, thr)
+        sm = rp.smooth_coefficient(mu, 0.2, stretch_field)
         assert sm.off_energy <= 0.2 / ((1 + sm.k) / (1 - sm.k))
         assert sm.max_dev_on_B <= (1 - sm.k**2) * 0.2 / 2.2 + 1e-15
 
@@ -285,7 +298,7 @@ class TestSmoothCoefficient:
 
         monkeypatch.setattr(rp, "mollify", perturbed)
         with pytest.raises(SearchExhausted) as info:
-            rp.smooth_coefficient(mu, k, eps, iso_field, mu_cells=mu_cells)
+            rp.smooth_coefficient(mu, eps, iso_field)
         bound = (1 - k * k) * eps / (2 + eps)
         dens = iso_field.energy_density()
         offs = []
@@ -344,8 +357,10 @@ class TestPipeline:
         assert qc.audit_cases(rep, phi, rng, num=96) == 96
 
     def test_case_audit_failure_is_typed(self, monkeypatch):
-        # a composed integrand far above every bound fails the audit with
-        # AuditFailed, also under python -O, which strips assert statements
+        # both checks fail with AuditFailed, also under python -O, which strips
+        # assert statements: a NaN mollified coefficient on B leaves m no bound
+        # to meet, and a composed integrand far above every bound fails the
+        # energy check
         script = textwrap.dedent("""
             import numpy as np
             import qcreparam as qc
@@ -354,21 +369,38 @@ class TestPipeline:
             u = qc.SampledMap.from_function(qc.DiscGrid(32), qc.TargetSpace.euclidean(2),
                                             lambda x, y: np.stack([2.0 * x, y]))
             phi, _, rep = qc.epsilon_conformal(u, 0.2 * np.pi)
+
+            def audit():
+                try:
+                    qc.audit_cases(rep, phi, np.random.default_rng(0), num=16)
+                except qc.errors.AuditFailed as exc:
+                    print(__debug__, type(exc).__name__, exc)
+
+            cells = rep.extras["mu_tilde_cells"]
+            rep.extras["mu_tilde_cells"] = np.where(rep.extras["B_mask"], np.nan, cells)
+            audit()
+            rep.extras["mu_tilde_cells"] = cells
             fd.composed_density = lambda field_, pts, df: np.full(len(pts), 1e9)
-            try:
-                qc.audit_cases(rep, phi, np.random.default_rng(0), num=16)
-            except qc.errors.AuditFailed as exc:
-                print(__debug__, type(exc).__name__, exc)
+            audit()
             """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
         run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.startswith("False AuditFailed case audit failed at cell")
+        coeff, energy = run.stdout.splitlines()
+        assert re.fullmatch(r"False AuditFailed case audit failed at cell \(\d+,\d+\): "
+                            r"coefficient \S+ > nan", coeff)
+        assert re.fullmatch(r"False AuditFailed case audit failed at cell \(\d+,\d+\): "
+                            r"\S+ > \S+", energy)
 
         u = make_map(32, lambda x, y: np.stack([2.0 * x, y]))
         phi, _, rep = qc.epsilon_conformal(u, 0.2 * np.pi)
+        cells = rep.extras["mu_tilde_cells"]
+        rep.extras["mu_tilde_cells"] = np.where(rep.extras["B_mask"], np.nan, cells)
+        with pytest.raises(AuditFailed, match=r"case audit failed at cell .*: coefficient"):
+            qc.audit_cases(rep, phi, np.random.default_rng(0), num=16)
+        rep.extras["mu_tilde_cells"] = cells
         monkeypatch.setattr(fd, "composed_density",
                             lambda field_, pts, df: np.full(len(pts), 1e9))
         with pytest.raises(AuditFailed, match="case audit failed at cell") as err:
@@ -412,14 +444,14 @@ class TestPipeline:
 
     @pytest.mark.parametrize("target", [EUCLID, qc.TargetSpace.linf()], ids=["quadratic", "linf"])
     def test_cells_beyond_the_ring_are_never_read(self, target):
-        # every cell at radius >= 1 + h points to an appended sentinel row: the
-        # report keeps its bytes.  The row must be finite, as build_coefficient
-        # multiplies the whole Beltrami density by the A mask.
+        # every cell at radius >= 1 + h points to an appended NaN row: the
+        # report keeps its bytes, as build_coefficient selects the Beltrami
+        # density on A rather than multiplying it by the A mask
         f = qc.estimate_field(make_map(64, _bending, target))
         grid = f.grid
         beyond = grid.radius >= 1.0 + grid.h
         assert np.count_nonzero(beyond) == 708
-        sentinel = np.full((1, f.rows.shape[1]), 7.0)
+        sentinel = np.full((1, f.rows.shape[1]), np.nan)
         g = fd.DerivativeField(grid=grid, kind=f.kind, rows=np.vstack([f.rows, sentinel]),
                                index=np.where(beyond, len(f.rows), f.index))
         want = rp.epsilon_conformal_from_field(f, 0.2 * np.pi)[2].render()
@@ -468,8 +500,7 @@ class TestMollificationBand:
         x, y = f0.meshes()
         mu = qc.ComplexField(S=2.0, values=np.where(np.hypot(x, y) <= 0.7,
                                                     0.3, 0.0).astype(complex))
-        mu_cells = rp._cells_from_solver(mu, field.grid)
-        sm = rp.smooth_coefficient(mu, 0.3, 2.0, field, mu_cells=mu_cells)
+        sm = rp.smooth_coefficient(mu, 2.0, field)
         assert sm.eta > 2 * mu.spacing
         assert sm.off_energy <= 2.0 / ((1 + 0.3) / (1 - 0.3))
 
