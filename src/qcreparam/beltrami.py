@@ -119,7 +119,7 @@ def compose_coefficient(mu_f, mu_g, f_z):
 
 # -- fields on the solver box ----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexField:
     """Complex values on the cell-centered periodic box [-S, S]^2."""
 
@@ -227,7 +227,7 @@ def _periodic_convolve(values, kernel):
 
 # -- sampled quasiconformal maps ---------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QCMap:
     """Sampled orientation-preserving map with differentials and certificates.
 

@@ -83,8 +83,10 @@ def cmd_compare_areas(args):
 
 
 def cmd_identities(args):
-    rng = np.random.default_rng(args.seed)
     count = args.count
+    if count < 1:
+        raise ConfigError(f"count must be at least 1, got {count}")
+    rng = np.random.default_rng(args.seed)
     # random orientation-preserving linear maps
     mats = rng.normal(size=(count, 2, 2))
     det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]

@@ -87,6 +87,11 @@ class DiscGrid:
         return self.radius < 1.0 - self.margin
 
     @property
+    def extended_mask(self):
+        """Cells within radius 1 + h, which extend reads from interior cells."""
+        return self.radius < 1.0 + self.h
+
+    @property
     def weight(self):
         return self.h * self.h
 
@@ -109,7 +114,7 @@ class DiscGrid:
             d2 = di * di + dj * dj
             window = np.lexsort((di, dj, d2))[:np.count_nonzero(d2 <= reach * reach)]
             di, dj, m = di[window], dj[window], n + 2 * w
-            i, j = np.nonzero(~mask & (self.radius < 1.0 + self.h))
+            i, j = np.nonzero(~mask & self.extended_mask)
             # one flat gather: far cheaper than a gather by two index arrays
             hit = np.pad(mask, w).ravel()[((i + w) * m + j + w)[:, None] + (di * m + dj)]
             first = np.argmax(hit, axis=1)
@@ -129,7 +134,7 @@ class DiscGrid:
         return float(np.sum(density[self.disc_mask]) * self.weight)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetSpace:
     """Normed target R^d: Euclidean, quadratic-form, or polygonal gauge on R^2."""
 
@@ -138,6 +143,10 @@ class TargetSpace:
     gram: np.ndarray | None = None       # quadratic kind
     gauge: np.ndarray | None = None      # polygonal kind, sampled values
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"target dimension must be at least 1, got {self.d}")
 
     @staticmethod
     def euclidean(d=2):
@@ -222,7 +231,7 @@ class TargetSpace:
         raise InputFormatError(f"unknown target kind {tag!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledMap:
     """Map values on the disc cells of a grid, into a normed target."""
 
@@ -268,7 +277,7 @@ class SampledMap:
         target = TargetSpace.from_descriptor(header[2:])
         if target.d != d:
             raise InputFormatError("target dimension disagrees with header")
-        grid = DiscGrid(n)
+        grid = _file_grid(n, body, "disc")
         values = _cell_records(body, grid.disc_mask, "disc", (), d, np.nan)
         return SampledMap(grid=grid, target=target, values=values)
 
@@ -292,6 +301,17 @@ def write_cells(path, header, fmt, mask, *columns):
 def _read_cell_file(path):
     with open(path) as fh:
         return fh.readline().split(), fh.read()
+
+
+def _file_grid(n, body, what):
+    """DiscGrid(n) of a cell file whose body names each of its what cells (disc
+    or interior) on a line.  Both kinds hold more than n^2 / 4 of the n x n cells
+    at n >= 16, so a shorter body is refused before the grid's masks are built."""
+    grid, lines, need = DiscGrid(n), body.count("\n") + 1, n * n // 4
+    if lines < need:
+        raise InputFormatError(f"at least {need - lines} {what} cells missing from file "
+                               f"({lines} lines for the {n} x {n} grid)")
+    return grid
 
 
 def _cell_records(body, mask, what, lead, width, fill, check_line=lambda parts: None):
@@ -337,7 +357,7 @@ def _cell_records(body, mask, what, lead, width, fill, check_line=lambda parts: 
     return out.reshape(n, n, width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivativeField:
     """Estimated derivative semi-norms of a map, one per interior cell.
 
@@ -366,7 +386,10 @@ class DerivativeField:
         return self.grid.interior_mask
 
     def seminorm_at(self, i, j):
-        """SemiNorm2 of the cell (nearest-interior extension applied)."""
+        """SemiNorm2 of the cell (nearest-interior extension applied);
+        IndexError for a cell beyond radius 1 + h, which is not extended."""
+        if not self.grid.extended_mask[i, j]:
+            raise IndexError(f"cell ({i}, {j}) lies beyond radius 1 + h")
         return SemiNorm2.from_row(self.kind, self.rows[self.index[i, j]])
 
     # per-cell (n, n, k) views read by bench/spans.py (on interior cells only);
@@ -439,7 +462,7 @@ class DerivativeField:
         if len(header) != 2 or header[1] not in ("quadratic", "sampled"):
             raise InputFormatError("bad derivative-field header")
         n, kind = int(header[0]), header[1]
-        grid = DiscGrid(n)
+        grid = _file_grid(n, body, "interior")
         if kind == "quadratic":
             width, lead = 3, (("U2", "Q"),)
         else:       # the first record's size
@@ -468,12 +491,11 @@ def _stencil_directions(target):
 def estimate_derivative(u, i, j):
     """Derivative semi-norm of u at one cell, as estimate_field finds it.
 
-    Raises StencilOutOfDomain if the radius-h stencil leaves the disc.
+    Raises StencilOutOfDomain off the grid's interior_mask, the cells whose
+    stencils estimate_field evaluates; other cells read an extension.
     """
-    grid = u.grid
-    pts = np.array([grid.x[i, j], grid.y[i, j]]) + grid.h * _stencil_directions(u.target)
-    if np.any(np.hypot(pts[:, 0], pts[:, 1]) >= 1.0 - 1.5 * grid.h):
-        raise StencilOutOfDomain(f"stencil at cell ({i}, {j}) leaves the disc")
+    if not (0 <= i < u.grid.n and 0 <= j < u.grid.n and u.grid.interior_mask[i, j]):
+        raise StencilOutOfDomain(f"cell ({i}, {j}) is not interior: its stencil leaves the disc")
     kind, rows, inv = _estimate_rows(u, np.array([i]), np.array([j]))
     return SemiNorm2.from_row(kind, rows[inv[0]])
 

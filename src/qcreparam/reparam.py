@@ -95,7 +95,7 @@ def choose_delta(field_, eps):
                           achieved=val)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdResult:
     L: float
     mask: np.ndarray            # cells of A (subset of the disc cells)
@@ -148,7 +148,7 @@ def _cells_from_solver(mu_field, grid):
     return mu_field.values[o : o + grid.n, o : o + grid.n]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothingResult:
     mu_tilde: ComplexField
     mask: np.ndarray            # cells of B
@@ -203,7 +203,7 @@ def smooth_coefficient(mu, eps, field_):
                           achieved=least)
 
 
-@dataclass
+@dataclass(eq=False)
 class ReparamReport:
     """Machine-checkable transcript of the reparametrization estimates."""
 
@@ -285,7 +285,7 @@ class ReparamReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OmegaRegion:
     """The image region Omega = rho(disc): boundary polyline and its area."""
 

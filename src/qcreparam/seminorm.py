@@ -18,7 +18,8 @@ unit-ball-area normalization), the isotropy defect, quadratic regularization,
 and the Beltrami coefficient of a linear map rounding the inscribed ellipse.
 Each is written once, as a row_* function of the kind and a stack of packed
 rows, (q11, q12, q22) or the m gauge values; DerivativeField applies it to
-its stored rows and the SemiNorm2 operations to one row.  Both representations
+its stored rows and the SemiNorm2 operations to one row, of the delta that
+regularize applied, so both give the same bits.  Both representations
 hand the inscribed ellipse over as the packed matrix (m11, m12, m22) of
 {v : v.Mv <= 1}; the jacobian and the Beltrami coefficient are read from it.
 """
@@ -26,7 +27,7 @@ hand the inscribed ellipse over as the packed matrix (m11, m12, m22) of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,14 +122,15 @@ class Ellipse2:
         return 1.0 / np.sqrt((u / self.a) ** 2 + (w / self.b) ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemiNorm2:
     """A semi-norm on R^2 in quadratic or sampled representation, held as one
-    packed row: (q11, q12, q22) or the m gauge values."""
+    packed row: (q11, q12, q22) or the m gauge values, and the delta regularize applied."""
 
     kind: str
     row: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    delta: float = 0.0
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -205,19 +207,20 @@ class SemiNorm2:
         return float(out[0]) if single else out
 
     def scaled(self, c):
-        """The semi-norm c*s for c > 0."""
+        """The semi-norm c*s for c > 0, of delta c*delta."""
         if c <= 0:
             raise ValueError("scale must be positive")
-        return SemiNorm2.from_row(self.kind, self.row * (c**2 if self.kind == "quadratic" else c))
+        row = self.row * (c**2 if self.kind == "quadratic" else c)
+        return replace(SemiNorm2.from_row(self.kind, row), delta=self.delta * c)
 
     def rotated(self, alpha):
-        """The semi-norm v -> s(R_alpha v)."""
+        """The semi-norm v -> s(R_alpha v), of the same delta."""
         c, s = math.cos(alpha), math.sin(alpha)
         r = np.array([[c, -s], [s, c]])
         if self.kind == "quadratic":
-            return SemiNorm2.quadratic(r.T @ self.matrix @ r)
+            return replace(SemiNorm2.quadratic(r.T @ self.matrix @ r), delta=self.delta)
         dirs = half_circle_directions(self.m) @ r.T
-        return SemiNorm2.sampled(self.__call__(dirs))
+        return replace(SemiNorm2.sampled(self.__call__(dirs)), delta=self.delta)
 
     # -- unit-ball polygon (sampled representation) --------------------------
 
@@ -230,9 +233,8 @@ class SemiNorm2:
 
     def ball_area(self):
         """Lebesgue area of the unit ball {s <= 1}."""
-        if self.degenerate:
-            return math.inf
-        return math.pi / float(row_ball_jacobian(self.kind, self.row))
+        jac = float(row_ball_jacobian(self.kind, self.row))       # 0 where degenerate
+        return math.pi / jac if jac else math.inf
 
     def is_convex(self):
         """True if the sampled ball polygon is convex (quadratic: always)."""
@@ -243,7 +245,7 @@ class SemiNorm2:
     # -- serialization -------------------------------------------------------
 
     def record(self):
-        """Plain-text record: 'Q a11 a12 a22' or 'S m v1 ... vm'."""
+        """Plain-text record: 'Q a11 a12 a22' or 'S m v1 ... vm' (the row, not delta)."""
         return record_format(self.kind, self.row.size) % tuple(self.row)
 
     @staticmethod
@@ -505,13 +507,15 @@ def row_regularized(kind, rows, delta):
 
 
 def row_ellipse(kind, rows, delta=0.0):
-    """Packed M (R, 3) of the inscribed ellipses {v.Mv <= 1} of the delta-regularized
-    rows (R, .).  Degenerate rows get M = 0 only at delta = 0: at delta > 0 every row
-    is a norm (Q + delta^2 I, or gauge values >= delta), though it may test degenerate
-    at tiny delta, and gets its ellipse.  A quadratic ball is its own ellipse."""
-    m = row_regularized(kind, rows, delta)
-    if delta == 0.0:
-        m[row_degenerate(kind, m)] = 0.0
+    """ellipse_rows of the delta-regularized rows (R, .), norms at delta > 0."""
+    return ellipse_rows(kind, row_regularized(kind, rows, delta) if delta else rows, delta > 0)
+
+
+def ellipse_rows(kind, rows, norm):
+    """Packed M (R, 3) of the inscribed ellipses {v.Mv <= 1} of rows (R, .), M = 0 on
+    degenerate rows unless norm: a row regularized at delta > 0 is a norm even where
+    it tests degenerate.  A quadratic ball is its own ellipse."""
+    m = rows if norm else np.where(row_degenerate(kind, rows)[..., None], 0.0, rows)
     return inscribed_ellipses(m) if kind == "sampled" else m
 
 
@@ -540,18 +544,19 @@ def energy_plus(s):
 
 
 def john_ellipse(s):
-    """Maximal-area centered ellipse inscribed in the unit ball of s: the ball
-    itself for quadratic s, a one-row inscribed_ellipses call for sampled s."""
-    if s.degenerate:
+    """Maximal-area centered ellipse inscribed in the unit ball of s, as the one-row
+    ellipse_rows finds it (DegenerateSemiNorm where M = 0); a = inf where M has
+    lost its small eigenvalue, as in ellipse_beltrami."""
+    if not (m := ellipse_rows(s.kind, s.row[None], s.delta > 0)[0]).any():
         raise DegenerateSemiNorm("no inscribed ellipse: semi-norm is degenerate")
-    lmin, lmax, phi = packed_eig(row_ellipse(s.kind, s.row[None])[0])
-    return Ellipse2(a=1.0 / math.sqrt(lmin), b=1.0 / math.sqrt(lmax),
-                    theta=float(phi) + 0.5 * math.pi)
+    lmin, lmax, phi = packed_eig(m)
+    return Ellipse2(a=1.0 / math.sqrt(lmin) if lmin > 0 else math.inf,
+                    b=1.0 / math.sqrt(lmax), theta=float(phi) + 0.5 * math.pi)
 
 
 def jacobian_intrinsic(s):
-    """pi / (area of the inscribed ellipse); 0 for degenerate semi-norms."""
-    return float(ellipse_jacobian(row_ellipse(s.kind, s.row[None]))[0])
+    """pi / (area of the inscribed ellipse); 0 where its M = 0 (see ellipse_rows)."""
+    return float(ellipse_jacobian(ellipse_rows(s.kind, s.row[None], s.delta > 0))[0])
 
 
 def jacobian_hausdorff(s):
@@ -565,16 +570,17 @@ def isotropy_defect(s):
 
 
 def regularize(s, delta):
-    """The semi-norm h -> sqrt(s(h)^2 + delta^2 |h|^2).  Its ball is bounded, yet
-    it may test degenerate at tiny delta (rank-1 quadratic s, delta = 2^-40)."""
+    """The semi-norm h -> sqrt(s(h)^2 + delta^2 |h|^2), of delta hypot(s.delta,
+    delta): a norm, with an ellipse though it may test degenerate at tiny delta."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return SemiNorm2.from_row(s.kind, row_regularized(s.kind, s.row, delta))
+    return replace(SemiNorm2.from_row(s.kind, row_regularized(s.kind, s.row, delta)),
+                   delta=math.hypot(s.delta, delta))
 
 
 def beltrami_of(s):
-    """Beltrami coefficient of an orientation-preserving linear map sending
-    the inscribed ellipse of s to a round ball (see ellipse_beltrami)."""
-    if s.degenerate:
+    """Beltrami coefficient of an orientation-preserving linear map rounding the
+    inscribed ellipse of s (see ellipse_beltrami); DegenerateSemiNorm where M = 0."""
+    if not (m := ellipse_rows(s.kind, s.row[None], s.delta > 0)[0]).any():
         raise DegenerateSemiNorm("Beltrami coefficient needs a non-degenerate norm")
-    return complex(ellipse_beltrami(row_ellipse(s.kind, s.row[None])[0]))
+    return complex(ellipse_beltrami(m))

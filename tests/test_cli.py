@@ -389,6 +389,31 @@ class TestErrors:
         assert code == 2
         assert "cell (16, 16) appears twice" in err
 
+    @pytest.mark.parametrize("command", [["energy"], ["reparam", "--epsilon", "0.6"]])
+    def test_header_larger_than_body(self, capsys, tmp_path, command):
+        # a header n whose n x n grid the body cannot fill is refused before the
+        # grid is built: it ended in a MemoryError (74.5 GiB at n = 100 000)
+        bad = tmp_path / "big.map"
+        bad.write_text("100000 2 euclidean 2\n")
+        code, _, err = run([command[0], "--input", str(bad), *command[1:]], capsys)
+        assert code == 2
+        assert "at least 2499999999 disc cells missing from file" in err
+
+    def test_zero_dimensional_target(self, capsys, tmp_path):
+        # a d = 0 target printed energy = 0 and exited 0
+        bad = tmp_path / "d0.map"
+        bad.write_text("16 0 euclidean 0\n")
+        code, _, err = run(["energy", "--input", str(bad)], capsys)
+        assert code == 2
+        assert "target dimension must be at least 1, got 0" in err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_identities_count_below_one(self, capsys, count):
+        # numpy's "zero-size array to reduction" message gave way to the CLI's own
+        code, _, err = run(["identities", "--count", count], capsys)
+        assert code == 2
+        assert f"count must be at least 1, got {count}" in err
+
 
 class TestNumericalExit:
     def test_coefficient_too_large_exits_3(self, capsys, tmp_path):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import qcreparam as qc
 from qcreparam import field as fd
 from qcreparam import seminorm as sn
-from qcreparam.errors import InputFormatError, StencilOutOfDomain
+from qcreparam.errors import (DegenerateSemiNorm, InputFormatError, QcreparamError,
+                              StencilOutOfDomain)
 from qcreparam.seminorm import half_circle_directions
 
 from conftest import (estimate_rows_reference, linear_qcmap, rand_sampled_norm, rand_spd,
@@ -137,6 +138,27 @@ class TestEstimateDerivative:
         edge = np.argwhere(u.grid.disc_mask & ~u.grid.interior_mask)[0]
         with pytest.raises(StencilOutOfDomain):
             qc.estimate_derivative(u, int(edge[0]), int(edge[1]))
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("target", ["euclidean", "linf"])
+    def test_domain_is_the_interior_mask(self, n, target):
+        # estimate_derivative raises exactly off interior_mask, and elsewhere
+        # gives the field's row bytes: its own stencil-radius test accepted 24
+        # non-interior cells at n = 128 (Euclidean), each with a row the field
+        # does not hold there
+        u = make_map(n, lambda x, y: np.stack([x + 0.2 * x * y, y + 0.1 * x * x]),
+                     EUCLID if target == "euclidean" else qc.TargetSpace.linf())
+        f = qc.estimate_field(u)
+        for i, j in np.argwhere(u.grid.disc_mask).tolist():
+            if u.grid.interior_mask[i, j]:
+                assert (qc.estimate_derivative(u, i, j).row.tobytes()
+                        == f.seminorm_at(i, j).row.tobytes())
+            else:
+                with pytest.raises(StencilOutOfDomain):
+                    qc.estimate_derivative(u, i, j)
+        for i, j in ((-1, 5), (n, 5), (5, -n)):             # off the grid
+            with pytest.raises(StencilOutOfDomain):
+                qc.estimate_derivative(u, i, j)
 
     def test_field_matches_cellwise_estimates(self):
         # the quadratic fit is a fixed-order sum over the directions, so one
@@ -431,6 +453,20 @@ class TestSampledRowsBatched:
 
 
 class TestFieldInvariants:
+    def test_seminorm_at_only_within_the_extension(self):
+        # cells beyond radius 1 + h are not extended: at n = 64, cell (0, 0)
+        # (radius 1.39) returned the row of interior cell (3, 24)
+        f = qc.estimate_field(make_map(64, lambda x, y: np.stack([x + 0.2 * x * y,
+                                                                   y + 0.1 * x * x])))
+        grid = f.grid
+        ei, ej = grid.extension_indices()
+        for i, j in np.argwhere(grid.radius < 1.0 + grid.h).tolist():
+            want = f.rows[f.index[ei[i, j], ej[i, j]]]          # its nearest interior cell
+            assert f.seminorm_at(i, j).row.tobytes() == want.tobytes()
+        for i, j in np.argwhere(grid.radius >= 1.0 + grid.h).tolist():
+            with pytest.raises(IndexError, match="beyond radius 1 \\+ h"):
+                f.seminorm_at(i, j)
+
     def test_area_below_energy_random_smooth(self, rng):
         c = rng.normal(scale=0.1, size=4)
         u = make_map(96, lambda x, y: np.stack([
@@ -513,6 +549,26 @@ class TestFieldInvariants:
             assert errs_a[-1] <= 0.5 * h * 2 * np.pi
         assert errs_e[-1] < errs_e[0]
         assert errs_a[-1] < errs_a[0]
+
+
+def test_array_dataclasses_compare_by_identity():
+    # value equality of a dataclass with an ndarray field raised ValueError
+    # (==, in) or TypeError (hash); no caller relies on it, so each compares
+    # by identity
+    from qcreparam.beltrami import QCMap
+    from qcreparam.reparam import OmegaRegion, ReparamReport, SmoothingResult, ThresholdResult
+
+    for cls in (qc.SemiNorm2, qc.TargetSpace, qc.SampledMap, qc.DerivativeField,
+                qc.ComplexField, QCMap, ThresholdResult, SmoothingResult, OmegaRegion,
+                ReparamReport):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+    makers = [qc.SemiNorm2.euclidean, qc.TargetSpace.linf, lambda: identity_map(16),
+              lambda: qc.estimate_field(identity_map(16)),
+              lambda: qc.ComplexField(S=2.0, values=np.zeros((64, 64), dtype=complex))]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b and a in [b, a] and a not in [b]
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 class TestSerialization:
@@ -605,6 +661,17 @@ class TestSerialization:
         path.write_text(f"16 {kind}\n")
         with pytest.raises(InputFormatError, match="interior cells missing"):
             qc.DerivativeField.load(path)
+
+    @pytest.mark.parametrize("header", ["100000 quadratic", "100000 2 euclidean 2"])
+    def test_header_larger_than_body_rejected(self, tmp_path, header):
+        # refused before the 100 000 x 100 000 grid is built (a MemoryError):
+        # each interior cell needs a line
+        path = tmp_path / "big.txt"
+        path.write_text(header + "\n" + "1 2 0 0\n" * 10)
+        load = qc.DerivativeField.load if "quadratic" in header else qc.SampledMap.load
+        with pytest.raises(InputFormatError,
+                           match=r"missing from file \(11 lines for the 100000 x 100000 grid"):
+            load(path)
 
     def test_field_missing_interior_cells_rejected(self, tmp_path):
         # four interior cells of an n=16 field: the rest would integrate as
@@ -822,10 +889,11 @@ class TestCellFiles:
 
 
 class TestScalarFieldAgreement:
-    """The SemiNorm2 operations and the DerivativeField densities apply the
-    same row formulas, so on the same rows they agree bit for bit."""
+    """The SemiNorm2 operations are one-row calls of the DerivativeField row
+    path: a semi-norm carries the delta that regularize applied, so on the same
+    row and delta the two agree bit for bit, or both raise the same typed error."""
 
-    DELTAS = (0.0, 2.0**-3, 2.0**-40)
+    DELTAS = (0.0,) + tuple(2.0**-k for k in range(61))
 
     @staticmethod
     def rows(rng):
@@ -840,44 +908,61 @@ class TestScalarFieldAgreement:
     def same(a, b):
         return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
+    @staticmethod
+    def outcome(fn):
+        try:
+            return fn()
+        except QcreparamError as exc:
+            return type(exc)
+
     @pytest.mark.parametrize("kind", ["quadratic", "sampled"])
     def test_scalar_ops_match_field_densities(self, rng, kind):
-        rows = self.rows(rng)[kind]
         grid = qc.DiscGrid(16)
-        interior = np.zeros((int(grid.interior_mask.sum()), rows.shape[1]))
-        interior[: len(rows)] = rows
-        cells = np.argwhere(grid.interior_mask)[: len(rows)]
-        f = qc.DerivativeField.from_interior(grid, kind, interior, np.arange(len(interior)))
-        energy, hausdorff = f.energy_density(), f.jacobian_hausdorff_density()
-        defect = f.isotropy_defect_density()
-        kept = 0
-        for i, j in cells:
-            s = f.seminorm_at(i, j)
-            assert self.same(energy[i, j], qc.energy_plus(s))
-            assert self.same(hausdorff[i, j], qc.jacobian_hausdorff(s))
-            assert self.same(defect[i, j], qc.isotropy_defect(s))
+        inv = np.zeros(int(grid.interior_mask.sum()), dtype=np.intp)
+        for row in self.rows(rng)[kind]:
+            f = qc.DerivativeField.from_interior(grid, kind, row[None], inv)   # row on every cell
+            s = f.seminorm_at(8, 8)
+            assert self.same(f.energy_density()[8, 8], qc.energy_plus(s))
+            assert self.same(f.jacobian_hausdorff_density()[8, 8], qc.jacobian_hausdorff(s))
+            assert self.same(f.isotropy_defect_density()[8, 8], qc.isotropy_defect(s))
             for delta in self.DELTAS:
                 r = qc.regularize(s, delta) if delta else s
-                jac = f.jacobian_intrinsic_density(delta)[i, j]
-                mu = f.beltrami_density(delta)[i, j]
-                if delta and r.degenerate:
-                    # Q + delta^2 I and sqrt(v^2 + delta^2) test degenerate at
-                    # tiny delta; the field keeps their ellipse, the one
-                    # semi-norm has none
-                    kept += 1
-                    want = r.row if kind == "quadratic" else sn.inscribed_ellipses(r.row[None])[0]
-                    assert self.same(f.ellipse_field(delta)[i, j], want)
-                    assert qc.jacobian_intrinsic(r) == 0.0
+                m = self.outcome(lambda: f.ellipse_field(delta)[8, 8])
+                if isinstance(m, type):
+                    for op in (qc.jacobian_intrinsic, qc.beltrami_of, qc.john_ellipse):
+                        with pytest.raises(m):
+                            op(r)
                     continue
-                assert self.same(jac, qc.jacobian_intrinsic(r))
-                if r.degenerate:
-                    assert jac == 0.0 and mu == 0.0
+                assert self.same(f.jacobian_intrinsic_density(delta)[8, 8],
+                                 qc.jacobian_intrinsic(r))
+                if not m.any():
+                    # no ellipse: the field reads J = mu = 0, the one semi-norm has none
+                    assert f.beltrami_density(delta)[8, 8] == 0.0
+                    for op in (qc.beltrami_of, qc.john_ellipse):
+                        with pytest.raises(DegenerateSemiNorm):
+                            op(r)
                     continue
-                assert self.same(mu, qc.beltrami_of(r))
-                lmin, lmax, _ = qc.seminorm.packed_eig(f.ellipse_field(delta)[i, j])
+                assert self.same(f.beltrami_density(delta)[8, 8], qc.beltrami_of(r))
+                lmin, lmax, _ = sn.packed_eig(m)
                 e = qc.john_ellipse(r)
-                assert (e.a, e.b) == (1.0 / np.sqrt(lmin), 1.0 / np.sqrt(lmax))
-        assert kept == (2 if kind == "quadratic" else 1)
+                with np.errstate(divide="ignore"):
+                    want = 1.0 / np.sqrt(np.maximum([lmin, lmax], 0.0))
+                assert self.same([e.a, e.b], want)
+
+    def test_delta_is_carried(self):
+        # regularize keeps the delta it applied, scaled keeps c * delta and
+        # rotated keeps delta, so the rank-1 row at delta = 2^-20 stays a norm:
+        # its J and mu were 0 and DegenerateSemiNorm before delta was carried
+        s = qc.regularize(qc.SemiNorm2.quadratic(np.diag([1.0, 0.0])), 2.0**-20)
+        assert s.degenerate and s.delta == 2.0**-20
+        assert qc.jacobian_intrinsic(s) == pytest.approx(2.0**-20, rel=1e-12)
+        assert abs(qc.beltrami_of(s)) == pytest.approx((1 - 2.0**-20) / (1 + 2.0**-20), rel=1e-12)
+        assert s.scaled(4.0).delta == 2.0**-18 and s.rotated(0.3).delta == 2.0**-20
+        assert qc.regularize(s, 2.0**-20).delta == pytest.approx(2.0**-19.5, rel=1e-15)
+        # a record holds the row, not delta
+        assert qc.SemiNorm2.from_record(s.record()).delta == 0.0
+        with pytest.raises(DegenerateSemiNorm):
+            qc.beltrami_of(qc.SemiNorm2.from_record(s.record()))
 
 
 class TestRowLayoutDifferential:
