@@ -399,9 +399,18 @@ class DerivativeField:
 
     # -- densities ------------------------------------------------------------
 
+    def _edges(self):
+        """Edge rows (R, m, 2) of the sampled rows' ball polygons, built once."""
+        if "edges" not in self._cache:
+            self._cache["edges"] = sn.half_edges(self.rows)
+        return self._cache["edges"]
+
     def energy_density(self):
-        """I_+^2 of the cell semi-norm, per cell (extended)."""
-        return sn.row_energy(self.kind, self.rows)[self.index]
+        """I_+^2 of the cell semi-norm, per cell (extended), computed once per field."""
+        if "energy" not in self._cache:
+            self._cache["energy"] = (sn.edge_energy(self._edges()) if self.kind == "sampled"
+                                     else sn.row_energy(self.kind, self.rows))
+        return self._cache["energy"][self.index]
 
     def _ellipse_rows(self, delta):
         """Packed M per row, solved once per delta (see ellipse_field)."""
@@ -661,7 +670,9 @@ def composed_energy(field_, phi):
 
 def composed_density(field_, pts, df):
     """I_+^2(s_z . df[k]) per node k, with s_z the semi-norm of the disc cell
-    nearest to the complex point z = pts[k] (a node's image under phi)."""
+    nearest to the complex point z = pts[k] (a node's image under phi); for a
+    sampled field, max_i |df[k]^T c_i|^2 over the edge rows c_i of s_z's ball
+    polygon (seminorm.edge_energy)."""
     ids = field_.index[field_.grid.nearest_cell(pts.real, pts.imag)]
     if field_.kind == "quadratic":
         q11, q12, q22 = field_.rows[ids].T
@@ -672,21 +683,4 @@ def composed_density(field_, pts, df):
         r12 = a * (q11 * b + q12 * d) + c * (q12 * b + q22 * d)
         r22 = b * (q11 * b + q12 * d) + d * (q12 * b + q22 * d)
         return sn.row_energy("quadratic", np.stack([r11, r12, r22], axis=-1))
-    return _composed_sampled_density(field_.rows, ids, df)
-
-
-def _composed_sampled_density(uniq, ids, df):
-    """I_+^2(s_ids[k] . df[k]) = max_d s(df[k] d)^2 over the m sample directions
-    d, per node k, for the sampled rows uniq, GAUGE_BLOCK points at a time."""
-    m = uniq.shape[-1]
-    dirs = half_circle_directions(m)
-    met, row = np.unique(ids, return_inverse=True)
-    table = sn.wrapped_edges(sn.half_edges(np.maximum(uniq[met], 0.0))).reshape(-1, 2)
-    dens = np.empty(len(ids))
-    step = max(1, sn.GAUGE_BLOCK // m)
-    for k in range(0, len(ids), step):
-        a = df[k:k + step]
-        x, y = (a[:, r, 0, None] * dirs[:, 0] + a[:, r, 1, None] * dirs[:, 1] for r in (0, 1))
-        gauge = sn.sector_gauge(table, m, x, y, row[k:k + step, None])
-        dens[k:k + step] = sn.row_energy("sampled", gauge)
-    return dens
+    return sn.edge_energy(field_._edges(), ids, df)

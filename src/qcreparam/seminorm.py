@@ -11,6 +11,8 @@ A semi-norm is carried in one of two representations:
   and every row, degenerate or not, is evaluated as |c_j . p| (sector_gauge).
   The edge rows c_j are formed from the values and stay finite where a value
   is zero (an unbounded ball), so s(d_j) = v_j on every row, convex or not.
+  The energy of the polygon is exact in them: I_+^2(s . a) = max_j |a^T c_j|^2
+  (edge_energy), and I_+^2(s) = max_j |c_j|^2.
 
 The operations: the squared-maximal-stretch energy, the inscribed ellipse of
 maximal area, the two jacobians (inscribed-ellipse normalization and
@@ -277,23 +279,39 @@ def edge_gauge(half, pts):
 
 
 def wrapped_edges(half):
-    """The edge rows half (..., m, 2) repeated as a table (..., 2m + 2, 2) whose
-    row t + m + 1 is half[t mod m], for every t = -m - 1 .. m that
+    """The edge rows half (m, 2) repeated as a table (2m + 2, 2) whose row
+    t + m + 1 is half[t mod m], for every t = -m - 1 .. m that
     floor(atan2(y, x) m / pi) takes: atan2 lies in [-pi, pi], and its product
     with the rounded m / pi falls just below -m for some m (14, 28, 56, ...)."""
-    m = half.shape[-2]
-    return half[..., np.arange(-m - 1, m + 1) % m, :]
+    m = len(half)
+    return half[np.arange(-m - 1, m + 1) % m]
 
 
-def sector_gauge(table, m, x, y, row=0):
-    """|c . p| at the points p = (x, y), with c edge t mod m of gauge row row
-    and t = floor(atan2(y, x) m / pi), the edge whose cone holds p or -p: table
-    (R (2m + 2), 2) holds the wrapped_edges of R gauge rows, so c is row
-    row (2m + 2) + m + 1 + t of it.  On a convex row this is max_i |c_i . p|.
-    Elementwise, so batch-independent."""
-    first = row * (2 * m + 2) + (m + 1)
-    c = table.take(np.floor(np.arctan2(y, x) * (m / math.pi)).astype(np.intp) + first, axis=0)
+def sector_gauge(table, m, x, y):
+    """|c . p| at the points p = (x, y), with c edge t mod m of the wrapped_edges
+    table (2m + 2, 2) and t = floor(atan2(y, x) m / pi), the edge whose cone
+    holds p or -p, so c is row m + 1 + t of the table.  On a convex row this is
+    max_i |c_i . p|.  Elementwise, so batch-independent."""
+    c = table.take(np.floor(np.arctan2(y, x) * (m / math.pi)).astype(np.intp) + (m + 1), axis=0)
     return np.abs(c[..., 0] * x + c[..., 1] * y)
+
+
+def edge_energy(edges, ids=None, a=None):
+    """max_i |a_k^T c_i|^2 per entry k, for the edge rows c_i of row ids[k] of
+    edges (R, m, 2) and the maps a (K, 2, 2), ids = 0 .. R - 1 and a = I if
+    None: exactly I_+^2 of the polygon gauge s(p) = max_i |c_i . p| composed
+    with a_k, as s(a v) = max_i |(a^T c_i) . v|.  GAUGE_BLOCK edge rows at a
+    time to bound the temporaries; elementwise, so batch-independent."""
+    ids = np.arange(len(edges)) if ids is None else ids
+    out = np.empty(len(ids))
+    step = max(1, GAUGE_BLOCK // edges.shape[-2])
+    for k in range(0, len(ids), step):
+        x, y = np.moveaxis(edges[ids[k:k + step]], -1, 0)
+        if a is not None:
+            b = a[k:k + step, :, :, None]
+            x, y = b[:, 0, 0] * x + b[:, 1, 0] * y, b[:, 0, 1] * x + b[:, 1, 1] * y
+        out[k:k + step] = np.max(x * x + y * y, axis=-1)
+    return out
 
 
 def _vertices(values):
@@ -329,8 +347,8 @@ def convex_rows(values):
 
 
 def half_edges(values):
-    """Edge rows c_i (R, m, 2) for edge_gauge of the gauge rows values (R, m):
-    the edges of one antipodal half of each ball polygon {|c_i . x| <= 1}."""
+    """Edge rows c_i (R, m, 2) of the gauge rows values (R, m), for edge_gauge and
+    edge_energy: one antipodal half of the edges of each ball {|c_i . x| <= 1}."""
     def edges(rows):
         # c_i solves c.d_i = v_i and c.d_(i+1) = v_(i+1) for consecutive sample
         # directions d (d_m = -d_0), so it is formed from the values and not
@@ -493,17 +511,18 @@ def row_degenerate(kind, rows):
 
 
 def row_energy(kind, rows):
-    """I_+^2: the max of s(v)^2 over Euclidean unit vectors."""
+    """I_+^2: the max of s(v)^2 over Euclidean unit vectors (sampled: edge_energy)."""
     if kind == "quadratic":
         return np.maximum(packed_eig(rows)[1], 0.0)
-    return np.max(rows, axis=-1) ** 2
+    flat = rows.reshape(-1, rows.shape[-1])
+    return edge_energy(half_edges(flat)).reshape(rows.shape[:-1])
 
 
 def row_regularized(kind, rows, delta):
     """Rows of the semi-norm h -> sqrt(s(h)^2 + delta^2 |h|^2)."""
     if kind == "quadratic":
         return np.stack([rows[..., 0] + delta**2, rows[..., 1], rows[..., 2] + delta**2], axis=-1)
-    return np.sqrt(np.maximum(rows, 0.0) ** 2 + delta**2)
+    return np.hypot(np.maximum(rows, 0.0), delta)
 
 
 def row_ellipse(kind, rows, delta=0.0):

@@ -11,7 +11,7 @@ from qcreparam.errors import (DegenerateSemiNorm, InputFormatError, QcreparamErr
 from qcreparam.seminorm import half_circle_directions
 
 from conftest import (estimate_rows_reference, linear_qcmap, rand_sampled_norm, rand_spd,
-                      sector_reference, traced_peak)
+                      traced_peak)
 
 EUCLID = qc.TargetSpace.euclidean(2)
 
@@ -383,23 +383,23 @@ class TestSampledRowsBatched:
         assert not np.array_equal(fixed, rows)
 
     def test_composed_density_matches_per_row(self, rng):
+        # max_i |df^T c_i|^2 over each node's edge rows, in one plain pass per
+        # row, gives the bits of the blocked kernel
         rows = self.gauge_rows(rng, count=12)
         uniq = fd._convexify_gauges(rows)
-        m = uniq.shape[1]
         ids = rng.integers(0, len(uniq), size=600)
         df = rng.normal(size=(600, 2, 2))
         df[:5] = 0.0                                           # zero vectors too
-        dirs = half_circle_directions(m)
         want = np.empty(len(ids))
         for r in np.unique(ids):
-            s = qc.SemiNorm2.sampled(np.maximum(uniq[r], 0.0))
-            sel = ids == r
-            pts = np.einsum("kab,mb->kma", df[sel], dirs).reshape(-1, 2)
-            vals = sector_reference(s._half_edges(), pts)
-            want[sel] = np.max(vals.reshape(-1, m), axis=1) ** 2
+            c = qc.SemiNorm2.sampled(uniq[r])._half_edges()
+            a = df[ids == r][:, None]
+            x = a[..., 0, 0] * c[:, 0] + a[..., 1, 0] * c[:, 1]
+            y = a[..., 0, 1] * c[:, 0] + a[..., 1, 1] * c[:, 1]
+            want[ids == r] = np.max(x * x + y * y, axis=1)
         # across the kernel's node blocks (256 nodes at m = 64)
         for count in (600, 256, 513):
-            got = fd._composed_sampled_density(uniq, ids[:count], df[:count])
+            got = sn.edge_energy(sn.half_edges(uniq), ids[:count], df[:count])
             assert got.tobytes() == want[:count].tobytes()
 
     def test_estimate_derivative_is_the_field_row(self):
@@ -442,7 +442,7 @@ class TestSampledRowsBatched:
         f = qc.DerivativeField.from_interior(grid, "sampled", row[None], inv)
         assert np.all(f.jacobian_intrinsic_density(0.0) == 0.0)
         for delta in (2.0**-20, 2.0**-30, 2.0**-40, 2.0**-50, 2.0**-60):
-            reg = np.sqrt(row**2 + delta**2)
+            reg = np.hypot(row, delta)
             want = sn.inscribed_ellipses(reg[None])[0]
             assert np.all(f.ellipse_field(delta) == want)
             jac = f.jacobian_intrinsic_density(delta)

@@ -617,9 +617,10 @@ def report_numbers(text):
 
 class TestSampledLayerDifferential:
     """The sampled field layer against plain numpy forms: np.unique(axis=0)
-    row dedup, the sector gauge in one unblocked pass and a per-id mask loop
-    in composed_energy give the same report bytes; max(abs(pts @ half.T)),
-    the gauge the sector rule replaced, gives the same report to rounding."""
+    row dedup, the sector gauge in one unblocked pass and the edge energy
+    max_i |a^T c_i|^2 in a per-id mask loop give the same report bytes;
+    max(abs(pts @ half.T)), the gauge the sector rule replaced, gives the same
+    report to rounding."""
 
     @staticmethod
     def _patch_reference(monkeypatch, calls, gauge=sector_reference):
@@ -634,21 +635,21 @@ class TestSampledLayerDifferential:
             calls.add("gauge")
             return gauge(half, pts)
 
-        def composed_density(uniq, ids, df):
-            calls.add("composed")
-            m = uniq.shape[-1]
-            dirs = sn.half_circle_directions(m)
+        def edge_energy(edges, ids=None, a=None):
+            calls.add("energy" if a is None else "composed")
+            ids = np.arange(len(edges)) if ids is None else ids
+            a = np.broadcast_to(np.eye(2), (len(ids), 2, 2)) if a is None else a
             dens = np.empty(len(ids))
             for r in np.unique(ids):
-                s = qc.SemiNorm2.sampled(np.maximum(uniq[r], 0.0))
-                sel = ids == r
-                mapped = np.einsum("kab,mb->kma", df[sel], dirs)
-                dens[sel] = np.max(s(mapped.reshape(-1, 2)).reshape(-1, m), axis=1) ** 2
+                c, sel = edges[r], ids == r
+                x = a[sel, None, 0, 0] * c[:, 0] + a[sel, None, 1, 0] * c[:, 1]
+                y = a[sel, None, 0, 1] * c[:, 0] + a[sel, None, 1, 1] * c[:, 1]
+                dens[sel] = np.max(x * x + y * y, axis=1)
             return dens
 
         monkeypatch.setattr(fd, "distinct_rows", unique_rows)
         monkeypatch.setattr(sn, "edge_gauge", edge_gauge)
-        monkeypatch.setattr(fd, "_composed_sampled_density", composed_density)
+        monkeypatch.setattr(sn, "edge_energy", edge_energy)
 
     def _reports(self, monkeypatch, name, gauge=sector_reference):
         def bump(x, y):
@@ -662,7 +663,7 @@ class TestSampledLayerDifferential:
         with monkeypatch.context() as mp:
             self._patch_reference(mp, calls, gauge)
             ref = qc.epsilon_conformal(u, 0.2 * np.pi)[2].render()
-        assert calls == {"dedup", "gauge", "composed"}
+        assert calls == {"dedup", "gauge", "energy", "composed"}
         return fast, ref
 
     @pytest.mark.parametrize("name", ["shared", "bump"])

@@ -87,10 +87,10 @@ class TestSampledGauge:
 
     @pytest.mark.parametrize("m", [8, 14, 28, 64, 117])
     def test_wrapped_table_matches_sector_reference(self, rng, m):
-        # the wrapped table read at floor(atan2 m / pi) + m + 1 gives the bits
-        # of the mod-m rule, on random points, the sample rays, both sides of
-        # +-x with signed zeros, and the rows of a stacked table; at m = 14 and
-        # 28 the product with m / pi puts (-1, -0.0) at -m - 1
+        # each row's wrapped table read at floor(atan2 m / pi) + m + 1 gives
+        # the bits of the mod-m rule, on random points, the sample rays and
+        # both sides of +-x with signed zeros; at m = 14 and 28 the product
+        # with m / pi puts (-1, -0.0) at -m - 1
         rows = np.vstack([np.abs(half_circle_directions(m)).max(axis=1),
                           np.abs(half_circle_directions(m)).sum(axis=1),
                           1.0 + rng.uniform(0, 0.3, m)])
@@ -103,13 +103,11 @@ class TestSampledGauge:
         assert t.min() >= -m - 1 and t.max() <= m
         if m in (14, 28):
             assert t.min() == -m - 1
-        halves = sn.half_edges(rows)
-        table = sn.wrapped_edges(halves)
-        assert table.shape == (3, 2 * m + 2, 2)
-        for r, half in enumerate(halves):
+        for half in sn.half_edges(rows):
+            table = sn.wrapped_edges(half)
+            assert table.shape == (2 * m + 2, 2)
             want = sector_reference(half, pts).view(np.uint64)
-            got = sn.sector_gauge(table.reshape(-1, 2), m, x, y, r)
-            assert np.array_equal(got.view(np.uint64), want)
+            assert np.array_equal(sn.sector_gauge(table, m, x, y).view(np.uint64), want)
             assert np.array_equal(sn.edge_gauge(half, pts).view(np.uint64), want)
 
     def test_peak_memory_is_one_block(self, rng):
@@ -131,6 +129,39 @@ class TestEnergy:
         # oracle first: dense sweep of (|cos| + |sin|)^2
         assert sweep_energy_oracle(L1) == pytest.approx(2.0, abs=1e-7)
         assert qc.energy_plus(L1) == pytest.approx(2.0, abs=1e-12)
+
+
+    def test_edge_formula_is_the_polygon_max_stretch(self, rng):
+        # 200 random convex gauges composed with random linear maps a: the
+        # edge formula max_i |a^T c_i|^2 is s(a v)^2 at the direction v of
+        # the longest a^T c_i, a sweep of 10^5 directions stays below it by at
+        # most the sweep's step, and the max over the m sample directions (the
+        # formula it replaced) is never above it
+        from qcreparam.field import _convexify_gauges
+
+        m = 64
+        rows = _convexify_gauges(rng.uniform(0.2, 2.0, size=(200, m)))
+        a = rng.normal(size=(200, 2, 2))
+        edges = sn.half_edges(rows)
+        got = sn.edge_energy(edges, None, a)
+        ang = np.linspace(0.0, np.pi, 100_000, endpoint=False)
+        sweep_dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+        for row, c, ak, e in zip(rows, edges, a, got):
+            s = qc.SemiNorm2.sampled(row)
+            assert s.is_convex()
+            t = c @ ak                                          # rows a^T c_i
+            v = t / np.linalg.norm(t, axis=1, keepdims=True)
+            assert np.max(s(v @ ak.T)) ** 2 == pytest.approx(e, rel=1e-13, abs=0.0)
+            sweep = np.max(s(sweep_dirs @ ak.T)) ** 2
+            assert -1e-9 <= (sweep - e) / e <= 1e-12
+            assert np.max(s(D64 @ ak.T)) ** 2 <= e
+
+    def test_rotated_linf_is_one(self):
+        # the sample rays miss the rotated square's edge normals, so the max
+        # sample value read 0.99997.  The polygon through the rounded samples
+        # has energy 1 + 5.6e-15 (at 50 digits): an edge row amplifies the
+        # values' rounding by about 1 / sin(pi / m)
+        assert qc.energy_plus(LINF.rotated(0.3)) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestJohnEllipse:
@@ -267,6 +298,22 @@ class TestIsotropyDefect:
     def test_linf_isotropic_but_not_euclidean(self):
         assert qc.isotropy_defect(LINF) == pytest.approx(0.0, abs=1e-9)
 
+    def test_sampled_energy_above_jacobian(self):
+        # I_+^2 >= J on sampled rows, to rounding: the inscribed disc of radius
+        # 1 / max_i |c_i| lies in the ball, so the maximal ellipse is no
+        # smaller.  The sample max read -6.0e-4 on the round 64-gon
+        rows = [np.ones(64)] + [t.rotated(alpha).values for t in (LINF, L1)
+                                for alpha in (0.1, 0.3, 1.0, 2.5)]
+        for row in rows:
+            s = qc.SemiNorm2.sampled(row)
+            assert qc.isotropy_defect(s) >= -1e-12 * qc.energy_plus(s)
+        u = qc.SampledMap.from_function(qc.DiscGrid(64), qc.TargetSpace.linf(),
+                                        lambda x, y: np.stack([x + 0.2 * x * y, y + 0.1 * x * x]))
+        f = qc.estimate_field(u)
+        energy = sn.row_energy("sampled", f.rows)
+        defect = energy - sn.ellipse_jacobian(sn.row_ellipse("sampled", f.rows))
+        assert len(f.rows) > 1000 and np.all(defect >= -1e-12 * energy)
+
 
 class TestRegularize:
     def test_zero_becomes_euclidean(self):
@@ -284,10 +331,23 @@ class TestRegularize:
     @settings(max_examples=25, deadline=None)
     @given(delta=st.floats(1e-3, 10.0), seed=st.integers(0, 2**31))
     def test_energy_shift_identity(self, delta, seed):
+        # quadratic: I_+^2 shifts by delta^2 exactly.  Sampled: the polygon
+        # through the regularized samples is inscribed in the convex ball of
+        # sqrt(s^2 + delta^2 |.|^2), whose I_+^2 is I_+^2(s) + delta^2, and
+        # each edge row grows by at most delta^2 / cos^2(pi / 2m) in square
         r = np.random.default_rng(seed)
-        for s in (qc.SemiNorm2.quadratic(rand_spd(r)), rand_sampled_norm(r)):
-            lhs = qc.energy_plus(qc.regularize(s, delta))
-            assert lhs == pytest.approx(qc.energy_plus(s) + delta**2, rel=1e-12)
+        s = qc.SemiNorm2.quadratic(rand_spd(r))
+        lhs = qc.energy_plus(qc.regularize(s, delta))
+        assert lhs == pytest.approx(qc.energy_plus(s) + delta**2, rel=1e-12)
+        s = rand_sampled_norm(r)
+        lhs, e = qc.energy_plus(qc.regularize(s, delta)), qc.energy_plus(s)
+        assert (e + delta**2) * (1 - 1e-12) <= lhs
+        assert lhs <= (e + delta**2 / math.cos(math.pi / (2 * s.m)) ** 2) * (1 + 1e-12)
+
+    def test_huge_gauge_values(self):
+        # sqrt(v^2 + delta^2) overflowed above about 1.3e154
+        s = qc.regularize(qc.SemiNorm2.sampled(np.full(64, 1e160)), 0.5)
+        assert np.all(s.values == 1e160)
 
     def test_never_degenerate(self, rng):
         s = qc.regularize(qc.SemiNorm2.quadratic(np.diag([1.0, 0.0])), 1e-3)
