@@ -27,7 +27,13 @@ from .beltrami import (
     mat_to_wirtinger,
     solve_beltrami,
 )
-from .errors import ConfigError, InputFormatError, PipelineBudgetExceeded, QcreparamError
+from .errors import (
+    ConfigError,
+    InputFormatError,
+    InputOutOfRange,
+    PipelineBudgetExceeded,
+    QcreparamError,
+)
 from .field import DiscGrid, SampledMap, TargetSpace
 
 EXIT_OK = 0
@@ -54,8 +60,11 @@ def _density_command(name, density, reduce, default_csv=None):
     the input map and writes the density over the disc cells as a CSV grid."""
     def run(args):
         u = SampledMap.load(args.input)
-        dens, mask = density(fd.estimate_field(u)), u.grid.disc_mask
-        print(f"{name} = {_fmt(reduce(u.grid, dens))}")
+        f, mask = fd.estimate_field(u), u.grid.disc_mask
+        with np.errstate(over="ignore", invalid="ignore"):      # refused below
+            dens = density(f)
+            value = fd.finite(name, reduce(u.grid, dens))
+        print(f"{name} = {_fmt(value)}")
         if args.csv or default_csv:
             fd.write_cells(args.csv or default_csv, CSV_HEADER, CSV, mask,
                            u.grid.x[mask], u.grid.y[mask], dens[mask])
@@ -263,7 +272,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputFormatError, ConfigError, FileNotFoundError, ValueError) as exc:
+    except (InputFormatError, InputOutOfRange, ConfigError, FileNotFoundError,
+            ValueError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PipelineBudgetExceeded as exc:

@@ -9,6 +9,11 @@ class InputFormatError(QcreparamError):
     """A file or record could not be parsed."""
 
 
+class InputOutOfRange(QcreparamError):
+    """A map's energy or area is not finite in floating point: its derivative
+    is too large."""
+
+
 class ConfigError(QcreparamError):
     """Invalid run configuration."""
 

@@ -13,6 +13,7 @@ integrands exact and the domain area at its lattice value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import lattice
 from . import seminorm as sn
-from .errors import ImageOutsideDomain, InputFormatError, StencilOutOfDomain
+from .errors import ImageOutsideDomain, InputFormatError, InputOutOfRange, StencilOutOfDomain
 from .seminorm import SemiNorm2, half_circle_directions
 
 QUADRATIC_STENCIL_DIRECTIONS = 8
@@ -287,15 +288,16 @@ class SampledMap:
 def write_cells(path, header, fmt, mask, *columns):
     """Write a cell file or a CSV grid: the header line, then fmt % (i, j, ...)
     per cell (i, j) of mask in np.nonzero order; columns hold one entry, or one
-    row of entries, per cell of mask.  Rows are formatted as Python floats,
-    WRITE_ROWS at a time, so the text in memory stays bounded on large grids."""
+    row of entries, per cell of mask.  Each printed column is listed as Python
+    numbers and the lines zip them, WRITE_ROWS at a time, so the text in memory
+    stays bounded on large grids."""
     ii, jj = np.nonzero(mask)
-    table = np.column_stack((ii, jj) + columns)
+    cols = [ii, jj] + [c for col in columns for c in np.atleast_2d(np.asarray(col).T)]
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(table), WRITE_ROWS):
-            block = table[start:start + WRITE_ROWS].tolist()
-            fh.write("\n".join([fmt % tuple(row) for row in block]) + "\n")
+        for start in range(0, len(ii), WRITE_ROWS):
+            block = zip(*[c[start:start + WRITE_ROWS].tolist() for c in cols])
+            fh.write("\n".join([fmt % row for row in block]) + "\n")
 
 
 def _read_cell_file(path):
@@ -525,26 +527,39 @@ def _estimate_rows(u, ii, jj):
     gauge rows, symmetrized over antipodes, rounded relative to their size,
     then deduplicated, and each distinct row convexified.
 
-    The N cells go through the directions in blocks of B = floor(GAUGE_BLOCK
-    / N) directions (at least one): z + h v sits at offset v from each cell's
-    node, so a block is one lattice.blend of (B, N) node indices with (B, 1, 1)
-    weights and one target.distance of its B N points against the N base
-    values, broadcast.  Each entry of g sees the same operations as a
-    one-direction pass, so the blocks change no bit of it.
+    z + h v sits at offset v from each cell's node, so the directions that
+    share the lattice offset floor(v) (runs of consecutive ones: 6 runs of 128
+    directions, 6 of 8) blend the same four corners of each cell, and a run
+    gathers them once (lattice.corners); only one run's corners are held at a
+    time.  Within a run the N cells go through the directions in blocks of
+    B = floor(GAUGE_BLOCK / N) directions (at least one): a block is one
+    lattice.mix with (B, 1, 1) weights and one target.distance of its B N
+    points against the N base values, broadcast.  Each entry of g sees the
+    same operations as a one-direction lattice.blend, so neither the runs nor
+    the blocks change a bit of it.
     """
-    n = u.grid.n
+    n, h = u.grid.n, u.grid.h
     flat, k = u.values.reshape(n * n, -1), ii * n + jj
     dirs = _stencil_directions(u.target)
     base = flat.take(k, axis=0)
+    o = np.floor(dirs)
+    shift = o[:, 0].astype(np.intp) * n + o[:, 1].astype(np.intp)
+    tx, ty = (dirs - o).T[..., None, None]
     g = np.empty((len(dirs), len(ii)))
     step = max(1, sn.GAUGE_BLOCK // len(ii))
-    for b in range(0, len(dirs), step):
-        v = dirs[b:b + step]
-        o = np.floor(v)
-        shift = (o[:, 0].astype(np.intp) * n + o[:, 1].astype(np.intp))[:, None]
-        tx, ty = (v - o).T[..., None, None]
-        at = lattice.blend(flat, k + shift, n, tx, ty)
-        g[b:b + step] = u.target.distance(at, base).reshape(len(v), -1) / u.grid.h
+
+    def run(a, z):
+        # directions a .. z - 1 share one offset: their corners, gathered once,
+        # go on return
+        c = tuple(lattice.corners(flat, k + shift[a], n))
+        for b in range(a, z, step):
+            e = min(b + step, z)
+            g[b:e] = u.target.distance(lattice.mix(c, tx[b:e], ty[b:e]), base).reshape(
+                e - b, -1) / h
+
+    cuts = np.flatnonzero(np.diff(shift)) + 1
+    for a, z in zip([0, *cuts], [*cuts, len(dirs)]):
+        run(a, z)
 
     if u.target.kind == "polygonal":
         m = len(dirs) // 2
@@ -566,14 +581,30 @@ def distinct_rows(rows):
     """Distinct rows of a 2-D float array and the inverse index: uniq[inv] == rows.
 
     Rows are equal when their bytes are, after -0.0 is turned into 0.0, so for
-    finite rows this is the exact equality of np.unique(rows, axis=0); each row
-    is one void item, so a 1-D sort replaces the field-by-field structured
-    sort.  The order of the distinct rows is unspecified.
+    finite rows this is the exact equality of np.unique(rows, axis=0).  The
+    rows are grouped by a 64-bit multiply-sum hash of their bits, and every row
+    is checked against its group's first row; on any collision the rows are
+    sorted as one void item each instead.  The order of the distinct rows is
+    unspecified.
     """
-    rows = np.ascontiguousarray(rows, dtype=float) + 0.0
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    rows = np.add(np.asarray(rows, dtype=float), 0.0, order="C")
+    bits = rows.view(np.uint64)
+    # the products and their sum wrap modulo 2^64
+    _, first, inv = np.unique(bits @ _mixer(rows.shape[1]), return_index=True,
+                              return_inverse=True)
+    if not np.array_equal(bits.take(first, axis=0).take(inv, axis=0), bits):
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
     return rows[first], inv
+
+
+@functools.cache
+def _mixer(m):
+    """The m odd 64-bit multipliers of distinct_rows' row hash, a fixed draw."""
+    mix = np.random.default_rng(m).integers(0, 1 << 64, m, dtype=np.uint64, endpoint=False)
+    mix |= np.uint64(1)
+    mix.setflags(write=False)
+    return mix
 
 
 def _project_psd(coef):
@@ -642,19 +673,34 @@ def _convexify_gauges(rows):
 
 # -- integrated quantities ------------------------------------------------------
 
+def finite(what, value):
+    """value, or InputOutOfRange where it is not finite: the map's derivative is
+    too large for its what in floating point."""
+    if not np.all(np.isfinite(value)):
+        raise InputOutOfRange(f"the map's {what} is not finite: its derivative is too large")
+    return value
+
+
+def _quadrature(what, field_, density):
+    """Quadrature of density() over the disc, with overflow quiet: InputOutOfRange
+    where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return finite(what, field_.grid.integrate(density()))
+
+
 def energy(field_):
     """Quadrature of the max-stretch-squared density over the disc."""
-    return field_.grid.integrate(field_.energy_density())
+    return _quadrature("energy", field_, field_.energy_density)
 
 
 def area_intrinsic(field_):
     """Quadrature of the inscribed-ellipse jacobian over the disc."""
-    return field_.grid.integrate(field_.jacobian_intrinsic_density())
+    return _quadrature("area", field_, field_.jacobian_intrinsic_density)
 
 
 def area_hausdorff(field_):
     """Quadrature of the unit-ball-area jacobian over the disc."""
-    return field_.grid.integrate(field_.jacobian_hausdorff_density())
+    return _quadrature("area", field_, field_.jacobian_hausdorff_density)
 
 
 def composed_energy(field_, phi):

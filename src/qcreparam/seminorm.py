@@ -336,13 +336,18 @@ def convex_rows(values):
     turn between consecutive edges is left, up to CONVEX_TOL relative; False
     for degenerate rows, whose ball is unbounded."""
     def convex(rows):
-        half = _vertices(rows)
-        verts = np.concatenate([half, -half], axis=-2)
-        a = np.roll(verts, -1, axis=-2) - verts
-        b = np.roll(a, -1, axis=-2)
-        cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-        scale = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
-        return np.all(cross >= -CONVEX_TOL * np.maximum(scale, 1e-300), axis=-1)
+        # the vertices d_j / v_j of one half, then -d_0 / v_0 and -d_1 / v_1: the
+        # other half's edges are these negated, so its m turns are these
+        r = 1.0 / rows
+        d = half_circle_directions(rows.shape[-1])
+        x, y = d[:, 0] * r, d[:, 1] * r
+        x = np.concatenate([x, -x[:, :2]], axis=-1)
+        y = np.concatenate([y, -y[:, :2]], axis=-1)
+        ax, ay = x[:, 1:] - x[:, :-1], y[:, 1:] - y[:, :-1]
+        la = np.sqrt(ax * ax + ay * ay)
+        ax, ay, bx, by = ax[:, :-1], ay[:, :-1], ax[:, 1:], ay[:, 1:]
+        cross = ax * by - ay * bx
+        return np.all(cross >= -CONVEX_TOL * np.maximum(la[:, :-1] * la[:, 1:], 1e-300), axis=-1)
     return _live_rows(values, ~row_degenerate("sampled", values), convex, dtype=bool)
 
 

@@ -407,6 +407,30 @@ class TestErrors:
         assert code == 2
         assert "target dimension must be at least 1, got 0" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale, command, what", [
+        (1e160, ["energy"], "energy"),
+        (1e160, ["reparam", "--epsilon", "0.6283"], "energy"),
+        (1e100, ["reparam", "--epsilon", "0.6283"], "area")])
+    def test_huge_map(self, capsys, tmp_path, monkeypatch, scale, command, what):
+        # an l-inf map times 1e160 printed energy = inf with exit 0, and reparam
+        # printed RuntimeWarnings, then ended SearchExhausted (exit 3); times
+        # 1e100 its energy is finite but sqrt(det M) overflows.  Either is an
+        # input error before the delta search, with no RuntimeWarning
+        from qcreparam import reparam
+
+        monkeypatch.setattr(reparam, "choose_delta",
+                            lambda *args: pytest.fail("the delta search ran"))
+        path = tmp_path / "huge.map"
+        qc.SampledMap.from_function(
+            qc.DiscGrid(32), qc.TargetSpace.linf(),
+            lambda x, y: scale * np.stack([x + 0.1 * x * y, y])).save(path)
+        outdir = ["--outdir", str(tmp_path / "out")] if command[0] == "reparam" else []
+        code, out, err = run([command[0], "--input", str(path), *command[1:], *outdir], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: input: the map's {what} is not finite" in err
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_identities_count_below_one(self, capsys, count):
         # numpy's "zero-size array to reduction" message gave way to the CLI's own

@@ -382,6 +382,36 @@ class TestSampledRowsBatched:
         assert fixed[same].tobytes() == rows[same].tobytes()
         assert not np.array_equal(fixed, rows)
 
+    @staticmethod
+    def convex_rows_reference(values):
+        # the turn test of all 2m vertices, with np.roll and np.linalg.norm
+        live = ~sn.row_degenerate("sampled", values)
+        out = np.zeros(len(values), dtype=bool)
+        half = half_circle_directions(values.shape[1]) * (1.0 / values[live])[..., None]
+        verts = np.concatenate([half, -half], axis=-2)
+        a = np.roll(verts, -1, axis=-2) - verts
+        b = np.roll(a, -1, axis=-2)
+        cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+        scale = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
+        out[live] = np.all(cross >= -sn.CONVEX_TOL * np.maximum(scale, 1e-300), axis=-1)
+        return out
+
+    def test_convex_rows_matches_roll_formula(self, rng):
+        # m turns of one half: the other half's edges are the negated ones, so
+        # its turns are the same; the booleans of the 2m-turn formula, also
+        # across convex_rows' row chunks (512 rows)
+        u = make_map(128, lambda x, y: np.stack([x + 0.2 * x * y, y + 0.1 * x * x]),
+                     qc.TargetSpace.linf())
+        rows = qc.estimate_field(u).rows
+        assert len(rows) > 1000
+        assert np.array_equal(sn.convex_rows(rows), self.convex_rows_reference(rows))
+        for m in (8, 16, 64, 128):
+            rows = self.gauge_rows(rng, m=m, count=600)
+            rows[::3] *= 1.0 + 1e-9 * rng.normal(size=(1, m))     # dents near the tolerance
+            want = self.convex_rows_reference(rows)
+            assert 0 < want.sum() < len(rows) - 2
+            assert np.array_equal(sn.convex_rows(rows), want)
+
     def test_composed_density_matches_per_row(self, rng):
         # max_i |df^T c_i|^2 over each node's edge rows, in one plain pass per
         # row, gives the bits of the blocked kernel
@@ -520,6 +550,46 @@ class TestFieldInvariants:
         same = np.all(uniq[:, None, :] == uniq[None, :, :], axis=-1)
         assert np.array_equal(same, np.eye(len(uniq), dtype=bool))
         assert len(uniq) == len(np.unique(a, axis=0))
+
+    @pytest.mark.parametrize("mixer", [
+        lambda m: np.zeros(m, dtype=np.uint64),                  # every row collides
+        lambda m: np.eye(1, m, dtype=np.uint64)[0]])             # rows sharing column 0
+    def test_distinct_rows_hash_collision(self, monkeypatch, mixer):
+        # rows whose hashes collide but whose bits differ go through the void
+        # sort, and still come out exact, with the inverse of np.unique
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=(12, 6))
+        base[1:4, 0] = base[0, 0]
+        base[5] = np.nextafter(base[4], np.inf)
+        base[6, 2], base[7] = 0.0, base[6]
+        base[7, 2] = -0.0
+        a = base[rng.integers(0, len(base), size=300)]
+        sorts = []
+        unique = np.unique
+        monkeypatch.setattr(fd, "_mixer", mixer)
+        monkeypatch.setattr(np, "unique", lambda ar, **kw: sorts.append(ar.dtype.kind)
+                            or unique(ar, **kw))
+        uniq, inv = fd.distinct_rows(a)
+        assert sorts == ["u", "V"]
+        assert uniq[inv].view(np.uint64).tobytes() == (a + 0.0).view(np.uint64).tobytes()
+        same = np.all(uniq[:, None, :] == uniq[None, :, :], axis=-1)
+        assert np.array_equal(same, np.eye(len(uniq), dtype=bool))
+        assert len(uniq) == len(unique(a, axis=0)) == len(base) - 1
+
+    def test_distinct_rows_hash_without_collision(self, monkeypatch):
+        # the stencil rows of a nonlinear l-inf map: the hash alone groups them
+        u = make_map(64, lambda x, y: np.stack([x + 0.2 * x * y, y + 0.1 * x * x]),
+                     qc.TargetSpace.linf())
+        rows = qc.estimate_field(u).rows
+        a = rows[np.random.default_rng(0).integers(0, len(rows), size=4 * len(rows))]
+        sorts = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda ar, **kw: sorts.append(ar.dtype.kind)
+                            or unique(ar, **kw))
+        uniq, inv = fd.distinct_rows(a)
+        assert sorts == ["u"]
+        assert uniq[inv].tobytes() == a.tobytes()
+        assert len(uniq) == len(unique(a, axis=0))
 
     def test_one_ellipse_solve_per_delta(self, monkeypatch):
         calls = []
@@ -802,6 +872,42 @@ class TestCellFiles:
         f = qc.DerivativeField.from_interior(grid, "quadratic", quad, np.arange(cells))
         g = self.check_field(f, tmp_path / "quadratic.txt")
         assert same_bits(g.rows[g.index[ring]], f.rows[f.index[ring]] + 0.0)
+
+    @staticmethod
+    def table_text(header, fmt, mask, *columns):
+        # the writer's former table: every column stacked into one float array
+        ii, jj = np.nonzero(mask)
+        table = np.column_stack((ii, jj) + columns)
+        return header + "\n" + "".join(fmt % tuple(row) + "\n" for row in table.tolist())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_writer_matches_table_formatting(self, tmp_path, seed):
+        # lines zipped from per-column lists: the bytes of the float table for
+        # map files (2-D float columns), field files and CSV grids (int and
+        # 1-D float columns), over more than WRITE_ROWS lines
+        rng = np.random.default_rng(seed)
+        grid = qc.DiscGrid(48)
+        values = random_floats(rng, 48 * 48 * 3).reshape(48, 48, 3)
+        u = qc.SampledMap(grid=grid, target=qc.TargetSpace.euclidean(3), values=values)
+        mask = grid.disc_mask
+        assert mask.sum() > fd.WRITE_ROWS
+        u.save(tmp_path / "u.map")
+        assert (tmp_path / "u.map").read_text() == self.table_text(
+            f"48 3 {u.target.descriptor()}", "%d %d" + " %.17g" * 3, mask, values[mask])
+        for f in (qc.estimate_field(make_map(48, lambda x, y: np.stack([x + 0.2 * x * y, y]),
+                                             target)) for target in (EUCLID, qc.TargetSpace.linf())):
+            f.save(tmp_path / "f.txt")
+            inner = f.interior_mask
+            assert (tmp_path / "f.txt").read_text() == self.table_text(
+                f"48 {f.kind}", "%d %d " + sn.record_format(f.kind, f.rows.shape[1]),
+                inner, f.rows[f.index[inner]])
+        cells = int(mask.sum())
+        cols = (rng.integers(-5, 10**6, cells), grid.x[mask], random_floats(rng, cells),
+                random_floats(rng, 2 * cells).reshape(cells, 2))
+        fmt = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g"
+        fd.write_cells(tmp_path / "g.csv", "i,j,k,x,v,a,b", fmt, mask, *cols)
+        assert (tmp_path / "g.csv").read_text() == self.table_text("i,j,k,x,v,a,b", fmt,
+                                                                   mask, *cols)
 
     @staticmethod
     def edited(path, old, new):

@@ -666,6 +666,27 @@ class TestSampledLayerDifferential:
         assert calls == {"dedup", "gauge", "energy", "composed"}
         return fast, ref
 
+    @pytest.mark.parametrize("name", ["bump", "nonlinear"])
+    def test_report_independent_of_row_order(self, name):
+        # distinct_rows leaves the order of the distinct rows unspecified: the
+        # field with its rows permuted, and its index remapped, gives the same
+        # report bytes
+        def bump(x, y):
+            w = np.exp(-((x - 0.1) ** 2 + y**2) / 0.08)
+            return np.stack([x + 0.15 * w * y, y + 0.1 * w * x])
+
+        fn = {"bump": bump,
+              "nonlinear": lambda x, y: np.stack([x + 0.2 * x * y, y + 0.1 * x * x])}[name]
+        f = qc.estimate_field(make_map(32, fn, qc.TargetSpace.linf()))
+        assert len(f.rows) > 8
+        want = rp.epsilon_conformal_from_field(f, 0.2 * np.pi)[2].render()
+        for perm in (np.arange(len(f.rows))[::-1],
+                     np.random.default_rng(1).permutation(len(f.rows))):
+            g = qc.DerivativeField(grid=f.grid, kind=f.kind, rows=f.rows[perm],
+                                   index=np.argsort(perm)[f.index])
+            assert np.array_equal(g.rows[g.index], f.rows[f.index])
+            assert rp.epsilon_conformal_from_field(g, 0.2 * np.pi)[2].render() == want
+
     @pytest.mark.parametrize("name", ["shared", "bump"])
     def test_report_bytes_match_reference(self, monkeypatch, name):
         fast, ref = self._reports(monkeypatch, name)
