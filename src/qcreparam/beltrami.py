@@ -7,14 +7,26 @@ operator norm, minimal stretch and determinant are |f_z| + |f_zbar|,
 | |f_z| - |f_zbar| | and |f_z|^2 - |f_zbar|^2.
 
 The solver produces an orientation-preserving map f with f_zbar = mu f_z
-for a compactly supported coefficient with sup |mu| = k < 1.  It iterates
-h <- mu (1 + S h) with the two-dimensional singular integral S applied
-spectrally on a periodic box (S has operator norm 1, so the iteration
-contracts at rate k), then integrates h through the spectral antiderivative.
-The mean of h cannot live in a periodic antiderivative, so it is carried by
-an affine term:  f(z) = z + mean(h) zbar + (periodic part).  Certificates
-(equation residual, orientation, dilatation) are measured from independent
-central finite differences, not from the spectral construction.
+for a coefficient mu = mu_0 + nu on a periodic box: mu_0 is one complex
+constant, the value on the box edge, and nu is supported inside the unit
+disc, with sup |mu| = k < 1.  With S the two-dimensional singular integral
+(the Fourier multiplier sigma = conj(zeta)/zeta, of modulus 1), the equation
+for h = f_zbar reads h = mu (1 + S h).  Its constant-coefficient part is
+inverted exactly: with T = 1/(1 - mu_0 sigma) and M = sigma T, h = mu_0 + T q
+where q solves q = nu (1 + M q).  The solver iterates that equation, which
+contracts at rate sup |nu| / (1 - |mu_0|), so an affine map (nu = 0) solves
+in one step; for mu_0 = 0, M = sigma and T = 1 give the plain iteration
+h <- mu (1 + S h).  The mean of h, mu_0 + mean(q), cannot live in a periodic
+antiderivative, so it is carried by an affine term:
+f(z) = z + mean(h) zbar + (periodic part), the periodic part being the
+spectral antiderivative of T q.  The exact derivative of f at the nodes,
+f_z = 1 + M q and f_zbar = mu_0 + T q = mu_0 f_z + q, satisfies the equation
+there to the iteration's tolerance; its coefficient mu_0 + q / f_z is
+returned as QCMap.mu_exact.  Certificates (equation residual,
+orientation, dilatation) are measured from independent central finite
+differences, not from the spectral construction; where mu jumps, as at the
+edge of its support, those differences straddle the jump and read a
+coefficient between the two sides.
 """
 
 from __future__ import annotations
@@ -44,6 +56,7 @@ DET_FLOOR = 1e-12
 INV_TOL = 1e-8
 NEWTON_MAX = 50
 PAD = 2.0          # invert's margin around rho(unit circle), in rho's grid spacings
+ROUNDING_FLOOR = 64 * np.finfo(float).eps   # |nu| up to this times max(1, |mu_0| + sup |nu|) is rounding
 
 
 # -- pointwise complex calculus -------------------------------------------------
@@ -151,13 +164,22 @@ class ComplexField:
     def meshes(self):
         return np.meshgrid(self.coords, self.coords, indexing="ij")
 
+    @property
+    def offset(self):
+        """mu_0, the field's value at the box corner: for a field mu_0 + nu with
+        nu supported inside the disc, its value on the whole box edge."""
+        return complex(self.values[0, 0])
+
     def support_radius(self):
-        """max |z| over nodes where the field is nonzero (0 if empty)."""
-        x, y = self.meshes()
-        hot = self.values != 0
-        if not np.any(hot):
+        """max |z| over nodes where |nu| = |values - offset| exceeds the rounding
+        floor, ROUNDING_FLOOR max(1, |offset| + sup |nu|) (0 if there are none)."""
+        mu0 = self.offset
+        size = np.abs(self.values - mu0)
+        i, j = np.nonzero(size > ROUNDING_FLOOR * max(1.0, abs(mu0) + float(size.max())))
+        if not i.size:
             return 0.0
-        return float(np.hypot(x[hot], y[hot]).max())
+        c = self.coords
+        return float(np.hypot(c[i], c[j]).max())
 
     def sup_norm(self):
         return float(np.abs(self.values).max(initial=0.0))
@@ -182,11 +204,14 @@ class ComplexField:
 
 
 def mollify(mu, eta):
-    """Convolution with the unit-mass radial bump of radius eta.
+    """mu_0 plus the convolution of nu with the unit-mass radial bump of
+    radius eta, for mu = mu_0 + nu (ComplexField.offset).
 
-    Requires eta < distance(support, unit circle) so the smoothed support
-    stays compactly inside the disc.  A radius below the grid spacing, or a
-    zero coefficient, reduces to the identity; the sup norm never increases.
+    Requires eta < distance(support of nu, unit circle) so the smoothed
+    support stays compactly inside the disc.  A radius below the grid
+    spacing, or a nu no larger than rounding (support_radius 0), reduces to
+    the identity; each value is an average of values of mu, so the sup norm
+    never increases.
     """
     if eta <= 0:
         raise ValueError("mollification radius must be positive")
@@ -198,20 +223,22 @@ def mollify(mu, eta):
             f"radius {eta} exceeds distance {1.0 - rad:.3g} from support to the circle")
     d = mu.spacing
     r_cells = int(math.floor(eta / d))
-    if r_cells < 1 or not np.any(mu.values):
+    if r_cells < 1 or rad == 0.0:           # no nu above the rounding floor
         return ComplexField(S=mu.S, values=mu.values.copy())
+    mu0 = mu.offset
+    nu = mu.values - mu0
     offs = np.arange(-r_cells, r_cells + 1) * d
     ox, oy = np.meshgrid(offs, offs, indexing="ij")
     rr = np.hypot(ox, oy) / eta
     kernel = np.where(rr < 1.0, np.exp(-1.0 / np.maximum(1.0 - rr**2, 1e-300)), 0.0)
     kernel /= kernel.sum()
-    out = _periodic_convolve(mu.values, kernel)
+    out = _periodic_convolve(nu, kernel)
     # confine to the eta-neighborhood of the input support (kills fft dust);
     # counting support nodes under the footprint dilates exactly at any radius
     footprint = (rr < 1.0).astype(float)
-    region = _periodic_convolve((mu.values != 0).astype(float), footprint).real > 0.5
+    region = _periodic_convolve((nu != 0).astype(float), footprint).real > 0.5
     out = np.where(region, out, 0.0)
-    return ComplexField(S=mu.S, values=out)
+    return ComplexField(S=mu.S, values=out + mu0 if mu0 else out)
 
 
 def _periodic_convolve(values, kernel):
@@ -234,6 +261,11 @@ class QCMap:
     Values and 2x2 differentials live on a cell-centered grid (origin is the
     coordinate of node (0, 0)); `mask` restricts partial domains such as an
     inverted image region.  Certificates are measured, not assumed.
+    `mu_exact`, where a map has it, is the Beltrami coefficient f_zbar / f_z
+    of the exact derivative, at the nodes, of the function the values sample
+    (solve_beltrami's spectral solution); `df` is then the central
+    differences its certificates are measured from.  The file layout holds
+    `df` only.
     """
 
     x0: float
@@ -242,6 +274,7 @@ class QCMap:
     values: np.ndarray              # complex (N, M)
     df: np.ndarray                  # (N, M, 2, 2)
     mask: np.ndarray | None = None
+    mu_exact: np.ndarray | None = None     # complex (N, M)
     K_certified: float = math.nan
     det_min: float = math.nan
     residual_l2: float = math.nan
@@ -255,16 +288,19 @@ class QCMap:
     def shape(self):
         return self.values.shape
 
+    @property
+    def node_mu(self):
+        """Beltrami coefficient at the nodes: mu_exact where the map has one,
+        else f_zbar / f_z of df."""
+        if self.mu_exact is not None:
+            return self.mu_exact
+        fz, fzb = mat_to_wirtinger(self.df)
+        return fzb / fz
+
     def node_coords(self):
         xs = self.x0 + np.arange(self.shape[0]) * self.spacing
         ys = self.y0 + np.arange(self.shape[1]) * self.spacing
         return np.meshgrid(xs, ys, indexing="ij")
-
-    def domain_samples(self):
-        """(values, differentials, cell area) over masked nodes."""
-        if self.mask is None:
-            return self.values.ravel(), self.df.reshape(-1, 2, 2), self.spacing**2
-        return self.values[self.mask], self.df[self.mask], self.spacing**2
 
     def value_at(self, pts):
         """Bilinear interpolation of the map at points (K, 2) -> complex."""
@@ -282,7 +318,8 @@ class QCMap:
         return self.value_at(pts)
 
     def rotated(self, alpha):
-        """Post-composition with the rotation by alpha (same domain grid)."""
+        """Post-composition with the rotation by alpha (same domain grid),
+        which keeps the Beltrami coefficient, mu_exact included."""
         rot = np.array([[math.cos(alpha), -math.sin(alpha)],
                         [math.sin(alpha), math.cos(alpha)]])
         return replace(self, values=np.exp(1j * alpha) * self.values,
@@ -314,13 +351,21 @@ class QCMap:
                      K_certified=kc, det_min=dm, residual_l2=rl, k_coeff=kk)
 
 
-def _spectral_multipliers(n, spacing):
+def _spectral_multipliers(n, spacing, mu0=0.0):
+    """(M, C T): the multiplier M = sigma / (1 - mu0 sigma) of the iteration
+    and the spectral antiderivative C = -2i / zeta times T = 1 / (1 - mu0 sigma),
+    with sigma = conj(zeta) / zeta the Beurling transform (sigma = C = 0 at
+    zeta = 0).  For mu0 = 0 they are sigma and C."""
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    zeta = kx + 1j * ky
-    safe = np.where(zeta == 0, 1.0, zeta)
-    beurling = np.where(zeta == 0, 0.0, np.conj(zeta) / safe)
-    cauchy = np.where(zeta == 0, 0.0, -2j / safe)
+    zeta = k[:, None] + 1j * k
+    zeta[0, 0] = 1.0                        # zeta = 0 only at the origin
+    beurling = np.conj(zeta) / zeta
+    cauchy = -2j / zeta
+    beurling[0, 0] = cauchy[0, 0] = 0.0
+    if mu0:
+        t = 1.0 / (1.0 - mu0 * beurling)
+        beurling *= t
+        cauchy *= t
     return beurling, cauchy
 
 
@@ -341,76 +386,105 @@ def _support_block(m):
     return span(hot.any(axis=1)), span(hot.any(axis=0))
 
 
-def _neumann(m, beurling):
-    """(h, iterations, contraction rate) of h <- m (1 + S h) from h = 0.
+def _neumann(m, multiplier, bound):
+    """(q, iterations, contraction rate) of q <- m (1 + M q) from q = 0, with
+    M the Fourier multiplier given and bound < 1 the contraction bound
+    sup |m| sup |M|.
 
-    Only the block of m's support is iterated: h vanishes off it, so the
+    The loop stops once a step moves q by at most ITER_TOL (root mean square
+    over the box), or at the first step, q = m, when that lies within
+    bound / (1 - bound) |m| <= ITER_TOL of the fixed point: an m at the
+    rounding of the coefficient's ellipses would otherwise take a second
+    step only to see its first one confirmed.
+
+    Only the block of m's support is iterated: q vanishes off it, so the
     forward transform runs along axis 1 over the block's rows only and the
     inverse transform along axis 0 over its columns only.  The axis order is
-    that of fft2 / ifft2 and numpy transforms each line on its own, so S h on
+    that of fft2 / ifft2 and numpy transforms each line on its own, so M q on
     the block has the bits of the full-box transform.  The update is written
-    (1 + S h) * m, the operand order numpy uses when it reuses the temporary
-    1 + S h of a box of 128^2 nodes or more.
+    (1 + M q) * m, the operand order numpy uses when it reuses the temporary
+    1 + M q of a box of 128^2 nodes or more.
     """
     n = m.shape[0]
     r, c = _support_block(m)
     mb = m[r, c]
-    hb = np.zeros_like(mb)
+    qb = np.zeros_like(mb)
+    q = np.zeros_like(m)
+    if not mb.size:         # m = 0: the first step leaves q = 0
+        return q, 1, math.nan
+    if bound / (1.0 - bound) * math.sqrt(np.vdot(mb, mb).real / n**2) <= ITER_TOL:
+        q[r, c] = mb        # what the first step computes
+        return q, 1, math.nan
     rows = np.zeros((mb.shape[0], n), dtype=complex)      # the block's rows, full width
     spec = np.zeros((n, n), dtype=complex)
     inc, prev, rate, it = 0.0, None, math.nan, 0
     for it in range(1, MAX_ITER + 1):
-        rows[:, c] = hb
+        rows[:, c] = qb
         spec[r] = np.fft.fft(rows, axis=1)
-        half = np.fft.ifft(beurling * np.fft.fft(spec, axis=0), axis=1)[:, c]
-        h_new = (1.0 + np.fft.ifft(half, axis=0)[r]) * mb
-        diff = h_new - hb
+        half = np.fft.ifft(multiplier * np.fft.fft(spec, axis=0), axis=1)[:, c]
+        q_new = (1.0 + np.fft.ifft(half, axis=0)[r]) * mb
+        diff = q_new - qb
         inc = math.sqrt(np.vdot(diff, diff).real / n**2)
         if prev is not None and prev > 0:
             rate = inc / prev
         prev = inc
-        hb = h_new
+        qb = q_new
         if inc <= ITER_TOL:
             break
     if inc > ITER_TOL:
         raise NoConvergence(
             f"iteration increment {inc:.3e} above {ITER_TOL} after {MAX_ITER} steps")
-    h = np.zeros_like(m)
-    h[r, c] = hb
-    return h, it, rate
+    q[r, c] = qb
+    return q, it, rate
 
 
 def solve_beltrami(mu):
-    """Solve f_zbar = mu f_z for a compactly supported coefficient.
+    """Solve f_zbar = mu f_z for mu = mu_0 + nu, nu supported inside the disc.
 
     Returns a QCMap on the solver box normalized to f(z) ~ z + mean(h) zbar
-    far from the support.  The residual certificate ||f_zbar - mu f_z||
-    (root mean square over nodes, derivatives by central differences) and
-    the dilatation bound are stored on the result; they are meaningful
-    whenever mu is resolved by the grid, and they are measured rather than
-    trusted either way.
+    far from the support, with the coefficient of f's exact node derivative
+    as mu_exact and f's central differences as df.  The residual certificate
+    ||f_zbar - mu f_z|| (root mean square over nodes, derivatives by central
+    differences) and the dilatation bound are stored on the result; they are
+    meaningful whenever mu is resolved by the grid, and they are measured
+    rather than trusted either way.
 
-    The Neumann iteration (`_neumann`) runs on the smallest block that holds
-    mu's support, and computes the update as (1 + S h) * mu; the mean of h
-    and the spectral antiderivative are taken over the whole box.  On boxes
-    of 128^2 nodes and more, the result has the bits of the full-box loop
-    h <- mu * (1 + S h); on smaller boxes it can differ in the last bit.
+    mu_0 is read as ComplexField.offset.  The iteration q <- nu (1 + M q)
+    (see the module docstring) runs on the smallest block that holds nu's
+    support (`_neumann`); the mean of q and the spectral antiderivative of
+    T q are taken over the whole box.  For mu_0 = 0 this is the loop
+    h <- mu (1 + S h), and on boxes of 128^2 nodes and more it has the bits
+    of that loop run over the whole box; on smaller boxes it can differ in the
+    last bit.  CoefficientTooLarge where sup |mu| >= 1 - K_MARGIN, or where
+    the contraction bound sup |nu| / (1 - |mu_0|) is.
     """
     k = mu.sup_norm()
     if k >= 1.0 - K_MARGIN:
         raise CoefficientTooLarge(f"sup |mu| = {k} >= {1.0 - K_MARGIN}")
     if mu.support_radius() >= 1.0:
         raise SupportTooClose("coefficient must be supported inside the unit disc")
+    mu0 = mu.offset
+    bound = float(np.abs(mu.values - mu0).max()) / (1.0 - abs(mu0))
+    if bound >= 1.0 - K_MARGIN:
+        raise CoefficientTooLarge(f"contraction bound sup |nu| / (1 - |mu_0|) = {bound} "
+                                  f">= {1.0 - K_MARGIN}")
 
     n, d = mu.n, mu.spacing
-    beurling, cauchy = _spectral_multipliers(n, d)
+    multiplier, antiderivative = _spectral_multipliers(n, d, mu0)
     m = mu.values
-    h, it, rate = _neumann(m, beurling)
+    q, it, rate = _neumann(m - mu0, multiplier, bound)
 
-    a = complex(np.mean(h))
-    part = np.fft.ifft2(cauchy * np.fft.fft2(h))
-    x, y = mu.meshes()
-    z = x + 1j * y
+    a = mu0 + complex(np.mean(q))
+    spec = np.fft.fft2(q)
+    # part from a fresh copy of the spectrum: numpy may reuse such a temporary
+    # for the product and then rounds it as it did the product with fft2(q)
+    part = np.fft.ifft2(antiderivative * spec.copy())
+    # the exact node derivative of f: f_z = 1 + M q and, as T = 1 + mu_0 M,
+    # f_zbar = mu_0 + T q = mu_0 f_z + q, so its coefficient is mu_0 + q / f_z
+    exact = mu0 + q / (1.0 + np.fft.ifft2(multiplier * spec))
+    del multiplier, antiderivative, q, spec     # box arrays the certificate never reads
+    c = mu.coords
+    z = c[:, None] + 1j * c
     f = z + a * np.conj(z) + part
 
     # independent certificate: central differences of the periodic part plus
@@ -426,36 +500,13 @@ def solve_beltrami(mu):
 
     return QCMap(
         x0=float(mu.coords[0]), y0=float(mu.coords[0]), spacing=d,
-        values=f, df=df,
+        values=f, df=df, mu_exact=exact,
         K_certified=float(dil.max()), det_min=det_min,
         residual_l2=residual_l2, k_coeff=k, iterations=it,
         contraction_rate=float(rate),
         meta={"mu_f": np.abs(fzb_fd / fz_fd), "dilatation": dil,
               "residual": np.abs(residual), "affine": a},
     )
-
-
-def _nearest_offered(p, x0, y0, spacing, n):
-    """Per node of the n x n lattice (x0 + i spacing, y0 + j spacing), flat in
-    row-major order: the index of the nearest of the points p (complex) that
-    lie in one of the node's four lattice cells, the smallest index on ties,
-    or -1 where no point lies in them."""
-    i0 = np.floor((p.real - x0) / spacing).astype(int)
-    j0 = np.floor((p.imag - y0) / spacing).astype(int)
-    q = np.flatnonzero((i0 >= -1) & (i0 < n) & (j0 >= -1) & (j0 < n))
-    ii = (i0[q, None] + (0, 1, 0, 1)).ravel()             # the cell's four corners
-    jj = (j0[q, None] + (0, 0, 1, 1)).ravel()
-    q = np.repeat(q, 4)
-    ok = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
-    ii, jj, q = ii[ok], jj[ok], q[ok]
-    d2 = (p.real[q] - (x0 + ii * spacing)) ** 2 + (p.imag[q] - (y0 + jj * spacing)) ** 2
-    node = ii * n + jj
-    best = np.full(n * n, np.inf)
-    np.minimum.at(best, node, d2)
-    win = d2 == best[node]
-    out = np.full(n * n, p.size)
-    np.minimum.at(out, node[win], q[win])
-    return np.where(out < p.size, out, -1)
 
 
 def invert(rho, *, n=256):
@@ -466,12 +517,13 @@ def invert(rho, *, n=256):
     unmasked.  Per masked node, |rho(phi(w)) - w| <= INV_TOL and
     Dphi(w) = Drho(phi(w))^{-1}.
 
-    Newton starts each node w at the rho node whose image is nearest among
-    those whose images lie in one of w's four cells (`_nearest_offered`).  A
-    node offered none lies more than a cell from rho's whole sampled image,
-    so it starts at the inverse (w - a conj(w)) / (1 - |a|^2) of rho's far
-    field z + a conj(z), a = meta["affine"] (0 for a map without one).
-    rho's value and differential come from one bilinear gather per step.
+    Newton starts every node w at the inverse (w - a conj(w)) / (1 - |a|^2)
+    of rho's far field z + a conj(z), a = meta["affine"] (0 for a map without
+    one); for an affine rho that is the exact preimage.  A step that does not
+    lower a node's residual |rho(z) - w| is halved instead of taken, so the
+    residual falls monotonically: from the far field, plain steps cycle on
+    strongly compressed regions.  rho's value and differential come from one
+    bilinear gather per step.
     """
     img, pad = rho.image_of_circle(), PAD * rho.spacing
     lo_x, hi_x = img.real.min() - pad, img.real.max() + pad
@@ -485,11 +537,8 @@ def invert(rho, *, n=256):
     wx, wy = np.meshgrid(xs, ys, indexing="ij")
     w = (wx + 1j * wy).ravel()
 
-    gx, gy = rho.node_coords()
-    near = _nearest_offered(rho.values.ravel(), x0, y0, spacing, n)
     a = rho.meta.get("affine", 0)
-    z = np.where(near >= 0, gx.ravel()[near] + 1j * gy.ravel()[near],
-                 (w - a * np.conj(w)) / (1 - abs(a) ** 2))
+    z = (w - a * np.conj(w)) / (1 - abs(a) ** 2)
 
     # value (real, imag) and differential of rho in one (N, M, 6) stack
     stack = np.concatenate([rho.values.real[..., None], rho.values.imag[..., None],
@@ -500,21 +549,28 @@ def invert(rho, *, n=256):
                              (p.imag - rho.y0) / rho.spacing)
         return s[:, 0] + 1j * s[:, 1], s[:, 2:].reshape(-1, 2, 2)
 
+    # resid holds the residual at back, the last point of each node that
+    # lowered it; a step that does not lower it is halved, back towards back
     resid = np.full(w.shape, np.inf)
+    back = z.copy()
     active = np.ones(w.shape, dtype=bool)
     for _ in range(NEWTON_MAX):
-        fval, dfs = sample(z[active])
-        r = fval - w[active]
-        resid[active] = np.abs(r)
-        still = np.abs(r) > INV_TOL
-        idx = np.nonzero(active)[0]
-        active[idx[~still]] = False
-        if not np.any(still):
+        idx = np.flatnonzero(active)
+        fval, dfs = sample(z[idx])
+        r = fval - w[idx]
+        size = np.abs(r)
+        worse = ~(size < resid[idx])
+        z[idx[worse]] = 0.5 * (z[idx[worse]] + back[idx[worse]])
+        resid[idx[~worse]] = size[~worse]
+        back[idx[~worse]] = z[idx[~worse]]
+        active[idx[~worse & (size <= INV_TOL)]] = False
+        if not np.any(active):
             break
-        sub = idx[still]
-        d = dfs[still]
+        move = ~worse & (size > INV_TOL)
+        sub = idx[move]
+        d = dfs[move]
         det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
-        rr = r[still]
+        rr = r[move]
         dx = (d[:, 1, 1] * rr.real - d[:, 0, 1] * rr.imag) / det
         dy = (-d[:, 1, 0] * rr.real + d[:, 0, 0] * rr.imag) / det
         # step limiter keeps Newton stable across interpolation kinks
@@ -522,6 +578,7 @@ def invert(rho, *, n=256):
         big = np.abs(step) > 10 * rho.spacing
         step[big] *= (10 * rho.spacing) / np.abs(step[big])
         z[sub] = z[sub] - step
+    z = back
 
     converged = resid <= INV_TOL
     inside = np.abs(z) < 1.0

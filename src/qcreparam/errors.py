@@ -30,10 +30,6 @@ class StencilOutOfDomain(QcreparamError):
     """A finite-difference stencil leaves the sampled domain."""
 
 
-class ImageOutsideDomain(QcreparamError):
-    """A reparametrized point falls outside the disc."""
-
-
 class GridTooSmall(QcreparamError):
     """Fewer than 3 nodes per axis; derivatives are undefined."""
 

@@ -6,9 +6,9 @@ whose center lies in the open disc; derivative semi-norms are estimated on
 the interior cells (margin 2.5h from the boundary: the stencil radius h plus
 sqrt(2) h for the bilinear support) so that all finite difference stencils
 stay inside the sampled region.  Integrals extend the interior integrand by
-nearest interior cell to the cells within radius 1 + h, the disc cells and
-the nearest cells of points in the closed disc; this keeps constant
-integrands exact and the domain area at its lattice value.
+nearest interior cell to the cells within radius 1 + h, the disc cells and a
+ring beyond them; this keeps constant integrands exact and the domain area at
+its lattice value.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import lattice
 from . import seminorm as sn
-from .errors import ImageOutsideDomain, InputFormatError, InputOutOfRange, StencilOutOfDomain
+from .errors import InputFormatError, InputOutOfRange, StencilOutOfDomain
 from .seminorm import SemiNorm2, half_circle_directions
 
 QUADRATIC_STENCIL_DIRECTIONS = 8
@@ -101,9 +101,9 @@ class DiscGrid:
         interior cell, ties to the least column, then row, as an exact
         Euclidean distance transform chooses; every other cell maps to itself.
 
-        The program reads disc cells and the nearest cells of points in the
-        closed disc, all within radius 1 + h.  In index units such a cell lies
-        at radius rho < n/2 + 1, and interior cells at rho < n/2 - margin / h.
+        The program reads the disc cells, and seminorm_at any cell within
+        radius 1 + h.  In index units such a cell lies at radius rho < n/2 + 1,
+        and interior cells at rho < n/2 - margin / h.
         The cell holding the point of radius n/2 - margin / h - sqrt(2)/2 on its
         ray is interior, within rho - n/2 + margin / h + sqrt(2) < 4.92 cells,
         so the offsets with d^2 <= 24, in (d^2, column, row) order, find it."""
@@ -129,6 +129,12 @@ class DiscGrid:
         radius 1 + h; every other cell keeps its own value."""
         ei, ej = self.extension_indices()
         return arr[ei, ej]
+
+    def box_cells(self, arr):
+        """The disc cells' block of an array over a solver box that pads this
+        grid by o cells per side: box node k sits on disc cell k - o."""
+        o = (arr.shape[0] - self.n) // 2
+        return arr[o : o + self.n, o : o + self.n]
 
     def integrate(self, density):
         """Midpoint quadrature of a per-cell density over the disc."""
@@ -456,8 +462,12 @@ class DerivativeField:
         return self.energy_density() - self.jacobian_intrinsic_density()
 
     def beltrami_density(self, delta):
-        """Beltrami coefficient of the delta-regularized cell semi-norm."""
-        return sn.ellipse_beltrami(self._ellipse_rows(delta))[self.index]
+        """Beltrami coefficient of the delta-regularized cell semi-norm, per
+        cell (extended), computed once per delta."""
+        key = ("beltrami", delta)
+        if key not in self._cache:
+            self._cache[key] = sn.ellipse_beltrami(self._ellipse_rows(delta))
+        return self._cache[key][self.index]
 
     # -- serialization --------------------------------------------------------
 
@@ -703,30 +713,61 @@ def area_hausdorff(field_):
     return _quadrature("area", field_, field_.jacobian_hausdorff_density)
 
 
-def composed_energy(field_, phi):
-    """Energy of the composition u . phi over phi's domain grid: the
-    quadrature of composed_density over the masked cells of phi.  The map u
-    is never resampled.
+def composed_energy(field_, rho):
+    """Energy of u . phi, phi = rho^-1 on Omega = rho(disc), integrated over
+    the disc cells by the change of variables w = rho(z):
+
+        E(u . phi) = integral over the disc of I_+^2(s_z . Drho(z)^-1) det Drho(z) dz,
+
+    with s_z the cell's own semi-norm and Drho read at the cell's solver node
+    (DiscGrid.box_cells): for even n, solver node k sits on disc cell k - n/2.
+    The density depends on Drho only through its Beltrami coefficient, read
+    as rho.node_mu: for a solved rho that of its exact node derivative, the
+    solved coefficient, where central differences would straddle the
+    coefficient's jump at the edge of its support.
+    One quadrature, DiscGrid.integrate, measures this and the areas.  The map
+    u is never resampled.  ValueError for a rho sampled on other nodes.
     """
-    pts, df, cell_area = phi.domain_samples()
-    if np.any(np.hypot(pts.real, pts.imag) >= 1.0):
-        raise ImageOutsideDomain("phi maps a cell outside the closed disc")
-    return float(np.sum(composed_density(field_, pts, df)) * cell_area)
+    grid = field_.grid
+    start = grid.centers[0] - (rho.shape[0] - grid.n) // 2 * grid.h
+    if not (rho.shape[0] == rho.shape[1] >= grid.n and rho.spacing == grid.h
+            and abs(rho.x0 - start) + abs(rho.y0 - start) <= 1e-9 * grid.h):
+        raise ValueError("rho's nodes are not the disc cell centres padded by whole cells")
+    disc = grid.disc_mask
+    dens = np.zeros(disc.shape)
+    mu = grid.box_cells(rho.node_mu)[disc]
+    dens[disc] = composed_density(field_, field_.index[disc], coefficient_differential(mu))
+    return grid.integrate(dens)
 
 
-def composed_density(field_, pts, df):
-    """I_+^2(s_z . df[k]) per node k, with s_z the semi-norm of the disc cell
-    nearest to the complex point z = pts[k] (a node's image under phi); for a
-    sampled field, max_i |df[k]^T c_i|^2 over the edge rows c_i of s_z's ball
-    polygon (seminorm.edge_energy)."""
-    ids = field_.index[field_.grid.nearest_cell(pts.real, pts.imag)]
-    if field_.kind == "quadratic":
-        q11, q12, q22 = field_.rows[ids].T
-        a, b = df[:, 0, 0], df[:, 0, 1]
-        c, d = df[:, 1, 0], df[:, 1, 1]
-        # M^T Q M for M = Dphi
-        r11 = a * (q11 * a + q12 * c) + c * (q12 * a + q22 * c)
-        r12 = a * (q11 * b + q12 * d) + c * (q12 * b + q22 * d)
-        r22 = b * (q11 * b + q12 * d) + d * (q12 * b + q22 * d)
-        return sn.row_energy("quadratic", np.stack([r11, r12, r22], axis=-1))
-    return sn.edge_energy(field_._edges(), ids, df)
+def coefficient_differential(mu):
+    """(K, 2, 2) real matrices of v -> v + mu conj(v), the differential with
+    Beltrami coefficient mu and f_z = 1: I_+^2(s . D^-1) det D is the same
+    for every D with coefficient mu, since a similarity after D cancels."""
+    mu = np.asarray(mu)
+    out = np.empty(mu.shape + (2, 2))
+    out[..., 0, 0] = 1.0 + mu.real
+    out[..., 0, 1] = out[..., 1, 0] = mu.imag
+    out[..., 1, 1] = 1.0 - mu.real
+    return out
+
+
+def composed_density(field_, ids, drho):
+    """I_+^2(s . drho[k]^-1) det drho[k] per k, with s the field's row ids[k]:
+    as drho^-1 = adj(drho) / det drho, I_+^2(s . adj(drho[k])) / det drho[k].
+    For a quadratic row Q that is lmax(adj^T Q adj) / det; for a sampled row,
+    max_i |adj^T c_i|^2 / det over the edge rows c_i of its ball polygon
+    (seminorm.edge_energy)."""
+    # adj(drho) = [[a, b], [c, d]], and det adj(drho) = det drho
+    a, b = drho[:, 1, 1], -drho[:, 0, 1]
+    c, d = -drho[:, 1, 0], drho[:, 0, 0]
+    det = a * d - b * c
+    if field_.kind == "sampled":
+        adj = np.stack([a, b, c, d], axis=-1).reshape(-1, 2, 2)
+        return sn.edge_energy(field_._edges(), ids, adj) / det
+    q11, q12, q22 = field_.rows[ids].T
+    # adj^T Q adj
+    r11 = a * (q11 * a + q12 * c) + c * (q12 * a + q22 * c)
+    r12 = a * (q11 * b + q12 * d) + c * (q12 * b + q22 * d)
+    r22 = b * (q11 * b + q12 * d) + d * (q12 * b + q22 * d)
+    return sn.row_energy("quadratic", np.stack([r11, r12, r22], axis=-1)) / det

@@ -9,18 +9,52 @@ and emits a report in which every intermediate estimate is a checked
 inequality with explicit left/right values:
 
 1. a regularization scale delta with the regularized jacobian integral
-   within epsilon_internal of the area;
+   within e = epsilon_internal of the area;
 2. a threshold L and the cell set A (bounded stretch, away from the
-   boundary) whose complement carries at most epsilon_internal of energy;
-3. the Beltrami coefficient of the inscribed-ellipse normalizer of the
-   regularized derivative on A (zero elsewhere), with a certified sup bound;
-4. a mollified coefficient and the cell set B on which it is uniformly
-   close to the raw one, with the off-B energy within epsilon_internal / K;
+   boundary) whose complement carries at most e / K_L of energy, where
+   K_L = (1 + k_L) / (1 - k_L) and k_L is the largest |mu| over A;
+   both searches aim at SEARCH_SHARE of these allowances first (see below);
+3. the Beltrami coefficient mu of the inscribed-ellipse normalizer of the
+   regularized derivative on A, and one constant mu_0 on every other node,
+   inside the disc and outside it: mu = mu_0 + nu with nu supported on A.
+   mu_0 is the midrange of mu's real and imaginary parts over A where that
+   lowers the solver's contraction bound sup_A |mu - mu_0| / (1 - |mu_0|)
+   below sup_A |mu| (and |mu_0| <= sup_A |mu|), else 0;
+4. a mollified coefficient (nu mollified, mu_0 kept) and the cell set B on
+   which it is uniformly close to the raw one, with the off-B energy within
+   e / K;
 5. a solved Beltrami map rho, its Newton inverse phi on Omega = rho(disc),
-   and the independently quadratured composed energy.
+   and the composed energy, integrated over the disc cells by the change of
+   variables w = rho(z): E(u . phi) = integral of I_+^2(s_z . Drho^-1) det Drho.
 
-epsilon_internal is calibrated so that the composed bound
-(1+e)(area+e) + (1+e)e + e lands below area + epsilon.
+The bound.  The mollifier averages values of mu over A and mu_0, so the
+solved coefficient keeps |mu| <= k = k_L, and rho is K-quasiconformal.  Per
+disc cell z, with B = Drho(z)^-1, the density I_+^2(s_z . B) det Drho(z) is
+at most (1 + e) J(s_z, delta) on A and B, where the mollified coefficient is
+within (1 - k^2) e / (2 + e) of the normalizer's; and it is at most
+K I_+^2(s_z) on every cell, as I_+^2(s . B) <= I_+^2(s) |B|^2 and
+|Drho^-1|^2 det Drho is rho's dilatation.  So
+
+    E(u . phi) <= (1 + e)(area + e) + K off_A + K off_B
+               <= (1 + e)(area + e) + 2 e
+               <= (1 + e)(area + e) + (1 + e) e + e  =  bound_claimed,
+
+and epsilon_internal is the largest e with bound_claimed <= area + epsilon.
+Cells off A carry mu_0, not the normalizer's coefficient, which is why their
+energy is charged at K, and why step 2 asks K_L off_A <= e.
+
+The bound is the ceiling, not the result.  The composed density depends on
+rho only through its Beltrami coefficient, the solved one, so the energy
+reached is about J(s_z, delta) on A plus the excess of the cells off A, and
+the dyadic searches of steps 1 and 2 land that anywhere in a factor of 4
+below what they are allowed.  Steps 1 and 2 therefore search with
+SEARCH_SHARE e first: the excess over the area is then a small fraction of
+epsilon on every map, instead of wandering up to e with the step each map
+lands on, and the reported inequalities keep the full allowances.  A smaller
+delta makes the coefficient of a nearly degenerate derivative more
+eccentric; where the solver refuses it or does not converge, or Newton does
+not invert rho, steps 1 to 5 run again with the full e, whose delta is the
+largest the budget admits.
 """
 
 from __future__ import annotations
@@ -34,17 +68,24 @@ from . import field as fd
 from .beltrami import (
     ComplexField,
     invert,
-    mat_to_wirtinger,
     mollify,
     solve_beltrami,
 )
-from .errors import AuditFailed, PipelineBudgetExceeded, SearchExhausted
+from .errors import (
+    AuditFailed,
+    CoefficientTooLarge,
+    NewtonDiverged,
+    NoConvergence,
+    PipelineBudgetExceeded,
+    SearchExhausted,
+)
 
 DELTA_MAX_HALVINGS = 60
 THRESHOLD_MAX_DOUBLINGS = 60
 QUAD_BUDGET_REL = 0.05
 AUDIT_TOL = 0.05
 SOLVER_BOX = 2.0           # [-2, 2]^2: the disc grid padded by n/2 cells per side
+SEARCH_SHARE = 1.0 / 16    # share of e that the delta and L searches aim at first
 
 
 def epsilon_internal(area, epsilon):
@@ -105,22 +146,26 @@ class ThresholdResult:
 
 
 def choose_threshold(field_, delta, eps):
-    """Smallest L in {1, 2, 4, ...} with the off-A energy at most eps.
+    """Smallest L in {1, 2, 4, ...} with the off-A energy at most eps / K_L.
 
     A collects the disc cells with |z| <= 1 - 1/L whose stretch
-    sqrt(I_+^2) is at most L; the eccentricity of the inscribed ellipse of
-    the delta-regularized derivative is then at most
-    K_ecc = sqrt(2 L^2 / delta^2 + 2).
+    sqrt(I_+^2) is at most L; K_L = (1 + k_L) / (1 - k_L), with k_L the
+    largest |mu| over A of the delta-regularized Beltrami density, charges
+    the cells off A, which carry mu_0 (see build_coefficient).  The
+    eccentricity of the inscribed ellipse of the delta-regularized
+    derivative on A is at most K_ecc = sqrt(2 L^2 / delta^2 + 2).
     """
     grid = field_.grid
     dens = field_.energy_density()
     stretch = np.sqrt(np.maximum(dens, 0.0))
+    modulus = np.abs(field_.beltrami_density(delta))
     disc = grid.disc_mask
     L = 1.0
     for _ in range(THRESHOLD_MAX_DOUBLINGS + 1):
         mask = disc & (grid.radius <= 1.0 - 1.0 / L) & (stretch <= L)
         off = float(np.sum(dens[disc & ~mask]) * grid.weight)
-        if off <= eps:
+        k = float(modulus[mask].max(initial=0.0))
+        if k < 1.0 and off <= eps / ((1.0 + k) / (1.0 - k)):
             K_ecc = math.sqrt(2.0 * L**2 / delta**2 + 2.0)
             return ThresholdResult(L=L, mask=mask, off_energy=off, K_ecc=K_ecc,
                                    k_apriori=(K_ecc - 1.0) / (K_ecc + 1.0))
@@ -129,23 +174,37 @@ def choose_threshold(field_, delta, eps):
                           achieved=off)
 
 
+def coefficient_offset(mu_a):
+    """mu_0 for the coefficient values mu_a on A: the midrange c of their real
+    and imaginary parts where |c| <= sup |mu_a| and c lowers the contraction
+    bound sup |mu_a - c| / (1 - |c|) below sup |mu_a|, its value at 0; else 0."""
+    if not mu_a.size:
+        return 0j
+    k = np.abs(mu_a).max()
+    re, im = mu_a.real, mu_a.imag
+    c = complex(0.5 * (re.min() + re.max()), 0.5 * (im.min() + im.max()))
+    size = np.abs(c)
+    if size <= k and np.abs(mu_a - c).max() / (1.0 - size) < k:
+        return c
+    return 0j
+
+
 def build_coefficient(field_, delta, thr):
-    """Beltrami coefficient of the regularized derivative on A, zero elsewhere,
-    as the one field the pipeline carries from here to the solve.
+    """Beltrami coefficient of the regularized derivative on A, mu_0 elsewhere
+    (coefficient_offset), as the one field the pipeline carries from here to
+    the solve.
 
     Returned on the solver box, the disc grid padded by n/2 cells per side:
     for even n every box node over the disc grid is a cell center and takes
     its cell's value, so no radius cut is needed, A lying in |z| <= 1 - 1/L
-    already.  Every node off A holds +0.0.
+    already.  Every node off A, inside the disc and outside it, holds mu_0
+    (+0.0 where mu_0 = 0).
     """
-    mu = np.where(thr.mask, field_.beltrami_density(delta), 0.0)
-    return ComplexField(S=SOLVER_BOX, values=np.pad(mu, field_.grid.n // 2))
-
-
-def _cells_from_solver(mu_field, grid):
-    """Values of a solver-box field at the disc cell centers (see build_coefficient)."""
-    o = (mu_field.n - grid.n) // 2
-    return mu_field.values[o : o + grid.n, o : o + grid.n]
+    mu = field_.beltrami_density(delta)
+    mu0 = coefficient_offset(mu[thr.mask])
+    mu = np.where(thr.mask, mu, mu0)
+    return ComplexField(S=SOLVER_BOX, values=np.pad(mu, field_.grid.n // 2,
+                                                     constant_values=mu0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +229,7 @@ def smooth_coefficient(mu, eps, field_):
     """
     grid = field_.grid
     k = mu.sup_norm()
-    mu_cells = _cells_from_solver(mu, grid)
+    mu_cells = grid.box_cells(mu.values)
     K = (1.0 + k) / (1.0 - k)
     budget = eps / K
     bound = (1.0 - k * k) * eps / (2.0 + eps)
@@ -189,7 +248,7 @@ def smooth_coefficient(mu, eps, field_):
     least = math.inf
     for eta in etas:
         mu_t = mollify(mu, eta)
-        mu_t_cells = _cells_from_solver(mu_t, grid)
+        mu_t_cells = grid.box_cells(mu_t.values)
         dev = np.abs(mu_cells - mu_t_cells)
         bmask = disc & (dev <= bound)
         off = float(np.sum(dens[disc & ~bmask]) * grid.weight)
@@ -244,7 +303,7 @@ class ReparamReport:
         rows = [
             ("int_sz_almost_area", self.term_regularized_area,
              self.area_before + e),
-            ("small_int_energy_A", self.term_offA_energy, e),
+            ("small_int_energy_A", self.term_offA_energy, e / self.K),
             ("small_int_energy_B", self.term_offB_energy, e / self.K),
             ("approx_unif_coeff_on_B", self.max_dev_on_B,
              (1.0 - self.k**2) * e / (2.0 + e)),
@@ -324,16 +383,26 @@ def epsilon_conformal_from_field(field_, epsilon, *, quad_rel=QUAD_BUDGET_REL,
     a_haus = fd.area_hausdorff(field_)
     eps_i = epsilon_internal(a_before, epsilon)
 
-    delta = choose_delta(field_, eps_i)
-    thr = choose_threshold(field_, delta, eps_i)
-    mu = build_coefficient(field_, delta, thr)
-    smooth = smooth_coefficient(mu, eps_i, field_)
+    for share in (SEARCH_SHARE, 1.0):
+        delta = choose_delta(field_, share * eps_i)
+        thr = choose_threshold(field_, delta, share * eps_i)
+        mu = build_coefficient(field_, delta, thr)
+        smooth = smooth_coefficient(mu, eps_i, field_)
+        # the report keeps mu's disc cells, not its solver box through the solve
+        mu_cells, k_measured = grid.box_cells(mu.values).copy(), mu.sup_norm()
+        del mu
+        try:
+            rho = solve_beltrami(smooth.mu_tilde)
+            phi = invert(rho, n=grid.n)
+            break
+        except (CoefficientTooLarge, NoConvergence, NewtonDiverged):
+            # the smaller delta's coefficient is too eccentric to solve; the
+            # full allowance's is the least eccentric the budget admits
+            if share == 1.0:
+                raise
     k = smooth.k
     K = (1.0 + k) / (1.0 - k)
-
-    rho = solve_beltrami(smooth.mu_tilde)
-    phi = invert(rho, n=grid.n)
-    e_after = fd.composed_energy(field_, phi)
+    e_after = fd.composed_energy(field_, rho)
 
     term_reg = grid.integrate(field_.jacobian_intrinsic_density(delta))
     disc = grid.disc_mask
@@ -364,9 +433,9 @@ def epsilon_conformal_from_field(field_, epsilon, *, quad_rel=QUAD_BUDGET_REL,
         omega_area=omega.area,
         seed=seed,
         extras={"A_mask": thr.mask, "B_mask": smooth.mask,
-                "mu_cells": _cells_from_solver(mu, grid),
-                "mu_tilde_cells": _cells_from_solver(smooth.mu_tilde, grid),
-                "k_apriori": thr.k_apriori, "k_measured": mu.sup_norm(),
+                "mu_cells": mu_cells,
+                "mu_tilde_cells": grid.box_cells(smooth.mu_tilde.values),
+                "k_apriori": thr.k_apriori, "k_measured": k_measured,
                 "field": field_, "rho": rho},
     )
     if report.failures():
@@ -378,48 +447,49 @@ def epsilon_conformal_from_field(field_, epsilon, *, quad_rel=QUAD_BUDGET_REL,
 # -- pointwise case audit ----------------------------------------------------------
 
 def audit_cases(report, phi, rng, num=64):
-    """Re-derive the pointwise composition bound at random sampled nodes.
+    """Re-derive the pointwise composition bound at random sampled disc cells.
 
-    Per sampled node w of phi's domain (z the nearest disc cell of phi(w)):
+    Per sampled cell z, with the composed density I_+^2(s_z . Drho^-1) det Drho
+    that composed_energy integrates, and mu_rho, rho's Beltrami coefficient at
+    z (QCMap.node_mu), from which composed_energy reads it:
 
-      on B and A:   I2(s_z . Dphi) <= J(s_z,delta) det Dphi * (1+m)/(1-m) * (1+tol)
-      on B off A:   I2(s_z . Dphi) <= I2(s_z) det Dphi * (1+m)/(1-m) * (1+tol)
-      off B:        I2(s_z . Dphi) <= K * I2(s_z) det Dphi * (1+tol)
+      on A and B:   density <= J(s_z,delta) (1+m)/(1-m) (1+tol)
+      on A off B:   density <= K I2(s_z) (1+tol)
+      off A:        density <= I2(s_z) (1+|mu_rho|)/(1-|mu_rho|) (1+tol)
 
     where m = |mu_z - mu_rho| / |1 - mu_z conj(mu_rho)| is the measured
     coefficient of the normalized composition, mu_z the coefficient of
-    build_coefficient at z (zero off A).  Both Dphi terms come from the
-    stored differential, in one batch: with (phi_w, phi_wbar) its Wirtinger
-    pair, det Dphi = |phi_w|^2 - |phi_wbar|^2, and since rho = phi^-1, rho's
-    coefficient at z = phi(w) is mu_rho = -phi_wbar / conj(phi_w).  On B, m
-    itself is checked against epsilon_internal/(2+epsilon_internal) plus the
-    measured solver deviation |mu_rho - mu_tilde| at z (scaled by 1/(1-k^2)).
-    Returns the number of nodes checked.  Raises AuditFailed at the first
-    failing node in sample order, naming the cell and the failed check.
+    build_coefficient at z (mu_0 off A).  Off A the bound is rho's own
+    dilatation at z.  On B, m itself is checked against
+    epsilon_internal/(2+epsilon_internal) plus the solver deviation
+    |mu_rho - mu_tilde| at z (scaled by 1/(1-k^2)), which for a solved rho
+    is the iteration's tolerance; the central-difference residual is the
+    report's solver_residual_l2.  phi, the inverse the
+    report certifies, is not read: every cell's check is made at its solver
+    node.  Returns the number of cells checked.  Raises AuditFailed at the
+    first failing cell in sample order, naming the cell and the failed check.
     """
     field_ = report.extras["field"]
     grid = field_.grid
     eps_i = report.epsilon_internal
     k = report.k
 
-    vals, dfs, _ = phi.domain_samples()
-    take = rng.choice(len(vals), size=min(num, len(vals)), replace=False)
-    i, j = grid.nearest_cell(vals[take].real, vals[take].imag)
+    ii, jj = np.nonzero(grid.disc_mask)
+    take = rng.choice(len(ii), size=min(num, len(ii)), replace=False)
+    i, j = ii[take], jj[take]
     on_a, on_b = report.extras["A_mask"][i, j], report.extras["B_mask"][i, j]
+    mu_rho = grid.box_cells(report.extras["rho"].node_mu)[i, j]
     # composed integrand, exactly as the energy quadrature evaluates it
-    lhs = fd.composed_density(field_, vals[take], dfs[take])
-
-    pw, pwb = mat_to_wirtinger(dfs[take])
-    det = np.abs(pw) ** 2 - np.abs(pwb) ** 2
-    mu_rho = -pwb / np.conj(pw)
-    mu_z = np.where(on_a, report.extras["mu_cells"][i, j], 0.0)
+    lhs = fd.composed_density(field_, field_.index[i, j], fd.coefficient_differential(mu_rho))
+    mu_z = report.extras["mu_cells"][i, j]
     m = np.abs(mu_z - mu_rho) / np.abs(1.0 - mu_z * np.conj(mu_rho))
     dev = np.abs(report.extras["mu_tilde_cells"][i, j] - mu_rho)
     m_bound = eps_i / (2.0 + eps_i) + dev / (1.0 - k * k) + 1e-9
     en = field_.energy_density()[i, j]
     jd = field_.jacobian_intrinsic_density(report.delta)[i, j]
-    rhs = np.where(on_b, np.where(on_a, jd, en) * det * (1.0 + m) / (1.0 - m),
-                   report.K * en * det) * (1.0 + AUDIT_TOL)
+    k_rho = np.abs(mu_rho)
+    rhs = np.where(on_a, np.where(on_b, jd * (1.0 + m) / (1.0 - m), report.K * en),
+                   en * (1.0 + k_rho) / (1.0 - k_rho)) * (1.0 + AUDIT_TOL)
 
     m_fails = on_b & ~(m <= m_bound)
     fails = m_fails | ~(lhs <= rhs + 1e-12)

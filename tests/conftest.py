@@ -150,11 +150,14 @@ def pipeline_coefficient(name, n, epsilon=0.2 * np.pi):
     """The smoothed coefficient that epsilon_conformal solves for the map
     PIPELINE_MAPS[name] on DiscGrid(n), on a solver box of 2n nodes: the one
     solver-box field of build_coefficient, handed to smooth_coefficient."""
+    from qcreparam.reparam import SEARCH_SHARE
+
     field_ = qc.estimate_field(qc.SampledMap.from_function(
         qc.DiscGrid(n), qc.TargetSpace.euclidean(2), PIPELINE_MAPS[name]))
     eps_i = qc.epsilon_internal(qc.area_intrinsic(field_), epsilon)
-    delta = qc.choose_delta(field_, eps_i)
-    mu = qc.build_coefficient(field_, delta, qc.choose_threshold(field_, delta, eps_i))
+    delta = qc.choose_delta(field_, SEARCH_SHARE * eps_i)
+    thr = qc.choose_threshold(field_, delta, SEARCH_SHARE * eps_i)
+    mu = qc.build_coefficient(field_, delta, thr)
     return qc.smooth_coefficient(mu, eps_i, field_).mu_tilde
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcreparam as qc
-from qcreparam.beltrami import ITER_TOL, MAX_ITER, _nearest_offered, _spectral_multipliers
+from qcreparam.beltrami import ITER_TOL, MAX_ITER, ROUNDING_FLOOR, _spectral_multipliers
 from qcreparam.errors import (
     CoefficientTooLarge,
     DegenerateDerivative,
@@ -24,6 +24,24 @@ from conftest import (
     rand_orientation_matrix,
     traced_peak,
 )
+
+
+def full_box_reference(mu):
+    """(values, iterations) of the solve as one full-box loop: q <- nu (1 + M q),
+    then z + (mu_0 + mean q) conj(z) + the spectral antiderivative of T q."""
+    mu0 = mu.offset
+    multiplier, antiderivative = _spectral_multipliers(mu.n, mu.spacing, mu0)
+    nu = mu.values - mu0
+    q = np.zeros_like(nu)
+    for it in range(1, MAX_ITER + 1):
+        q_new = nu * (1.0 + np.fft.ifft2(multiplier * np.fft.fft2(q)))
+        inc, q = np.sqrt(np.mean(np.abs(q_new - q) ** 2)), q_new
+        if inc <= ITER_TOL:
+            break
+    x, y = mu.meshes()
+    z = x + 1j * y
+    a = mu0 + complex(np.mean(q))
+    return z + a * np.conj(z) + np.fft.ifft2(antiderivative * np.fft.fft2(q)), it
 
 
 def grid_samples(fn, n=64, lo=-1.0, hi=1.0):
@@ -254,6 +272,46 @@ class TestMollify:
         with pytest.raises(SupportTooClose):
             qc.mollify(field, 0.5)
 
+    def test_offset_is_kept_and_nu_mollified(self):
+        # mollify(mu_0 + nu) = mu_0 + mollify(nu), the support and the
+        # SupportTooClose check read nu
+        bump = bump_coefficient(n=128, k=0.2, radius=0.5)
+        mu0 = 0.3 - 0.1j
+        field = qc.ComplexField(S=2.0, values=bump.values + mu0)
+        assert field.offset == mu0
+        assert field.support_radius() == bump.support_radius()
+        out = qc.mollify(field, 0.2)
+        assert np.abs(out.values - (qc.mollify(bump, 0.2).values + mu0)).max() <= 1e-15
+        assert out.sup_norm() <= field.sup_norm() * (1 + 1e-12)
+        with pytest.raises(SupportTooClose):
+            qc.mollify(field, 0.6)
+
+
+class TestSupportRadius:
+    def test_rounding_noise_is_no_support(self):
+        # nu at the rounding floor, as the rounded Beltrami density of an
+        # isotropic map carries, has no support; nu above it has
+        rng = np.random.default_rng(3)
+        f0 = qc.ComplexField(S=2.0, values=np.zeros((64, 64), dtype=complex))
+        x, y = f0.meshes()
+        inside = np.hypot(x, y) < 0.8
+        for mu0 in (0.0, 0.4 + 0.3j):
+            noise = np.where(inside, rng.uniform(-1, 1, inside.shape) * 1e-15, 0.0)
+            field = qc.ComplexField(S=2.0, values=mu0 + noise + 0j)
+            assert field.support_radius() == 0.0
+            spike = field.values.copy()
+            spike[40, 40] += 2 * ROUNDING_FLOOR
+            r = np.hypot(x[40, 40], y[40, 40])
+            assert qc.ComplexField(S=2.0, values=spike).support_radius() == r
+
+    def test_floor_scales_with_a_large_field(self):
+        vals = np.zeros((64, 64), dtype=complex)
+        vals[32, 32] = 1e3
+        vals[20, 32] = 1e3 * ROUNDING_FLOOR / 2           # rounding at this scale
+        field = qc.ComplexField(S=2.0, values=vals)
+        x, y = field.meshes()
+        assert field.support_radius() == np.hypot(x[32, 32], y[32, 32])
+
 
 class TestSolver:
     def test_zero_coefficient_identity_exact(self):
@@ -268,26 +326,96 @@ class TestSolver:
     @pytest.mark.parametrize("n", [32, 64, 128])
     @pytest.mark.parametrize("name", sorted(PIPELINE_MAPS))
     def test_matches_full_box_reference(self, name, n):
-        # the Neumann loop runs on the coefficient's support block only; on
+        # the iteration q <- nu (1 + M q) runs on nu's support block only; on
         # solver boxes of 128^2 nodes and more it keeps the full-box bits
         mu = pipeline_coefficient(name, n)
         out = qc.solve_beltrami(mu)
+        ref, it = full_box_reference(mu)
+        assert out.iterations == it
+        if mu.n >= 128:
+            assert np.array_equal(out.values, ref)
+        else:
+            np.testing.assert_allclose(out.values, ref, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["stretch", "diag41"])
+    def test_linear_maps_solve_in_one_step(self, name):
+        # a linear map's coefficient is mu_0 on the whole box, up to rounding
+        mu = pipeline_coefficient(name, 64)
+        out = qc.solve_beltrami(mu)
+        assert out.iterations == 1
+        assert abs(mu.offset) > 0.3
+        x, y = mu.meshes()
+        z = x + 1j * y
+        assert np.abs(out.values - (z + mu.offset * np.conj(z))).max() <= 1e-14
+        assert out.residual_l2 <= 1e-14
+
+    @pytest.mark.parametrize("mu0", [0.3, 0.5 - 0.4j, -0.85j])
+    def test_constant_coefficient_exact_in_one_step(self, mu0):
+        mu = qc.ComplexField(S=2.0, values=np.full((64, 64), mu0, dtype=complex))
+        out = qc.solve_beltrami(mu)
+        x, y = mu.meshes()
+        z = x + 1j * y
+        assert out.iterations == 1
+        assert out.meta["affine"] == mu0
+        assert np.abs(out.values - (z + mu0 * np.conj(z))).max() <= 1e-14
+        fz, fzb = qc.mat_to_wirtinger(out.df)
+        assert np.abs(fzb / fz - mu0).max() <= 1e-14
+        assert out.K_certified == pytest.approx((1 + abs(mu0)) / (1 - abs(mu0)), rel=1e-12)
+
+    def test_offset_bump_matches_reference(self):
+        # mu_0 plus a bump: the preconditioned loop against the plain full-box
+        # Neumann loop on mu itself, which converges to the same map
+        bump = bump_coefficient(n=128, k=0.2)
+        mu = qc.ComplexField(S=2.0, values=bump.values + (0.4 + 0.2j))
+        out = qc.solve_beltrami(mu)
         beurling, cauchy = _spectral_multipliers(mu.n, mu.spacing)
-        m = mu.values
-        h = np.zeros_like(m)
-        for it in range(1, MAX_ITER + 1):
-            h_new = m * (1.0 + np.fft.ifft2(beurling * np.fft.fft2(h)))
+        h = np.zeros_like(mu.values)
+        for plain in range(1, MAX_ITER + 1):
+            h_new = mu.values * (1.0 + np.fft.ifft2(beurling * np.fft.fft2(h)))
             inc, h = np.sqrt(np.mean(np.abs(h_new - h) ** 2)), h_new
             if inc <= ITER_TOL:
                 break
         x, y = mu.meshes()
         z = x + 1j * y
         ref = z + complex(np.mean(h)) * np.conj(z) + np.fft.ifft2(cauchy * np.fft.fft2(h))
-        assert out.iterations == it
-        if mu.n >= 128:
-            assert np.array_equal(out.values, ref)
-        else:
-            np.testing.assert_allclose(out.values, ref, rtol=0, atol=1e-15)
+        assert np.abs(out.values - ref).max() <= 1e-11
+        # it contracts at sup |nu| / (1 - |mu_0|) = 0.36, the plain loop at 0.63
+        assert out.contraction_rate <= 0.2 / (1 - abs(0.4 + 0.2j)) + 0.05
+        assert out.iterations < plain
+        assert out.residual_l2 <= 1e-3
+
+    def test_coefficient_at_ellipse_rounding_solves_in_one_step(self):
+        # mu_0 plus a nu of 5e-11, the size of the split that the 1e-12 row
+        # rounding gives one semi-norm's ellipses: its root mean square over
+        # the box passes ITER_TOL, so the loop took a second step, but the
+        # first, q = nu, is within 1e-20 of the fixed point
+        nu = bump_coefficient(n=128, k=5e-11)
+        mu = qc.ComplexField(S=2.0, values=nu.values + 0.3)
+        assert np.sqrt(np.mean(np.abs(nu.values) ** 2)) > ITER_TOL
+        out = qc.solve_beltrami(mu)
+        ref, its = full_box_reference(mu)
+        assert out.iterations == 1 < its
+        assert np.abs(out.values - ref).max() <= 1e-14
+
+    def test_exact_node_coefficient_is_the_solved_one(self):
+        # at the nodes the exact derivative solves f_zbar = mu f_z; the
+        # central differences straddle mu's jump at the edge of A, where they
+        # read a coefficient between the two sides
+        mu = pipeline_coefficient("random-smooth", 64)
+        out = qc.solve_beltrami(mu)
+        assert out.node_mu is out.mu_exact
+        assert np.abs(out.mu_exact - mu.values).max() <= 1e-10
+        fz, fzb = qc.mat_to_wirtinger(out.df)
+        assert np.abs(fzb / fz - mu.values).max() > 1e-3
+
+    def test_contraction_bound_too_large(self):
+        # |mu| < 0.98 everywhere, but nu = mu - mu_0 reaches 1.5 against
+        # 1 - |mu_0| = 0.25: the preconditioned loop would not contract
+        mu = bump_coefficient(n=64, k=-1.5)
+        mu = qc.ComplexField(S=2.0, values=mu.values + 0.75)
+        assert mu.sup_norm() < 0.98
+        with pytest.raises(CoefficientTooLarge, match="contraction bound"):
+            qc.solve_beltrami(mu)
 
     def test_peak_memory(self):
         # the full-box loop, whose buffers lived on through the certificates,
@@ -392,42 +520,25 @@ class TestInvert:
 
 
 class TestNewtonStart:
-    @pytest.mark.parametrize("name", ["stretch", "diag41"])
-    def test_nearest_offered_node_is_the_nearest_node(self, name):
-        rho = qc.solve_beltrami(pipeline_coefficient(name, 64))
-        phi = qc.invert(rho, n=64)
-        near = _nearest_offered(rho.values.ravel(), phi.x0, phi.y0, phi.spacing, 64)
-        wx, wy = (c.ravel() for c in phi.node_coords())
-        p = rho.values.ravel()
-        has = np.flatnonzero(near >= 0)
-        brute = np.concatenate([
-            np.argmin((p.real - wx[k, None]) ** 2 + (p.imag - wy[k, None]) ** 2, axis=1)
-            for k in np.array_split(has, 32)])
-        assert np.array_equal(near[has], brute)
-        # a node offered no rho node starts from the far field and stays unmasked
-        assert not phi.mask.ravel()[near < 0].any()
-        if name == "diag41":
-            assert np.count_nonzero(near < 0) > 0.2 * near.size
-
-    def test_node_offered_none_starts_from_the_far_field(self):
-        # rho(z) = z + a conj(z) is its own far field: such a node starts, and
+    def test_every_node_starts_from_the_far_field(self):
+        # rho(z) = z + a conj(z) is its own far field: every node starts, and
         # stays, at the exact preimage
         a = 0.6
         rho = replace(linear_qcmap(np.diag([1 + a, 1 - a])), meta={"affine": a})
         phi = qc.invert(rho, n=64)
-        none = _nearest_offered(rho.values.ravel(), phi.x0, phi.y0, phi.spacing, 64) < 0
-        w = (phi.node_coords()[0] + 1j * phi.node_coords()[1]).ravel()[none]
-        assert w.size > 0
-        assert np.array_equal(phi.values.ravel()[none], (w - a * np.conj(w)) / (1 - a**2))
-        assert not phi.mask.ravel()[none].any()
+        w = (phi.node_coords()[0] + 1j * phi.node_coords()[1]).ravel()
+        assert np.array_equal(phi.values.ravel(), (w - a * np.conj(w)) / (1 - a**2))
+        assert phi.mask.any() and not phi.mask.all()
 
-    def test_offers_no_node_beyond_one_cell(self):
-        p = np.array([0.5 + 0.5j, 0.5 + 0.5j, 2.9 + 0.2j, 7.0 + 7.0j])
-        near = _nearest_offered(p, 0.0, 0.0, 1.0, 4).reshape(4, 4)
-        # points 0 and 1 tie in the cell [0, 1]^2: the smaller index wins
-        assert near[0, 0] == near[1, 0] == near[0, 1] == near[1, 1] == 0
-        assert near[2, 0] == near[3, 0] == near[2, 1] == near[3, 1] == 2
-        assert np.count_nonzero(near >= 0) == 8
+    @pytest.mark.parametrize("name", ["stretch", "diag41", "random-smooth"])
+    def test_inverts_the_pipeline_solves(self, name):
+        rho = qc.solve_beltrami(pipeline_coefficient(name, 64))
+        phi = qc.invert(rho, n=64)
+        assert phi.inv_residual_max <= qc.beltrami.INV_TOL
+        z = phi.values[phi.mask]
+        back = rho.value_at(np.column_stack([z.real, z.imag]))
+        w = (phi.node_coords()[0] + 1j * phi.node_coords()[1])[phi.mask]
+        assert np.abs(back - w).max() <= qc.beltrami.INV_TOL
 
 
 class TestSerialization:
@@ -448,6 +559,24 @@ class TestSerialization:
         assert np.array_equal(back.df, rho.df)
         assert back.spacing == rho.spacing
         assert back.K_certified == pytest.approx(rho.K_certified)
+
+    def test_qcmap_file_holds_the_central_differences(self, tmp_path):
+        # the exact node coefficient is not saved: a loaded map reads df's
+        rho = qc.solve_beltrami(bump_coefficient(n=64, k=0.2))
+        rho.save(tmp_path / "rho.qcmap")
+        back = qc.QCMap.load(tmp_path / "rho.qcmap")
+        assert back.mu_exact is None
+        assert np.array_equal(back.df, rho.df)
+        fz, fzb = qc.mat_to_wirtinger(rho.df)
+        assert np.array_equal(back.node_mu, fzb / fz)
+
+    def test_rotation_keeps_the_coefficient(self):
+        rho = qc.solve_beltrami(bump_coefficient(n=64, k=0.2))
+        turned = rho.rotated(0.7)
+        assert turned.mu_exact is rho.mu_exact
+        fz, fzb = qc.mat_to_wirtinger(rho.df)
+        tz, tzb = qc.mat_to_wirtinger(turned.df)
+        assert np.abs(tzb / tz - fzb / fz).max() <= 1e-12
 
 
 class TestNodewiseDistortion:

@@ -112,6 +112,30 @@ class TestSolveCommand:
                     for i in range(rho.shape[0]) for j in range(rho.shape[1])]
             assert (tmp_path / name).read_text() == per_row_csv(rows)
 
+    def test_solve_keeps_the_plain_loop_bits(self, fixtures, capsys, tmp_path):
+        # the bump-mu coefficient is compactly supported, so mu_0 = 0 and the
+        # solve is the plain loop h <- mu (1 + S h) over the whole box, to the
+        # bit on this 128^2 box
+        from qcreparam.beltrami import ITER_TOL, MAX_ITER, _spectral_multipliers
+
+        code, out, _ = run(["solve", "--input", str(fixtures / "mu.bin"),
+                            "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        mu = qc.ComplexField.load(fixtures / "mu.bin")
+        assert mu.offset == 0
+        beurling, cauchy = _spectral_multipliers(mu.n, mu.spacing)
+        h = np.zeros_like(mu.values)
+        for it in range(1, MAX_ITER + 1):
+            h_new = mu.values * (1.0 + np.fft.ifft2(beurling * np.fft.fft2(h)))
+            inc, h = np.sqrt(np.mean(np.abs(h_new - h) ** 2)), h_new
+            if inc <= ITER_TOL:
+                break
+        x, y = mu.meshes()
+        z = x + 1j * y
+        ref = z + complex(np.mean(h)) * np.conj(z) + np.fft.ifft2(cauchy * np.fft.fft2(h))
+        assert np.array_equal(qc.QCMap.load(tmp_path / "rho.qcmap").values, ref)
+        assert grab(out, "iterations") == it
+
     def test_solve_rejects_bad_resolution(self, capsys, tmp_path):
         import qcreparam as qc
 

@@ -10,8 +10,8 @@ from qcreparam.errors import (DegenerateSemiNorm, InputFormatError, QcreparamErr
                               StencilOutOfDomain)
 from qcreparam.seminorm import half_circle_directions
 
-from conftest import (estimate_rows_reference, linear_qcmap, rand_sampled_norm, rand_spd,
-                      traced_peak)
+from conftest import (estimate_rows_reference, linear_qcmap, rand_orientation_matrix,
+                      rand_sampled_norm, rand_spd, traced_peak)
 
 EUCLID = qc.TargetSpace.euclidean(2)
 
@@ -243,52 +243,72 @@ class TestQuadrature:
         assert qc.area_intrinsic(f) == pytest.approx(np.pi, rel=0.02)
 
 
+def solver_box_map(m, n):
+    """The linear map m sampled on the solver box of DiscGrid(n): 2n nodes on
+    [-2, 2]^2, node k on disc cell k - n/2."""
+    return linear_qcmap(m, box=2.0, n=2 * n)
+
+
 class TestComposedEnergy:
     def test_identity_phi_reproduces_energy(self):
         u = stretch_map(96)
         f = qc.estimate_field(u)
-        phi = linear_qcmap(np.eye(2), box=1.0, n=96)
-        mask = np.abs(phi.values) < 1.0
-        phi = qc.QCMap(x0=phi.x0, y0=phi.y0, spacing=phi.spacing,
-                       values=phi.values, df=phi.df, mask=mask)
-        # same grid geometry as the disc quadrature, so the sums agree exactly
-        assert qc.composed_energy(f, phi) == pytest.approx(qc.energy(f), rel=1e-12)
+        # the disc quadrature of the energy itself, cell by cell
+        assert qc.composed_energy(f, solver_box_map(np.eye(2), 96)) == qc.energy(f)
 
     def test_linear_phi_closed_form(self):
         u = stretch_map(96)
         f = qc.estimate_field(u)
         m = np.array([[2**-0.5, 0.0], [0.0, 2**0.5]])
-        phi = linear_qcmap(m, box=0.3, n=48)
-        # I2(diag(4,1) . M) = lmax(M^T Q M) = 2, times the domain area 0.36
-        assert qc.composed_energy(f, phi) == pytest.approx(2.0 * 0.36, rel=1e-9)
+        rho = solver_box_map(np.linalg.inv(m), 96)
+        # phi = rho^-1 = m: I2(diag(4,1) . M) = lmax(M^T Q M) = 2 and det Drho = 1,
+        # over the disc cells' area
+        area = f.grid.integrate(np.ones((96, 96)))
+        assert qc.composed_energy(f, rho) == pytest.approx(2.0 * area, rel=1e-12)
 
     def test_rotation_leaves_energy(self, rng):
         u = stretch_map(96)
         f = qc.estimate_field(u)
         c, s = np.cos(0.37), np.sin(0.37)
         rot = np.array([[c, -s], [s, c]])
-        e0 = qc.composed_energy(f, linear_qcmap(np.eye(2) * 0.4, box=0.5, n=64))
-        e1 = qc.composed_energy(f, linear_qcmap(rot * 0.4, box=0.5, n=64))
-        assert e1 == pytest.approx(e0, rel=1e-9)
+        e0 = qc.composed_energy(f, solver_box_map(np.eye(2) * 0.4, 96))
+        e1 = qc.composed_energy(f, solver_box_map(rot * 0.4, 96))
+        assert e1 == pytest.approx(e0, rel=1e-12)
+        assert e0 == pytest.approx(qc.energy(f), rel=1e-12)
+
+    @pytest.mark.parametrize("target", ["euclid", "linf"])
+    def test_dominates_area_cell_by_cell(self, rng, target):
+        # I2(s . B) det B^-1 >= J(s . B) det B^-1 = J(s) for every linear B:
+        # for any rho the composed density stays above the jacobian
+        space = qc.TargetSpace.linf() if target == "linf" else qc.TargetSpace.euclidean(2)
+        f = qc.estimate_field(make_map(32, lambda x, y: np.stack([x + 0.2 * x * y,
+                                                                  y + 0.1 * x * x]), space))
+        disc = f.grid.disc_mask
+        jd = f.jacobian_intrinsic_density()[disc]
+        for _ in range(5):
+            m = rand_orientation_matrix(rng)
+            dens = fd.composed_density(f, f.index[disc],
+                                       np.broadcast_to(m, (int(disc.sum()), 2, 2)))
+            assert np.all(dens >= jd * (1 - 1e-7))
 
     def test_linf_peak_memory(self):
-        # an l-inf field needs the K nodes' m mapped directions (2 K m
+        # an l-inf field needs the disc cells' m mapped directions (2 K m
         # doubles) and their gauge values (K m); the edge loads of the gauge
         # come a block at a time, within 2 MB beyond those
         f = qc.estimate_field(make_map(64, lambda x, y: np.stack([2.0 * x, y]),
                                        qc.TargetSpace.linf()))
-        phi = linear_qcmap(np.eye(2), box=1.0, n=64)
-        mask = np.abs(phi.values) < 1.0
-        phi = qc.QCMap(x0=phi.x0, y0=phi.y0, spacing=phi.spacing,
-                       values=phi.values, df=phi.df, mask=mask)
-        _, peak = traced_peak(qc.composed_energy, f, phi)
-        assert peak <= 3 * mask.sum() * f.rows.shape[1] * 8 + (2 << 20)
+        rho = solver_box_map(np.eye(2), 64)
+        _, peak = traced_peak(qc.composed_energy, f, rho)
+        assert peak <= 3 * f.grid.disc_mask.sum() * f.rows.shape[1] * 8 + (2 << 20)
 
-    def test_image_outside_domain(self):
+    def test_rho_off_the_disc_cells_refused(self):
+        # rho's nodes must be the disc cell centres, padded by whole cells
         f = qc.estimate_field(identity_map(64))
-        phi = linear_qcmap(2.0 * np.eye(2), box=1.0, n=32)
-        with pytest.raises(qc.errors.ImageOutsideDomain):
-            qc.composed_energy(f, phi)
+        for rho in (linear_qcmap(np.eye(2), box=1.0, n=32),        # spacing 2h
+                    linear_qcmap(np.eye(2), box=2.0 - 1 / 64, n=127),   # odd padding
+                    linear_qcmap(np.eye(2), box=0.5, n=16)):        # smaller than the disc
+            with pytest.raises(ValueError, match="disc cell centres"):
+                qc.composed_energy(f, rho)
 
 
 class TestSampledRowsBatched:
