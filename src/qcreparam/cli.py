@@ -46,6 +46,8 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+BUMP_BOX = 2.0      # half-width of the bump-mu fixture's box, [-2, 2]^2
+
 CSV_HEADER = "i,j,x,y,value"
 CSV = "%d,%d,%.17g,%.17g,%.17g"
 
@@ -53,6 +55,11 @@ CSV = "%d,%d,%.17g,%.17g,%.17g"
 def _check_solver_resolution(n):
     if n < 64 or n > 2048:
         raise ConfigError(f"solver resolution must be in [64, 2048], got {n}")
+
+
+def _check_grid_resolution(n):
+    if n < 32 or n > 1024:
+        raise ConfigError(f"grid resolution must be in [32, 1024], got {n}")
 
 
 def _density_command(name, density, reduce, default_csv=None):
@@ -155,7 +162,7 @@ def cmd_solve(args):
 
 def cmd_reparam(args):
     u = SampledMap.load(args.input)
-    _check_solver_resolution(2 * u.grid.n)
+    _check_grid_resolution(u.grid.n)
     if not (np.isfinite(args.epsilon) and args.epsilon > 0):
         raise ConfigError(f"epsilon must be finite and positive, got {args.epsilon}")
     if not (np.isfinite(args.quad_budget) and args.quad_budget >= 0):
@@ -191,12 +198,12 @@ def cmd_fixture(args):
     n = args.n
     if args.kind == "bump-mu":
         _check_solver_resolution(n)
-        x, y = ComplexField(S=rp.SOLVER_BOX, values=np.zeros((n, n), dtype=complex)).meshes()
+        x, y = ComplexField(S=BUMP_BOX, values=np.zeros((n, n), dtype=complex)).meshes()
         r = np.hypot(x, y)
         with np.errstate(over="ignore"):
             vals = args.k * np.where(
                 r < 0.7, np.exp(1.0 - 1.0 / np.maximum(1.0 - (r / 0.7) ** 2, 1e-300)), 0.0)
-        ComplexField(S=rp.SOLVER_BOX, values=vals.astype(complex)).save(args.out)
+        ComplexField(S=BUMP_BOX, values=vals.astype(complex)).save(args.out)
     else:
         c = np.random.default_rng(args.seed).normal(scale=0.1, size=6)
         fixtures = {

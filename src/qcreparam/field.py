@@ -132,7 +132,10 @@ class DiscGrid:
 
     def box_cells(self, arr):
         """The disc cells' block of an array over a solver box that pads this
-        grid by o cells per side: box node k sits on disc cell k - o."""
+        grid by o = (N - n) // 2 whole cells per side, N the box's nodes per
+        axis: box node k sits on disc cell k - o.  The pipeline's box takes
+        o = reparam.solver_padding(n); any other whole-cell padding reads the
+        same block."""
         o = (arr.shape[0] - self.n) // 2
         return arr[o : o + self.n, o : o + self.n]
 
@@ -568,8 +571,9 @@ def _estimate_rows(u, ii, jj):
                 e - b, -1) / h
 
     cuts = np.flatnonzero(np.diff(shift)) + 1
-    for a, z in zip([0, *cuts], [*cuts, len(dirs)]):
-        run(a, z)
+    with np.errstate(over="ignore"):        # an overflowing distance is refused below
+        for a, z in zip([0, *cuts], [*cuts, len(dirs)]):
+            run(a, z)
 
     if u.target.kind == "polygonal":
         m = len(dirs) // 2
@@ -583,8 +587,12 @@ def _estimate_rows(u, ii, jj):
     design = np.column_stack([dirs[:, 0] ** 2, 2 * dirs[:, 0] * dirs[:, 1], dirs[:, 1] ** 2])
     pinv = np.linalg.pinv(design)
     # a fixed-order sum over the directions: a matmul would round by batch
-    coef = sum(g[kdir, :, None] ** 2 * pinv[:, kdir] for kdir in range(len(dirs)))
-    return "quadratic", _project_psd(coef), np.arange(len(ii))
+    # near the float range: a fit that overflows is refused here, and a fit
+    # whose eigenvalues overflow by the energy's quadrature
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = finite("energy", sum(g[kdir, :, None] ** 2 * pinv[:, kdir]
+                                    for kdir in range(len(dirs))))
+        return "quadratic", _project_psd(coef), np.arange(len(ii))
 
 
 def distinct_rows(rows):
@@ -720,17 +728,21 @@ def composed_energy(field_, rho):
         E(u . phi) = integral over the disc of I_+^2(s_z . Drho(z)^-1) det Drho(z) dz,
 
     with s_z the cell's own semi-norm and Drho read at the cell's solver node
-    (DiscGrid.box_cells): for even n, solver node k sits on disc cell k - n/2.
+    (DiscGrid.box_cells): rho's nodes are the disc cell centres padded by p
+    whole cells per side, any p >= 0, so solver node k sits on disc cell k - p.
     The density depends on Drho only through its Beltrami coefficient, read
     as rho.node_mu: for a solved rho that of its exact node derivative, the
     solved coefficient, where central differences would straddle the
     coefficient's jump at the edge of its support.
     One quadrature, DiscGrid.integrate, measures this and the areas.  The map
-    u is never resampled.  ValueError for a rho sampled on other nodes.
+    u is never resampled.  ValueError for a rho sampled on other nodes: its
+    spacing must be h, and its first node p cells before the first cell centre,
+    both to 1e-9 h, which admits only the rounding of the box's half-width.
     """
     grid = field_.grid
     start = grid.centers[0] - (rho.shape[0] - grid.n) // 2 * grid.h
-    if not (rho.shape[0] == rho.shape[1] >= grid.n and rho.spacing == grid.h
+    if not (rho.shape[0] == rho.shape[1] >= grid.n
+            and abs(rho.spacing - grid.h) <= 1e-9 * grid.h
             and abs(rho.x0 - start) + abs(rho.y0 - start) <= 1e-9 * grid.h):
         raise ValueError("rho's nodes are not the disc cell centres padded by whole cells")
     disc = grid.disc_mask

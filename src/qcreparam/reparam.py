@@ -55,6 +55,20 @@ delta makes the coefficient of a nearly degenerate derivative more
 eccentric; where the solver refuses it or does not converge, or Newton does
 not invert rho, steps 1 to 5 run again with the full e, whose delta is the
 largest the budget admits.
+
+The box.  Step 5 solves on the periodic box that pads the disc grid by
+solver_padding(n) whole cells per side, N = n + 2p nodes (144 for n = 128).
+The energy does not depend on the box.  Two
+solutions rho_1 and rho_2 of the same coefficient on two boxes that hold the
+disc both solve f_zbar = mu f_z on it, so g = rho_2 . rho_1^-1 is conformal
+on rho_1(disc), and Drho_2 = g'(rho_1) Drho_1 there: a similarity follows
+Drho_1.  The density I_+^2(s_z . Drho^-1) det Drho does not see it, as the
+factor |g'|^2 cancels, so both give one integral.  On the grid the same holds
+node by node: composed_energy reads rho only through its node coefficient,
+mu_0 + q / (1 + M q) (QCMap.mu_exact), which at the solver's fixed point is
+the mollified coefficient on any box.  Only the solver's own lines move with
+the box: its root-mean-square tolerance and residual are taken over the box
+nodes, and omega_area and phi follow rho's normalization.
 """
 
 from __future__ import annotations
@@ -84,7 +98,7 @@ DELTA_MAX_HALVINGS = 60
 THRESHOLD_MAX_DOUBLINGS = 60
 QUAD_BUDGET_REL = 0.05
 AUDIT_TOL = 0.05
-SOLVER_BOX = 2.0           # [-2, 2]^2: the disc grid padded by n/2 cells per side
+SOLVER_PAD_MIN = 2         # fewest cells the solver box adds on each side of the disc grid
 SEARCH_SHARE = 1.0 / 16    # share of e that the delta and L searches aim at first
 
 
@@ -189,22 +203,40 @@ def coefficient_offset(mu_a):
     return 0j
 
 
+def solver_padding(n):
+    """Cells p per side by which the solver box pads the disc grid of n cells:
+    the fewest p >= SOLVER_PAD_MIN that make N = n + 2p 5-smooth (a product
+    of 2, 3 and 5), a length numpy's FFT transforms without a slow prime
+    factor.  The box is [-S, S]^2 with S = N / n, so its spacing 2S / N is
+    the grid's h up to rounding: N = 144, 72, 36 for n = 128, 64, 32."""
+    p = SOLVER_PAD_MIN
+    while True:
+        m = n + 2 * p
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        if m == 1:
+            return p
+        p += 1
+
+
 def build_coefficient(field_, delta, thr):
     """Beltrami coefficient of the regularized derivative on A, mu_0 elsewhere
     (coefficient_offset), as the one field the pipeline carries from here to
     the solve.
 
-    Returned on the solver box, the disc grid padded by n/2 cells per side:
-    for even n every box node over the disc grid is a cell center and takes
-    its cell's value, so no radius cut is needed, A lying in |z| <= 1 - 1/L
-    already.  Every node off A, inside the disc and outside it, holds mu_0
-    (+0.0 where mu_0 = 0).
+    Returned on the solver box, the disc grid padded by solver_padding(n)
+    whole cells per side: every box node over the disc grid is a cell center
+    and takes its cell's value, so no radius cut is needed, A lying in
+    |z| <= 1 - 1/L already.  Every node off A, inside the disc and outside
+    it, holds mu_0 (+0.0 where mu_0 = 0).
     """
+    n = field_.grid.n
     mu = field_.beltrami_density(delta)
     mu0 = coefficient_offset(mu[thr.mask])
     mu = np.where(thr.mask, mu, mu0)
-    return ComplexField(S=SOLVER_BOX, values=np.pad(mu, field_.grid.n // 2,
-                                                     constant_values=mu0))
+    p = solver_padding(n)
+    return ComplexField(S=(n + 2 * p) / n, values=np.pad(mu, p, constant_values=mu0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,8 +407,8 @@ def epsilon_conformal_from_field(field_, epsilon, *, quad_rel=QUAD_BUDGET_REL,
                                  seed=None):
     grid = field_.grid
     if grid.n % 2:
-        # solver nodes coincide with cell centers only for even n; a
-        # half-node offset breaks the coefficient comparison on the B set
+        # refused since the solver box was [-2, 2]^2, whose nodes sit on the
+        # cell centers only for even n; solver_padding's box would align any n
         raise ValueError("pipeline needs an even grid resolution")
     e_before = fd.energy(field_)
     a_before = fd.area_intrinsic(field_)

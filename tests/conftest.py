@@ -148,8 +148,9 @@ PIPELINE_MAPS = {
 
 def pipeline_coefficient(name, n, epsilon=0.2 * np.pi):
     """The smoothed coefficient that epsilon_conformal solves for the map
-    PIPELINE_MAPS[name] on DiscGrid(n), on a solver box of 2n nodes: the one
-    solver-box field of build_coefficient, handed to smooth_coefficient."""
+    PIPELINE_MAPS[name] on DiscGrid(n), on its solver box of n + 2
+    solver_padding(n) nodes: the one solver-box field of build_coefficient,
+    handed to smooth_coefficient."""
     from qcreparam.reparam import SEARCH_SHARE
 
     field_ = qc.estimate_field(qc.SampledMap.from_function(

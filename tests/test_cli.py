@@ -136,6 +136,31 @@ class TestSolveCommand:
         assert np.array_equal(qc.QCMap.load(tmp_path / "rho.qcmap").values, ref)
         assert grab(out, "iterations") == it
 
+    def test_solve_keeps_its_bytes(self, fixtures, capsys, tmp_path):
+        # `fixture --kind bump-mu` keeps its own [-2, 2]^2 box, apart from the
+        # box that reparam fits to its disc grid: the fixture, solve's stdout
+        # and its files keep these SHA-256 digests (numpy 2.4, x86-64)
+        import hashlib
+
+        code, out, _ = run(["solve", "--input", str(fixtures / "mu.bin"),
+                            "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        want = {
+            "mu.bin": "f37505afa00b319d021ffb885c3b615d9c720cada5c9fdbf774c8df1e9b07caa",
+            "stdout": "9ac3b93c062b9d86539921ae76a239361d36eb34c65268d7733508f5fd8d34ff",
+            "det.csv": "0c5931cb2ced3a05834a5211c1148eece44f7607e2dcf27dda4541612aae0848",
+            "dilatation.csv": "7e962577a0b89126feca3847329e0fb9b56dea13e49082ac158e1d977e5726ad",
+            "mu_abs.csv": "92c60d52c2de491fdf82da84691a0ab70d54ac86d19e003112e81e0c14293544",
+            "mu_arg.csv": "1b7d1543faa4bf2a1b7389e7316f9a3d70f83c52c9ab17e170417c9f3fdec695",
+            "residual.csv": "fe2e2d320c3d349fce75725540b31106c844dc374965515874e426b033222d4e",
+            "rho.qcmap": "292f02c641ac36f344a6811a76b0317598a5762e08d55c010d6ba41f3fccdf42",
+        }
+        got = {name: hashlib.sha256((fixtures / name if name == "mu.bin" else tmp_path / name)
+                                    .read_bytes()).hexdigest()
+               for name in want if name != "stdout"}
+        got["stdout"] = hashlib.sha256(out.encode()).hexdigest()
+        assert got == want
+
     def test_solve_rejects_bad_resolution(self, capsys, tmp_path):
         import qcreparam as qc
 
@@ -454,6 +479,23 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert f"error: input: the map's {what} is not finite" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["energy"], ["reparam", "--epsilon", "0.6283"]])
+    def test_huge_euclidean_map(self, capsys, tmp_path, command):
+        # (x + 0.1 xy, y) times 1e160 into R^2: the squared stencil differences
+        # overflow in the Euclidean distance, and both commands printed
+        # RuntimeWarnings before their input error (with warnings as errors, a
+        # traceback and exit 1).  An input error, with no RuntimeWarning
+        path = tmp_path / "huge.map"
+        qc.SampledMap.from_function(
+            qc.DiscGrid(32), qc.TargetSpace.euclidean(2),
+            lambda x, y: 1e160 * np.stack([x + 0.1 * x * y, y])).save(path)
+        outdir = ["--outdir", str(tmp_path / "out")] if command[0] == "reparam" else []
+        code, out, err = run([command[0], "--input", str(path), *command[1:], *outdir], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error: input: the map's energy is not finite" in err
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_identities_count_below_one(self, capsys, count):

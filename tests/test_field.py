@@ -244,8 +244,8 @@ class TestQuadrature:
 
 
 def solver_box_map(m, n):
-    """The linear map m sampled on the solver box of DiscGrid(n): 2n nodes on
-    [-2, 2]^2, node k on disc cell k - n/2."""
+    """The linear map m sampled on a solver box of DiscGrid(n), the grid padded
+    by n/2 cells per side: 2n nodes on [-2, 2]^2, node k on disc cell k - n/2."""
     return linear_qcmap(m, box=2.0, n=2 * n)
 
 

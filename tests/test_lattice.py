@@ -125,13 +125,19 @@ def test_nearest_matches_the_replaced_formulas(rng, n):
 
 @pytest.mark.parametrize("n", [16, 32, 48, 64, 96, 128, 256, 1024])
 def test_solver_box_is_the_disc_grid_padded(n):
-    # the box [-2, 2]^2 of 2n nodes is the disc grid padded by n/2 cells per
-    # side: the nearest box node of disc cell i is i + n/2, and every other
-    # box node lies beyond [-1, 1], where the radius cut zeroes it
-    grid, m = qc.DiscGrid(n), 2 * n
-    assert same_bits(box_nearest(grid.centers, 2.0, 4.0 / m, m), np.arange(n) + n // 2)
-    box = qc.ComplexField(S=2.0, values=np.zeros((m, m))).coords
-    assert np.all(np.abs(np.delete(box, np.arange(n) + n // 2)) > 1.0)
+    # the box of N = n + 2p nodes on [-N/n, N/n]^2 (reparam.solver_padding), and
+    # the box [-2, 2]^2 of 2n nodes, pad the disc grid by p and by n/2 cells
+    # per side: the nearest box node of disc cell i is i + p, and every other
+    # box node lies beyond [-1, 1], off the disc grid
+    from qcreparam.reparam import solver_padding
+
+    grid = qc.DiscGrid(n)
+    for p in (solver_padding(n), n // 2):
+        m = n + 2 * p
+        S = m / n
+        assert same_bits(box_nearest(grid.centers, S, 2.0 * S / m, m), np.arange(n) + p)
+        box = qc.ComplexField(S=S, values=np.zeros((m, m))).coords
+        assert np.all(np.abs(np.delete(box, np.arange(n) + p)) > 1.0)
 
 
 def test_nearest_rounds_halfway_points_to_even():

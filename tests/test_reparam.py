@@ -296,6 +296,130 @@ class TestBuildCoefficient:
         assert mu.support_radius() <= 1.0 - 1.0 / thr.L + 1e-12
 
 
+def five_smooth(m):
+    for f in (2, 3, 5):
+        while m % f == 0:
+            m //= f
+    return m == 1
+
+
+class TestSolverBox:
+    """The solver box pads the disc grid by solver_padding(n) whole cells."""
+
+    def test_padding_rule_on_every_grid(self):
+        # every even n that reparam accepts: the fewest p >= 2 with n + 2p
+        # 5-smooth, a box [-S, S]^2 with S > 1 whose spacing is h to rounding,
+        # and the nearest box node of disc cell i is i + p
+        for n in range(32, 1025, 2):
+            p = rp.solver_padding(n)
+            N = n + 2 * p
+            assert p >= rp.SOLVER_PAD_MIN and (N - n) % 2 == 0 and five_smooth(N)
+            assert not any(five_smooth(n + 2 * q) for q in range(rp.SOLVER_PAD_MIN, p))
+            grid, S = qc.DiscGrid(n), N / n
+            spacing = 2.0 * S / N                       # as ComplexField.spacing
+            assert S > 1 and abs(spacing - grid.h) <= 1e-12 * grid.h
+            coords = lattice.centers(-S, spacing, N)
+            assert np.abs(coords[p:p + n] - grid.centers).max() <= 1e-12 * grid.h
+            assert np.array_equal(lattice.nearest(grid.centers, -S, spacing, N),
+                                  np.arange(n) + p)
+        assert [rp.solver_padding(n) * 2 + n for n in (32, 64, 128)] == [36, 72, 144]
+
+    def test_build_coefficient_box(self, stretch_field):
+        thr = rp.choose_threshold(stretch_field, 0.125, 0.2)
+        mu = rp.build_coefficient(stretch_field, 0.125, thr)
+        n, p = 96, rp.solver_padding(96)
+        assert mu.n == n + 2 * p == 100 and mu.S == 100 / 96
+        ring = np.ones(mu.values.shape, dtype=bool)
+        ring[p:p + n, p:p + n] = False
+        assert np.all(mu.values[ring] == mu.offset)
+
+    @pytest.mark.parametrize("n", [36, 42, 54, 70])
+    def test_reparam_where_the_box_spacing_rounds(self, capsys, tmp_path, n):
+        # on n = 36 and 54 the box spacing 2S / N misses h = 2 / n by an ulp,
+        # and a padding of n // 8 cells missed it on all four: composed_energy's
+        # spacing check admits that rounding
+        from qcreparam.cli import main
+
+        path, out = tmp_path / "st.map", tmp_path / "out"
+        assert main(["fixture", "--kind", "stretch", "--n", str(n), "--out", str(path)]) == 0
+        assert main(["reparam", "--input", str(path), "--epsilon", "0.6283",
+                     "--outdir", str(out)]) == 0
+        capsys.readouterr()
+        report = (out / "report.txt").read_text()
+        assert "\nstatus = ok\n" in report
+        assert f"\nsolver_n = {n + 2 * rp.solver_padding(n)}\n" in report
+
+    def test_composed_energy_refuses_rho_off_the_cells(self):
+        from dataclasses import replace
+
+        from conftest import linear_qcmap
+
+        f = qc.estimate_field(make_map(54, lambda x, y: np.stack([x, y])))
+        p = rp.solver_padding(54)
+        rho = linear_qcmap(np.eye(2), box=(54 + 2 * p) / 54, n=54 + 2 * p)
+        assert qc.composed_energy(f, rho) == qc.energy(f)
+        h = f.grid.h
+        for bad in (replace(rho, x0=rho.x0 + 0.5 * h),                 # half a cell
+                    replace(rho, x0=rho.x0 + 0.5 * h, y0=rho.y0 + 0.5 * h),
+                    replace(rho, spacing=rho.spacing * (1 + 1e-6)),     # another spacing
+                    linear_qcmap(np.eye(2), box=(54 + 2 * p) / 54 * (1 + 1e-6),
+                                 n=54 + 2 * p)):
+            with pytest.raises(ValueError, match="disc cell centres"):
+                qc.composed_energy(f, bad)
+
+    def test_grid_range_unchanged(self):
+        # reparam accepts the n whose [-2, 2]^2 box of 2n nodes had a solver
+        # resolution in [64, 2048], and no other
+        from qcreparam import cli
+        from qcreparam.errors import ConfigError
+
+        for n in range(1, 2100):
+            try:
+                cli._check_grid_resolution(n)
+                accepted = True
+            except ConfigError:
+                accepted = False
+            assert accepted == (64 <= 2 * n <= 2048)
+
+    @pytest.mark.parametrize("name", ["stretch", "random-smooth", "quad-linf", "half-collapse"])
+    def test_energy_does_not_depend_on_the_box(self, monkeypatch, name):
+        # the pipeline's mollified coefficient, solved on its own box and on the
+        # disc grid padded by n/2 cells ([-2, 2]^2): the two solutions differ by a
+        # map conformal on the disc, which the composed energy does not see
+        from dataclasses import replace
+
+        from qcreparam import beltrami
+
+        target, fn = {
+            "stretch": (EUCLID, PIPELINE_MAPS["stretch"]),
+            "random-smooth": (EUCLID, PIPELINE_MAPS["random-smooth"]),
+            "quad-linf": (qc.TargetSpace.linf(),
+                          lambda x, y: np.stack([x + 0.2 * x * y, y + 0.1 * x * x])),
+            "half-collapse": (EUCLID, lambda x, y: np.stack([np.minimum(x, 0.0), y])),
+        }[name]
+        n, p = 64, rp.solver_padding(64)
+        phi, _, rep = qc.epsilon_conformal(make_map(n, fn, target), 0.2 * np.pi)
+        f, rho, cells = rep.extras["field"], rep.extras["rho"], rep.extras["mu_tilde_cells"]
+        mu0 = cells[0, 0]                       # a corner cell, outside the disc
+        fitted = qc.ComplexField(S=(n + 2 * p) / n, values=np.pad(cells, p, constant_values=mu0))
+        wide = qc.ComplexField(S=2.0, values=np.pad(cells, n // 2, constant_values=mu0))
+        # the coefficient rho solved, rebuilt from its disc cells
+        assert qc.solve_beltrami(fitted).values.tobytes() == rho.values.tobytes()
+        rho_wide = qc.solve_beltrami(wide)
+        assert (rho.shape[0], rho_wide.shape[0]) == (72, 128)
+        rng = np.random.default_rng(7)
+        assert rp.audit_cases(rep, phi, rng) == 64
+        assert rp.audit_cases(replace(rep, extras={**rep.extras, "rho": rho_wide}), None, rng) == 64
+        # both solves stop within ITER_TOL of their fixed points; the energies'
+        # gap follows that tolerance (1.0e-12 relative on the half collapse at
+        # the default 1e-12, 1.3e-14 at 1e-14), so compare at 1e-14
+        monkeypatch.setattr(beltrami, "ITER_TOL", 1e-14)
+        e_fitted = qc.composed_energy(f, qc.solve_beltrami(fitted))
+        e_wide = qc.composed_energy(f, qc.solve_beltrami(wide))
+        assert e_wide == pytest.approx(e_fitted, rel=1e-12, abs=0)
+        assert e_fitted == pytest.approx(rep.energy_after, rel=1e-12, abs=0)
+
+
 class TestSmoothCoefficient:
     def test_zero_coefficient(self, iso_field):
         thr = rp.choose_threshold(iso_field, 0.5, 0.1)
