@@ -70,9 +70,10 @@ def mat_to_wirtinger(df):
 
 
 def wirtinger_to_mat(fz, fzb):
-    """Real 2x2 differentials from the complex derivative pair."""
-    fz = np.asarray(fz)
-    out = np.empty(fz.shape + (2, 2))
+    """Real 2x2 differentials from the complex derivative pair (arrays or
+    scalars, broadcast against each other)."""
+    fz, fzb = np.asarray(fz), np.asarray(fzb)
+    out = np.empty(np.broadcast(fz, fzb).shape + (2, 2))
     out[..., 0, 0] = (fz + fzb).real
     out[..., 0, 1] = -(fz - fzb).imag
     out[..., 1, 0] = (fz + fzb).imag
@@ -355,18 +356,15 @@ def _spectral_multipliers(n, spacing, mu0=0.0):
     """(M, C T): the multiplier M = sigma / (1 - mu0 sigma) of the iteration
     and the spectral antiderivative C = -2i / zeta times T = 1 / (1 - mu0 sigma),
     with sigma = conj(zeta) / zeta the Beurling transform (sigma = C = 0 at
-    zeta = 0).  For mu0 = 0 they are sigma and C."""
+    zeta = 0).  For mu0 = 0, T = 1 and they are sigma and C."""
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
     zeta = k[:, None] + 1j * k
     zeta[0, 0] = 1.0                        # zeta = 0 only at the origin
     beurling = np.conj(zeta) / zeta
     cauchy = -2j / zeta
     beurling[0, 0] = cauchy[0, 0] = 0.0
-    if mu0:
-        t = 1.0 / (1.0 - mu0 * beurling)
-        beurling *= t
-        cauchy *= t
-    return beurling, cauchy
+    t = 1.0 / (1.0 - mu0 * beurling)
+    return beurling * t, cauchy * t
 
 
 def _periodic_wirtinger(values, spacing):
@@ -376,65 +374,37 @@ def _periodic_wirtinger(values, spacing):
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
-def _support_block(m):
-    """(rows, columns) slices of the smallest block that holds every nonzero
-    of m (empty slices for a zero m)."""
-    def span(hot):
-        idx = np.flatnonzero(hot)
-        return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
-    hot = m != 0
-    return span(hot.any(axis=1)), span(hot.any(axis=0))
-
-
 def _neumann(m, multiplier, bound):
-    """(q, iterations, contraction rate) of q <- m (1 + M q) from q = 0, with
-    M the Fourier multiplier given and bound < 1 the contraction bound
-    sup |m| sup |M|.
+    """(q, iterations, contraction rate) of q <- m (1 + M q) from q = 0 on the
+    whole box, with M the Fourier multiplier given and bound < 1 the
+    contraction bound sup |m| sup |M|.
 
     The loop stops once a step moves q by at most ITER_TOL (root mean square
     over the box), or at the first step, q = m, when that lies within
     bound / (1 - bound) |m| <= ITER_TOL of the fixed point: an m at the
     rounding of the coefficient's ellipses would otherwise take a second
-    step only to see its first one confirmed.
-
-    Only the block of m's support is iterated: q vanishes off it, so the
-    forward transform runs along axis 1 over the block's rows only and the
-    inverse transform along axis 0 over its columns only.  The axis order is
-    that of fft2 / ifft2 and numpy transforms each line on its own, so M q on
-    the block has the bits of the full-box transform.  The update is written
-    (1 + M q) * m, the operand order numpy uses when it reuses the temporary
-    1 + M q of a box of 128^2 nodes or more.
+    step only to see its first one confirmed, and m = 0 stops there too.
+    The update is written (1 + M q) * m, the operand order numpy uses when it
+    reuses the temporary 1 + M q of a box of 128^2 nodes or more.
     """
     n = m.shape[0]
-    r, c = _support_block(m)
-    mb = m[r, c]
-    qb = np.zeros_like(mb)
+    if bound / (1.0 - bound) * math.sqrt(np.vdot(m, m).real / n**2) <= ITER_TOL:
+        return m, 1, math.nan       # what the first step computes
     q = np.zeros_like(m)
-    if not mb.size:         # m = 0: the first step leaves q = 0
-        return q, 1, math.nan
-    if bound / (1.0 - bound) * math.sqrt(np.vdot(mb, mb).real / n**2) <= ITER_TOL:
-        q[r, c] = mb        # what the first step computes
-        return q, 1, math.nan
-    rows = np.zeros((mb.shape[0], n), dtype=complex)      # the block's rows, full width
-    spec = np.zeros((n, n), dtype=complex)
     inc, prev, rate, it = 0.0, None, math.nan, 0
     for it in range(1, MAX_ITER + 1):
-        rows[:, c] = qb
-        spec[r] = np.fft.fft(rows, axis=1)
-        half = np.fft.ifft(multiplier * np.fft.fft(spec, axis=0), axis=1)[:, c]
-        q_new = (1.0 + np.fft.ifft(half, axis=0)[r]) * mb
-        diff = q_new - qb
+        q_new = (1.0 + np.fft.ifft2(multiplier * np.fft.fft2(q))) * m
+        diff = q_new - q
         inc = math.sqrt(np.vdot(diff, diff).real / n**2)
         if prev is not None and prev > 0:
             rate = inc / prev
         prev = inc
-        qb = q_new
+        q = q_new
         if inc <= ITER_TOL:
             break
     if inc > ITER_TOL:
         raise NoConvergence(
             f"iteration increment {inc:.3e} above {ITER_TOL} after {MAX_ITER} steps")
-    q[r, c] = qb
     return q, it, rate
 
 
@@ -450,13 +420,12 @@ def solve_beltrami(mu):
     rather than trusted either way.
 
     mu_0 is read as ComplexField.offset.  The iteration q <- nu (1 + M q)
-    (see the module docstring) runs on the smallest block that holds nu's
-    support (`_neumann`); the mean of q and the spectral antiderivative of
-    T q are taken over the whole box.  For mu_0 = 0 this is the loop
-    h <- mu (1 + S h), and on boxes of 128^2 nodes and more it has the bits
-    of that loop run over the whole box; on smaller boxes it can differ in the
-    last bit.  CoefficientTooLarge where sup |mu| >= 1 - K_MARGIN, or where
-    the contraction bound sup |nu| / (1 - |mu_0|) is.
+    (see the module docstring) runs on the whole box (`_neumann`), as do the
+    mean of q and the spectral antiderivative of T q.  For mu_0 = 0 this is
+    the loop h <- mu (1 + S h), with its bits on boxes of 128^2 nodes and
+    more; on smaller boxes the product can differ in the last bit.
+    CoefficientTooLarge where sup |mu| >= 1 - K_MARGIN, or where the
+    contraction bound sup |nu| / (1 - |mu_0|) is.
     """
     k = mu.sup_norm()
     if k >= 1.0 - K_MARGIN:
@@ -603,5 +572,4 @@ def invert(rho, *, n=256):
         det_min=float(det_phi.min()) if det_phi.size else 1.0,
         residual_l2=rho.residual_l2, k_coeff=rho.k_coeff,
         inv_residual_max=float(resid[mask.ravel()].max()) if mask.any() else 0.0,
-        meta={"rho_K_certified": rho.K_certified},
     )

@@ -6,9 +6,8 @@ whose center lies in the open disc; derivative semi-norms are estimated on
 the interior cells (margin 2.5h from the boundary: the stencil radius h plus
 sqrt(2) h for the bilinear support) so that all finite difference stencils
 stay inside the sampled region.  Integrals extend the interior integrand by
-nearest interior cell to the cells within radius 1 + h, the disc cells and a
-ring beyond them; this keeps constant integrands exact and the domain area at
-its lattice value.
+nearest interior cell to the other disc cells; this keeps constant integrands
+exact and the domain area at its lattice value.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import lattice
 from . import seminorm as sn
+from .beltrami import wirtinger_to_mat
 from .errors import InputFormatError, InputOutOfRange, StencilOutOfDomain
 from .seminorm import SemiNorm2, half_circle_directions
 
@@ -30,9 +30,9 @@ WRITE_ROWS = 1 << 10        # rows formatted per block by write_cells
 
 @dataclass(frozen=True)
 class DiscGrid:
-    """Cell grid on [-1,1]^2 masked to the unit disc; cells within radius
-    1 + h read their nearest interior cell (extension_indices), found from the
-    interior mask alone."""
+    """Cell grid on [-1,1]^2 masked to the unit disc; disc cells read their
+    nearest interior cell (extension_indices), found from the interior mask
+    alone."""
 
     n: int
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -88,34 +88,28 @@ class DiscGrid:
         return self.radius < 1.0 - self.margin
 
     @property
-    def extended_mask(self):
-        """Cells within radius 1 + h, which extend reads from interior cells."""
-        return self.radius < 1.0 + self.h
-
-    @property
     def weight(self):
         return self.h * self.h
 
     def extension_indices(self):
-        """For every cell within radius 1 + h, the (i, j) index of the nearest
-        interior cell, ties to the least column, then row, as an exact
-        Euclidean distance transform chooses; every other cell maps to itself.
+        """For every disc cell, the (i, j) index of the nearest interior cell,
+        ties to the least column, then row, as an exact Euclidean distance
+        transform chooses; every other cell maps to itself.
 
-        The program reads the disc cells, and seminorm_at any cell within
-        radius 1 + h.  In index units such a cell lies at radius rho < n/2 + 1,
-        and interior cells at rho < n/2 - margin / h.
-        The cell holding the point of radius n/2 - margin / h - sqrt(2)/2 on its
-        ray is interior, within rho - n/2 + margin / h + sqrt(2) < 4.92 cells,
-        so the offsets with d^2 <= 24, in (d^2, column, row) order, find it."""
+        In index units a disc cell lies at radius rho < n/2, and interior
+        cells at rho < n/2 - margin / h.  The cell holding the point of radius
+        n/2 - margin / h - sqrt(2)/2 on its ray is interior, within
+        rho - n/2 + margin / h + sqrt(2) < 3.92 cells, so the offsets with
+        d^2 <= 15, in (d^2, column, row) order, find it."""
         if "ext" not in self._cache:
             n, mask = self.n, self.interior_mask
-            reach = 1.0 + self.margin / self.h + math.sqrt(2.0)
+            reach = self.margin / self.h + math.sqrt(2.0)
             w = int(reach)          # the window's half-width; the mask is padded by it
             di, dj = np.indices((2 * w + 1, 2 * w + 1)).reshape(2, -1) - w
             d2 = di * di + dj * dj
             window = np.lexsort((di, dj, d2))[:np.count_nonzero(d2 <= reach * reach)]
             di, dj, m = di[window], dj[window], n + 2 * w
-            i, j = np.nonzero(~mask & self.extended_mask)
+            i, j = np.nonzero(~mask & self.disc_mask)
             # one flat gather: far cheaper than a gather by two index arrays
             hit = np.pad(mask, w).ravel()[((i + w) * m + j + w)[:, None] + (di * m + dj)]
             first = np.argmax(hit, axis=1)
@@ -125,8 +119,8 @@ class DiscGrid:
         return self._cache["ext"]
 
     def extend(self, arr):
-        """Nearest-interior extension of a per-cell array onto the cells within
-        radius 1 + h; every other cell keeps its own value."""
+        """Nearest-interior extension of a per-cell array onto the disc cells;
+        every other cell keeps its own value."""
         ei, ej = self.extension_indices()
         return arr[ei, ej]
 
@@ -374,20 +368,20 @@ class DerivativeField:
 
     Stored as the packed rows the stencil found, (q11, q12, q22) per interior
     cell or m gauge values per distinct row, and each cell's row number,
-    extended by nearest interior cell to the cells within radius 1 + h.  A
-    density is a seminorm row_* function of the rows, gathered by the index.
+    extended by nearest interior cell to the disc cells.  A density is a
+    seminorm row_* function of the rows, gathered by the index.
     """
 
     grid: DiscGrid
     kind: str                       # "quadratic" | "sampled"
     rows: np.ndarray                # (R, 3 or m) packed rows
-    index: np.ndarray               # (n, n) row of each cell, extended; 0 beyond 1 + h
+    index: np.ndarray               # (n, n) row of each cell, extended; 0 off the disc
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def from_interior(grid, kind, rows, inv):
         """The field whose interior cells, in np.nonzero order, carry rows[inv];
-        cells beyond radius 1 + h hold row 0, on which no result depends."""
+        cells off the disc hold row 0, on which no result depends."""
         index = np.zeros((grid.n, grid.n), dtype=np.intp)
         index[grid.interior_mask] = inv
         return DerivativeField(grid=grid, kind=kind, rows=rows, index=grid.extend(index))
@@ -398,13 +392,13 @@ class DerivativeField:
 
     def seminorm_at(self, i, j):
         """SemiNorm2 of the cell (nearest-interior extension applied);
-        IndexError for a cell beyond radius 1 + h, which is not extended."""
-        if not self.grid.extended_mask[i, j]:
-            raise IndexError(f"cell ({i}, {j}) lies beyond radius 1 + h")
+        IndexError for a cell off the disc, which is not extended."""
+        if not self.grid.disc_mask[i, j]:
+            raise IndexError(f"cell ({i}, {j}) lies off the disc")
         return SemiNorm2.from_row(self.kind, self.rows[self.index[i, j]])
 
     # per-cell (n, n, k) views read by bench/spans.py (on interior cells only);
-    # cells beyond radius 1 + h hold row 0.  ROADMAP item 1 deletes them
+    # cells off the disc hold row 0.  ROADMAP item 1 deletes them
     quad = property(lambda self: self.rows[self.index] if self.kind == "quadratic" else None)
     samp = property(lambda self: self.rows[self.index] if self.kind == "sampled" else None)
 
@@ -748,20 +742,10 @@ def composed_energy(field_, rho):
     disc = grid.disc_mask
     dens = np.zeros(disc.shape)
     mu = grid.box_cells(rho.node_mu)[disc]
-    dens[disc] = composed_density(field_, field_.index[disc], coefficient_differential(mu))
+    # the differential v -> v + mu conj(v), f_z = 1: the density is the same
+    # for every differential with coefficient mu, as a similarity after it cancels
+    dens[disc] = composed_density(field_, field_.index[disc], wirtinger_to_mat(1.0, mu))
     return grid.integrate(dens)
-
-
-def coefficient_differential(mu):
-    """(K, 2, 2) real matrices of v -> v + mu conj(v), the differential with
-    Beltrami coefficient mu and f_z = 1: I_+^2(s . D^-1) det D is the same
-    for every D with coefficient mu, since a similarity after D cancels."""
-    mu = np.asarray(mu)
-    out = np.empty(mu.shape + (2, 2))
-    out[..., 0, 0] = 1.0 + mu.real
-    out[..., 0, 1] = out[..., 1, 0] = mu.imag
-    out[..., 1, 1] = 1.0 - mu.real
-    return out
 
 
 def composed_density(field_, ids, drho):

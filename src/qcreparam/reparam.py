@@ -81,9 +81,11 @@ import numpy as np
 from . import field as fd
 from .beltrami import (
     ComplexField,
+    distortion_from_mu,
     invert,
     mollify,
     solve_beltrami,
+    wirtinger_to_mat,
 )
 from .errors import (
     AuditFailed,
@@ -179,7 +181,7 @@ def choose_threshold(field_, delta, eps):
         mask = disc & (grid.radius <= 1.0 - 1.0 / L) & (stretch <= L)
         off = float(np.sum(dens[disc & ~mask]) * grid.weight)
         k = float(modulus[mask].max(initial=0.0))
-        if k < 1.0 and off <= eps / ((1.0 + k) / (1.0 - k)):
+        if k < 1.0 and off <= eps / distortion_from_mu(k):
             K_ecc = math.sqrt(2.0 * L**2 / delta**2 + 2.0)
             return ThresholdResult(L=L, mask=mask, off_energy=off, K_ecc=K_ecc,
                                    k_apriori=(K_ecc - 1.0) / (K_ecc + 1.0))
@@ -262,7 +264,7 @@ def smooth_coefficient(mu, eps, field_):
     grid = field_.grid
     k = mu.sup_norm()
     mu_cells = grid.box_cells(mu.values)
-    K = (1.0 + k) / (1.0 - k)
+    K = distortion_from_mu(k)
     budget = eps / K
     bound = (1.0 - k * k) * eps / (2.0 + eps)
     dens = field_.energy_density()
@@ -406,10 +408,6 @@ def epsilon_conformal(u, epsilon, *, quad_rel=QUAD_BUDGET_REL, seed=None):
 def epsilon_conformal_from_field(field_, epsilon, *, quad_rel=QUAD_BUDGET_REL,
                                  seed=None):
     grid = field_.grid
-    if grid.n % 2:
-        # refused since the solver box was [-2, 2]^2, whose nodes sit on the
-        # cell centers only for even n; solver_padding's box would align any n
-        raise ValueError("pipeline needs an even grid resolution")
     e_before = fd.energy(field_)
     a_before = fd.area_intrinsic(field_)
     a_haus = fd.area_hausdorff(field_)
@@ -421,7 +419,7 @@ def epsilon_conformal_from_field(field_, epsilon, *, quad_rel=QUAD_BUDGET_REL,
         mu = build_coefficient(field_, delta, thr)
         smooth = smooth_coefficient(mu, eps_i, field_)
         # the report keeps mu's disc cells, not its solver box through the solve
-        mu_cells, k_measured = grid.box_cells(mu.values).copy(), mu.sup_norm()
+        mu_cells = grid.box_cells(mu.values).copy()
         del mu
         try:
             rho = solve_beltrami(smooth.mu_tilde)
@@ -433,7 +431,7 @@ def epsilon_conformal_from_field(field_, epsilon, *, quad_rel=QUAD_BUDGET_REL,
             if share == 1.0:
                 raise
     k = smooth.k
-    K = (1.0 + k) / (1.0 - k)
+    K = distortion_from_mu(k)
     e_after = fd.composed_energy(field_, rho)
 
     term_reg = grid.integrate(field_.jacobian_intrinsic_density(delta))
@@ -467,7 +465,6 @@ def epsilon_conformal_from_field(field_, epsilon, *, quad_rel=QUAD_BUDGET_REL,
         extras={"A_mask": thr.mask, "B_mask": smooth.mask,
                 "mu_cells": mu_cells,
                 "mu_tilde_cells": grid.box_cells(smooth.mu_tilde.values),
-                "k_apriori": thr.k_apriori, "k_measured": k_measured,
                 "field": field_, "rho": rho},
     )
     if report.failures():
@@ -512,16 +509,15 @@ def audit_cases(report, phi, rng, num=64):
     on_a, on_b = report.extras["A_mask"][i, j], report.extras["B_mask"][i, j]
     mu_rho = grid.box_cells(report.extras["rho"].node_mu)[i, j]
     # composed integrand, exactly as the energy quadrature evaluates it
-    lhs = fd.composed_density(field_, field_.index[i, j], fd.coefficient_differential(mu_rho))
+    lhs = fd.composed_density(field_, field_.index[i, j], wirtinger_to_mat(1.0, mu_rho))
     mu_z = report.extras["mu_cells"][i, j]
     m = np.abs(mu_z - mu_rho) / np.abs(1.0 - mu_z * np.conj(mu_rho))
     dev = np.abs(report.extras["mu_tilde_cells"][i, j] - mu_rho)
     m_bound = eps_i / (2.0 + eps_i) + dev / (1.0 - k * k) + 1e-9
     en = field_.energy_density()[i, j]
     jd = field_.jacobian_intrinsic_density(report.delta)[i, j]
-    k_rho = np.abs(mu_rho)
-    rhs = np.where(on_a, np.where(on_b, jd * (1.0 + m) / (1.0 - m), report.K * en),
-                   en * (1.0 + k_rho) / (1.0 - k_rho)) * (1.0 + AUDIT_TOL)
+    rhs = np.where(on_a, np.where(on_b, jd * distortion_from_mu(m), report.K * en),
+                   en * distortion_from_mu(mu_rho)) * (1.0 + AUDIT_TOL)
 
     m_fails = on_b & ~(m <= m_bound)
     fails = m_fails | ~(lhs <= rhs + 1e-12)

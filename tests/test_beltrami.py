@@ -326,8 +326,9 @@ class TestSolver:
     @pytest.mark.parametrize("n", [32, 64, 128])
     @pytest.mark.parametrize("name", sorted(PIPELINE_MAPS))
     def test_matches_full_box_reference(self, name, n):
-        # the iteration q <- nu (1 + M q) runs on nu's support block only; on
-        # solver boxes of 128^2 nodes and more it keeps the full-box bits
+        # the iteration q <- nu (1 + M q) over the whole box; on solver boxes
+        # of 128^2 nodes and more it keeps the bits of the reference loop,
+        # which writes the product in the other operand order
         mu = pipeline_coefficient(name, n)
         out = qc.solve_beltrami(mu)
         ref, it = full_box_reference(mu)

@@ -207,6 +207,36 @@ class TestReparamCommand:
         assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
         assert (a / "phi.qcmap").read_bytes() == (b / "phi.qcmap").read_bytes()
 
+    @pytest.mark.parametrize("kind, n, want", [
+        ("stretch", 64, (
+            "07c6cc10fb1d3cde78d525db6fac32d72487a53c59c88da0f8c684523aff4951",
+            "df857b25b732703d350f4ba9f0cc7e26d067f04d0df71d0281944d32ab6ba466",
+            "dee04bc284ddb3051aae63a2c3d26ab427fdf5890b0a418e10f0c4545b280520")),
+        ("random-smooth", 128, (
+            "1cee9461b584c8f51ce6977cf6937a2af78a2b1aebfcce4883f5dad6ac327856",
+            "7fd2c23d1eb711f91182fa7b82128105aeab637fae802ca95fd314962221b535",
+            "585f7d939cbd5901d0c553aec588e74e8f2b7720c27596ca892aeb18197b0085")),
+        ("linf-identity", 64, (
+            "3b473aff9552ccdf4b48322a19f382f2cee1ad626be8288645c6b15bfe7b0eed",
+            "97f49daf34ad36ccfe0cbf1f7c34cbc7708b89ad85b3a154366bfbd8410f74b4",
+            "5481d5e9b85473e6a8b46dc9d56fb5826d04316c4d00704e6293a4606b7df9ad")),
+    ])
+    def test_reparam_keeps_its_bytes(self, capsys, tmp_path, kind, n, want):
+        # the fixture (seed 0) through reparam at eps = 0.2 pi: report.txt,
+        # phi.qcmap and omega_boundary.csv keep these SHA-256 digests (numpy
+        # 2.4, x86-64)
+        import hashlib
+
+        path = tmp_path / "in.map"
+        assert main(["fixture", "--kind", kind, "--n", str(n), "--seed", "0",
+                     "--out", str(path)]) == 0
+        code, _, _ = run(["reparam", "--input", str(path), "--epsilon", "0.6283185307179586",
+                          "--outdir", str(tmp_path / "out")], capsys)
+        assert code == 0
+        got = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                    for name in ("report.txt", "phi.qcmap", "omega_boundary.csv"))
+        assert got == want
+
     def test_rejects_nonpositive_epsilon(self, fixtures, capsys):
         code, _, err = run(["reparam", "--input", str(fixtures / "st.map"),
                             "--epsilon", "-1.0"], capsys)

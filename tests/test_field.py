@@ -50,18 +50,18 @@ class TestDiscGrid:
         assert np.array_equal(ext[g.interior_mask], arr[g.interior_mask])
 
     def test_extension_matches_distance_transform(self):
-        # the nearest interior cell on every cell within radius 1 + h, ties to
-        # the least column, as scipy's exact Euclidean distance transform finds
-        # it; every other cell maps to itself
+        # the nearest interior cell on every disc cell, ties to the least
+        # column, as scipy's exact Euclidean distance transform finds it;
+        # every other cell maps to itself
         from scipy import ndimage
 
         for n in [*range(16, 301), 401, 418, 442, 511, 512, 1000, 1024, 2048]:
             g = qc.DiscGrid(n)
             _, want = ndimage.distance_transform_edt(~g.interior_mask, return_indices=True)
             got = np.stack(g.extension_indices()).astype(want.dtype)
-            ring = g.radius < 1.0 + g.h
-            assert got[:, ring].tobytes() == want[:, ring].tobytes(), n
-            assert np.array_equal(got[:, ~ring], np.indices((n, n))[:, ~ring]), n
+            disc = g.disc_mask
+            assert got[:, disc].tobytes() == want[:, disc].tobytes(), n
+            assert np.array_equal(got[:, ~disc], np.indices((n, n))[:, ~disc]), n
 
 
 class TestTargetSpace:
@@ -504,17 +504,17 @@ class TestSampledRowsBatched:
 
 class TestFieldInvariants:
     def test_seminorm_at_only_within_the_extension(self):
-        # cells beyond radius 1 + h are not extended: at n = 64, cell (0, 0)
+        # cells off the disc are not extended: at n = 64, cell (0, 0)
         # (radius 1.39) returned the row of interior cell (3, 24)
         f = qc.estimate_field(make_map(64, lambda x, y: np.stack([x + 0.2 * x * y,
                                                                    y + 0.1 * x * x])))
         grid = f.grid
         ei, ej = grid.extension_indices()
-        for i, j in np.argwhere(grid.radius < 1.0 + grid.h).tolist():
+        for i, j in np.argwhere(grid.disc_mask).tolist():
             want = f.rows[f.index[ei[i, j], ej[i, j]]]          # its nearest interior cell
             assert f.seminorm_at(i, j).row.tobytes() == want.tobytes()
-        for i, j in np.argwhere(grid.radius >= 1.0 + grid.h).tolist():
-            with pytest.raises(IndexError, match="beyond radius 1 \\+ h"):
+        for i, j in np.argwhere(~grid.disc_mask).tolist():
+            with pytest.raises(IndexError, match="off the disc"):
                 f.seminorm_at(i, j)
 
     def test_area_below_energy_random_smooth(self, rng):
@@ -878,11 +878,11 @@ class TestCellFiles:
         self.check_map(qc.SampledMap(grid=grid, target=qc.TargetSpace.euclidean(6),
                                      values=values), tmp_path / "rand.map")
         cells = int(grid.interior_mask.sum())
-        ring = grid.radius < 1.0 + grid.h       # the cells the program reads
+        disc = grid.disc_mask                   # the cells the program reads
         gauges = np.abs(random_floats(rng, cells * 16)).reshape(cells, 16)
         f = qc.DerivativeField.from_interior(grid, "sampled", gauges, np.arange(cells))
         g = self.check_field(f, tmp_path / "sampled.txt")
-        assert same_bits(g.rows[g.index[ring]], f.rows[f.index[ring]] + 0.0)
+        assert same_bits(g.rows[g.index[disc]], f.rows[f.index[disc]] + 0.0)
         a, c = np.abs(random_floats(rng, 2 * cells)).reshape(2, cells)
         a[a > 1e300] *= 1e-10              # keep the trace of a row finite
         c[c > 1e300] *= 1e-10
@@ -891,7 +891,7 @@ class TestCellFiles:
         quad = np.column_stack([a, b, c])
         f = qc.DerivativeField.from_interior(grid, "quadratic", quad, np.arange(cells))
         g = self.check_field(f, tmp_path / "quadratic.txt")
-        assert same_bits(g.rows[g.index[ring]], f.rows[f.index[ring]] + 0.0)
+        assert same_bits(g.rows[g.index[disc]], f.rows[f.index[disc]] + 0.0)
 
     @staticmethod
     def table_text(header, fmt, mask, *columns):

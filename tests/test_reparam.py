@@ -609,13 +609,13 @@ class TestPipeline:
 
     @pytest.mark.parametrize("target", [EUCLID, qc.TargetSpace.linf()], ids=["quadratic", "linf"])
     def test_cells_beyond_the_ring_are_never_read(self, target):
-        # every cell at radius >= 1 + h points to an appended NaN row: the
-        # report keeps its bytes, as build_coefficient selects the Beltrami
-        # density on A rather than multiplying it by the A mask
+        # every cell off the disc, |z| >= 1, points to an appended NaN row:
+        # the report keeps its bytes, as build_coefficient selects the
+        # Beltrami density on A rather than multiplying it by the A mask
         f = qc.estimate_field(make_map(64, _bending, target))
         grid = f.grid
-        beyond = grid.radius >= 1.0 + grid.h
-        assert np.count_nonzero(beyond) == 708
+        beyond = ~grid.disc_mask
+        assert np.count_nonzero(beyond) == 868
         sentinel = np.full((1, f.rows.shape[1]), np.nan)
         g = fd.DerivativeField(grid=grid, kind=f.kind, rows=np.vstack([f.rows, sentinel]),
                                index=np.where(beyond, len(f.rows), f.index))
@@ -876,10 +876,15 @@ class TestPipelineEdges:
         assert rep.failures() == []
         assert rep.energy_after <= rep.area_before + 0.4 + rep.quad_budget
 
-    def test_odd_resolution_rejected(self):
-        u = make_map(97, lambda x, y: np.stack([x, y]))
-        with pytest.raises(ValueError):
-            qc.epsilon_conformal(u, 0.5)
+    @pytest.mark.parametrize("n", [33, 45, 97])
+    @pytest.mark.parametrize("name", ["stretch", "random-smooth", "linf-identity"])
+    def test_odd_resolution(self, name, n):
+        # an odd grid pads to an odd 5-smooth solver box (45, 75 and 125 nodes),
+        # whose nodes sit on the cell centres as an even grid's do
+        target, fn = DELTA_FIELDS[name]
+        phi, _, rep = qc.epsilon_conformal(make_map(n, fn, target), 0.2 * np.pi)
+        assert rep.failures() == []
+        assert qc.audit_cases(rep, phi, np.random.default_rng(0), num=256) == 256
 
     def test_anisotropic_polygonal_target(self):
         # (2x, y) into the sup-norm plane: cell balls are the rectangle
