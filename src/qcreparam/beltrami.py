@@ -518,10 +518,12 @@ def invert(rho, *, n=256):
                              (p.imag - rho.y0) / rho.spacing)
         return s[:, 0] + 1j * s[:, 1], s[:, 2:].reshape(-1, 2, 2)
 
-    # resid holds the residual at back, the last point of each node that
-    # lowered it; a step that does not lower it is halved, back towards back
+    # resid and drho hold the residual and rho's differential at back, the
+    # last point of each node that lowered the residual; a step that does not
+    # lower it is halved, back towards back
     resid = np.full(w.shape, np.inf)
     back = z.copy()
+    drho = np.zeros(w.shape + (2, 2))
     active = np.ones(w.shape, dtype=bool)
     for _ in range(NEWTON_MAX):
         idx = np.flatnonzero(active)
@@ -530,8 +532,10 @@ def invert(rho, *, n=256):
         size = np.abs(r)
         worse = ~(size < resid[idx])
         z[idx[worse]] = 0.5 * (z[idx[worse]] + back[idx[worse]])
-        resid[idx[~worse]] = size[~worse]
-        back[idx[~worse]] = z[idx[~worse]]
+        kept = idx[~worse]
+        resid[kept] = size[~worse]
+        back[kept] = z[kept]
+        drho[kept] = dfs[~worse]
         active[idx[~worse & (size <= INV_TOL)]] = False
         if not np.any(active):
             break
@@ -557,7 +561,6 @@ def invert(rho, *, n=256):
             f"{int(failed_interior.sum())} interior nodes failed to invert")
     mask = (converged & inside).reshape(shape)
 
-    drho = sample(z)[1]
     det = drho[:, 0, 0] * drho[:, 1, 1] - drho[:, 0, 1] * drho[:, 1, 0]
     det = np.where(det == 0, 1.0, det)
     dphi = np.stack([drho[:, 1, 1], -drho[:, 0, 1], -drho[:, 1, 0], drho[:, 0, 0]], axis=-1)
