@@ -158,7 +158,6 @@ class ThresholdResult:
     mask: np.ndarray            # cells of A (subset of the disc cells)
     off_energy: float
     K_ecc: float
-    k_apriori: float
 
 
 def choose_threshold(field_, delta, eps):
@@ -183,8 +182,7 @@ def choose_threshold(field_, delta, eps):
         k = float(modulus[mask].max(initial=0.0))
         if k < 1.0 and off <= eps / distortion_from_mu(k):
             K_ecc = math.sqrt(2.0 * L**2 / delta**2 + 2.0)
-            return ThresholdResult(L=L, mask=mask, off_energy=off, K_ecc=K_ecc,
-                                   k_apriori=(K_ecc - 1.0) / (K_ecc + 1.0))
+            return ThresholdResult(L=L, mask=mask, off_energy=off, K_ecc=K_ecc)
         L *= 2.0
     raise SearchExhausted("no stretch threshold fits the energy budget",
                           achieved=off)

@@ -215,7 +215,6 @@ class TestChooseThreshold:
     def test_eccentricity_formula(self, stretch_field):
         thr = rp.choose_threshold(stretch_field, 0.25, 0.1)
         assert thr.K_ecc == pytest.approx(np.sqrt(2 * thr.L**2 / 0.25**2 + 2))
-        assert thr.k_apriori == pytest.approx((thr.K_ecc - 1) / (thr.K_ecc + 1))
 
 
 class TestBuildCoefficient:
@@ -246,7 +245,7 @@ class TestBuildCoefficient:
         delta = rp.choose_delta(f, 0.3)
         thr = rp.choose_threshold(f, delta, 0.3)
         mu = rp.build_coefficient(f, delta, thr)
-        assert mu.sup_norm() <= thr.k_apriori + 1e-12
+        assert mu.sup_norm() <= (thr.K_ecc - 1) / (thr.K_ecc + 1) + 1e-12
 
     @pytest.mark.parametrize("name", ["stretch_field", "linf_field"], ids=["quadratic", "linf"])
     def test_matches_the_nearest_cell_gather(self, name, request):
@@ -262,7 +261,7 @@ class TestBuildCoefficient:
         cut = 1.0 - 1.0 / L
         mask = grid.disc_mask & (grid.radius <= cut) & (np.sqrt(f.energy_density()) <= L)
         assert np.any(grid.disc_mask & (grid.radius > cut))
-        thr = rp.ThresholdResult(L=L, mask=mask, off_energy=0.0, K_ecc=0.0, k_apriori=0.0)
+        thr = rp.ThresholdResult(L=L, mask=mask, off_energy=0.0, K_ecc=0.0)
         mu = rp.build_coefficient(f, 0.125, thr)
         mu0 = rp.coefficient_offset(f.beltrami_density(0.125)[mask])
         assert mu0 != 0 and mu.offset == mu0
