@@ -56,6 +56,8 @@ DET_FLOOR = 1e-12
 INV_TOL = 1e-8
 NEWTON_MAX = 50
 PAD = 2.0          # invert's margin around rho(unit circle), in rho's grid spacings
+CELL_TOL = 1e-12   # rounding allowance on a cell preimage's offsets s, t in [0, 1]
+CELL_BLOCK = 8192  # rho cells per pass of cell_preimages, which bounds its candidates
 ROUNDING_FLOOR = 64 * np.finfo(float).eps   # |nu| up to this times max(1, |mu_0| + sup |nu|) is rounding
 
 
@@ -478,6 +480,73 @@ def solve_beltrami(mu):
     )
 
 
+def _cross(a, b):
+    return a.real * b.imag - a.imag * b.real
+
+
+def cell_preimages(values, x0, y0, spacing, shape):
+    """Preimages of lattice nodes under the bilinear interpolant of values.
+
+    The lattice has its node (i, j) at (x0 + i spacing) + 1j (y0 + j spacing),
+    i < shape[0], j < shape[1].  Returns (k, ti, tj): the flat numbers
+    i shape[1] + j of the nodes w that the image of some cell of values
+    holds, and the fractional node indices (ti, tj) in values, in the frame
+    of lattice.bilinear, at which that cell's patch takes the value w.
+
+    The patch of the cell with corners P00, P10, P01, P11 (lattice.bilinear's
+    order) is P00 + E s + F t + G s t with E = P10 - P00, F = P01 - P00 and
+    G = P00 - P10 - P01 + P11.  Its candidates are the nodes in the bounding
+    box of the four corners, which holds the patch.  With H = w - P00,
+    cross(H - F t, E + G t) = 0 is the quadratic k2 t^2 + k1 t + k0 = 0,
+    k2 = cross(G, F), k1 = cross(E, F) + cross(H, G), k0 = cross(H, E); s
+    follows from the larger component of E + G t, and a root counts where
+    s and t lie in [0, 1] up to CELL_TOL.  A node that several cells hold
+    takes one of their preimages.  CELL_BLOCK cells are solved at a time.
+    """
+    values = np.asarray(values, dtype=complex)
+    ni, nj = values.shape[0] - 1, values.shape[1] - 1      # cells per axis
+    # the nodes of values in the lattice's fractional node indices
+    u, v = (values.real - x0) / spacing, (values.imag - y0) / spacing
+    rows = max(1, CELL_BLOCK // nj)
+    found = []
+    for a in range(0, ni, rows):
+        b = min(a + rows, ni)
+        # each cell's candidates, as ranges of lattice indices per axis
+        span = []
+        for c, size in ((u[a:b + 1], shape[0]), (v[a:b + 1], shape[1])):
+            lo, hi = np.minimum(c[:-1], c[1:]), np.maximum(c[:-1], c[1:])
+            first = np.ceil(np.minimum(lo[:, :-1], lo[:, 1:])).clip(0, size).astype(int).ravel()
+            last = np.floor(np.maximum(hi[:, :-1], hi[:, 1:])).clip(-1, size - 1).astype(int)
+            span.append((first, np.maximum(last.ravel() - first + 1, 0)))
+        (fi, ci), (fj, cj) = span
+        count = ci * cj
+        cell = np.repeat(np.arange(count.size), count)
+        off = np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)
+        i, j = fi[cell] + off // cj[cell], fj[cell] + off % cj[cell]
+        p00, p10 = values[a:b, :-1].ravel()[cell], values[a + 1:b + 1, :-1].ravel()[cell]
+        p01, p11 = values[a:b, 1:].ravel()[cell], values[a + 1:b + 1, 1:].ravel()[cell]
+        e, f, g = p10 - p00, p01 - p00, p00 - p10 - p01 + p11
+        h = ((x0 + i * spacing) + 1j * (y0 + j * spacing)) - p00
+        k2, k1, k0 = _cross(g, f), _cross(e, f) + _cross(h, g), _cross(h, e)
+        root = np.sqrt(np.maximum(k1 * k1 - 4.0 * k2 * k0, 0.0))
+        q = -0.5 * (k1 + np.copysign(root, k1))
+        s = t = np.full(cell.size, np.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # where both roots count, the later one, k0 / q, wins: it is the
+            # one that a near-parallelogram (k2 -> 0) keeps
+            for tt in (q / k2, k0 / q):
+                den, num = e + g * tt, h - f * tt
+                ss = np.where(np.abs(den.real) >= np.abs(den.imag),
+                              num.real / den.real, num.imag / den.imag)
+                ok = ((ss >= -CELL_TOL) & (ss <= 1.0 + CELL_TOL)
+                      & (tt >= -CELL_TOL) & (tt <= 1.0 + CELL_TOL))
+                s, t = np.where(ok, ss, s), np.where(ok, tt, t)
+        hit = ~np.isnan(s)
+        cell_i, cell_j = np.divmod(cell[hit], nj)
+        found.append((i[hit] * shape[1] + j[hit], a + cell_i + s[hit], cell_j + t[hit]))
+    return tuple(np.concatenate(x) for x in zip(*found))
+
+
 def invert(rho, *, n=256):
     """Newton inversion of rho restricted to the image of the unit disc.
 
@@ -486,13 +555,19 @@ def invert(rho, *, n=256):
     unmasked.  Per masked node, |rho(phi(w)) - w| <= INV_TOL and
     Dphi(w) = Drho(phi(w))^{-1}.
 
-    Newton starts every node w at the inverse (w - a conj(w)) / (1 - |a|^2)
-    of rho's far field z + a conj(z), a = meta["affine"] (0 for a map without
-    one); for an affine rho that is the exact preimage.  A step that does not
-    lower a node's residual |rho(z) - w| is halved instead of taken, so the
-    residual falls monotonically: from the far field, plain steps cycle on
-    strongly compressed regions.  rho's value and differential come from one
-    bilinear gather per step.
+    Newton starts each node w at its exact preimage under rho's bilinear
+    interpolant, solved in closed form in the rho cell whose image holds w
+    (`cell_preimages`), so that its first gather finds it converged.  A node
+    that no cell holds starts at the inverse (w - a conj(w)) / (1 - |a|^2)
+    of rho's far field z + a conj(z), a = meta["affine"] (0 for a map
+    without one).  Where rho lies within INV_TOL of its far field on every
+    node, as an affine rho does, every node starts there and the cell pass
+    is skipped: bilinear interpolation reproduces the affine part, so that
+    start is within tolerance too.  A step that does not lower a node's
+    residual |rho(z) - w| is halved instead of taken, so the residual falls
+    monotonically: from the far field, plain steps cycle on strongly
+    compressed regions.  rho's value and differential come from one bilinear
+    gather per step, and Dphi from the differential at the accepted point.
     """
     img, pad = rho.image_of_circle(), PAD * rho.spacing
     lo_x, hi_x = img.real.min() - pad, img.real.max() + pad
@@ -508,6 +583,13 @@ def invert(rho, *, n=256):
 
     a = rho.meta.get("affine", 0)
     z = (w - a * np.conj(w)) / (1 - abs(a) ** 2)
+    # z + a conj(z) = (1 + a) x + (1 - a) i y over rho's nodes
+    xr = rho.x0 + np.arange(rho.shape[0]) * rho.spacing
+    yr = rho.y0 + np.arange(rho.shape[1]) * rho.spacing
+    far = ((1 + a) * xr)[:, None] + ((1 - a) * 1j * yr)
+    if np.abs(rho.values - far).max() > INV_TOL:
+        k, ti, tj = cell_preimages(rho.values, x0, y0, spacing, shape)
+        z[k] = (rho.x0 + ti * rho.spacing) + 1j * (rho.y0 + tj * rho.spacing)
 
     # value (real, imag) and differential of rho in one (N, M, 6) stack
     stack = np.concatenate([rho.values.real[..., None], rho.values.imag[..., None],

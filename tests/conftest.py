@@ -146,18 +146,26 @@ PIPELINE_MAPS = {
 }
 
 
-def pipeline_coefficient(name, n, epsilon=0.2 * np.pi):
+# with the half collapse (x, y) -> (min(x, 0), y), whose coefficient jumps
+# across x = 0 and takes the solver some sixty steps
+SOLVED_MAPS = {**PIPELINE_MAPS, "half-collapse": lambda x, y: np.stack([np.minimum(x, 0.0), y])}
+
+
+def pipeline_coefficient(name, n, epsilon=0.2 * np.pi, share=None):
     """The smoothed coefficient that epsilon_conformal solves for the map
-    PIPELINE_MAPS[name] on DiscGrid(n), on its solver box of n + 2
+    SOLVED_MAPS[name] on DiscGrid(n), on its solver box of n + 2
     solver_padding(n) nodes: the one solver-box field of build_coefficient,
-    handed to smooth_coefficient."""
+    handed to smooth_coefficient.  The searches aim at share (SEARCH_SHARE
+    by default) of the internal epsilon; the pipeline takes share 1 where
+    the solver refuses that coefficient."""
     from qcreparam.reparam import SEARCH_SHARE
 
+    share = SEARCH_SHARE if share is None else share
     field_ = qc.estimate_field(qc.SampledMap.from_function(
-        qc.DiscGrid(n), qc.TargetSpace.euclidean(2), PIPELINE_MAPS[name]))
+        qc.DiscGrid(n), qc.TargetSpace.euclidean(2), SOLVED_MAPS[name]))
     eps_i = qc.epsilon_internal(qc.area_intrinsic(field_), epsilon)
-    delta = qc.choose_delta(field_, SEARCH_SHARE * eps_i)
-    thr = qc.choose_threshold(field_, delta, SEARCH_SHARE * eps_i)
+    delta = qc.choose_delta(field_, share * eps_i)
+    thr = qc.choose_threshold(field_, delta, share * eps_i)
     mu = qc.build_coefficient(field_, delta, thr)
     return qc.smooth_coefficient(mu, eps_i, field_).mu_tilde
 

@@ -531,15 +531,114 @@ class TestNewtonStart:
         assert np.array_equal(phi.values.ravel(), (w - a * np.conj(w)) / (1 - a**2))
         assert phi.mask.any() and not phi.mask.all()
 
-    @pytest.mark.parametrize("name", ["stretch", "diag41", "random-smooth"])
+    @pytest.mark.parametrize("name", ["stretch", "diag41", "random-smooth", "half-collapse"])
     def test_inverts_the_pipeline_solves(self, name):
-        rho = qc.solve_beltrami(pipeline_coefficient(name, 64))
+        # the half collapse's coefficient is solved at the full allowance, as
+        # the pipeline does once the solver refuses the first one
+        mu = pipeline_coefficient(name, 64, share=1.0 if name == "half-collapse" else None)
+        rho = qc.solve_beltrami(mu)
         phi = qc.invert(rho, n=64)
         assert phi.inv_residual_max <= qc.beltrami.INV_TOL
         z = phi.values[phi.mask]
         back = rho.value_at(np.column_stack([z.real, z.imag]))
         w = (phi.node_coords()[0] + 1j * phi.node_coords()[1])[phi.mask]
         assert np.abs(back - w).max() <= qc.beltrami.INV_TOL
+        # phi holds the nodes that rho's cells hold and whose preimage lies in
+        # the disc; off the affine maps, each of them keeps its cell start
+        k, ti, tj = qc.beltrami.cell_preimages(rho.values, phi.x0, phi.y0, phi.spacing,
+                                               phi.shape)
+        held = np.zeros(phi.values.size, dtype=bool)
+        held[k] = True
+        values = phi.values.ravel()
+        assert phi.mask.any()
+        assert np.array_equal(phi.mask.ravel(), held & (np.abs(values) < 1.0))
+        if rho.iterations > 1:
+            start = (rho.x0 + ti * rho.spacing) + 1j * (rho.y0 + tj * rho.spacing)
+            assert np.array_equal(values[k], start)
+
+    def test_nodes_no_cell_holds_start_from_the_far_field(self, monkeypatch):
+        # rho = diag(2, 1) on [-1.1, 1.1]^2, with no far field: its cells hold
+        # the phi nodes up to its top node row only.  Newton moves each node on
+        # its own, so the others end where a start from w alone ends
+        rho = linear_qcmap(np.diag([2.0, 1.0]), box=1.1, n=44)
+        phi = qc.invert(rho, n=64)
+        k, _, _ = qc.beltrami.cell_preimages(rho.values, phi.x0, phi.y0, phi.spacing,
+                                             phi.shape)
+        free = np.ones(phi.values.size, dtype=bool)
+        free[k] = False
+        w = (phi.node_coords()[0] + 1j * phi.node_coords()[1]).ravel()
+        assert free.any() and np.array_equal(free, np.abs(w.imag) > rho.values.imag.max())
+        monkeypatch.setattr(qc.beltrami, "cell_preimages",
+                            lambda *args: (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)))
+        far = qc.invert(rho, n=64)
+        assert np.array_equal(phi.values.ravel()[free], far.values.ravel()[free])
+        assert not np.array_equal(phi.values, far.values)
+        assert np.array_equal(phi.mask, far.mask)
+
+
+class TestCellPreimages:
+    @staticmethod
+    def lattice_over(corners, rng, size=40):
+        """(x0, y0, spacing, shape) of a size x size lattice at a random offset
+        over the corners' bounding box."""
+        lo, hi = corners.real.min(), corners.real.max()
+        bottom, top = corners.imag.min(), corners.imag.max()
+        spacing = max(hi - lo, top - bottom) / (size - 4)
+        x0, y0 = lo - spacing * rng.uniform(1, 2), bottom - spacing * rng.uniform(1, 2)
+        return x0, y0, spacing, (size, size)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_cells_exact(self, seed):
+        # a convex, positively oriented quadrilateral under a random similarity:
+        # its bilinear patch is a bijection onto it, so the nodes inside are
+        # held and each preimage reproduces its node to rounding
+        rng = np.random.default_rng(seed)
+        unit = np.array([[0.0, 1j], [1.0, 1.0 + 1j]])       # values[i, j] at (i, j)
+        corners = unit + rng.uniform(-0.3, 0.3, (2, 2)) + 1j * rng.uniform(-0.3, 0.3, (2, 2))
+        if seed == 0:
+            corners = unit + 0.4 * unit.imag                   # a parallelogram: G = 0
+        scale = 10.0 ** rng.uniform(-3, 3) * np.exp(2j * np.pi * rng.uniform())
+        values = scale * corners + scale * complex(*rng.normal(size=2))
+        x0, y0, spacing, shape = self.lattice_over(values, rng)
+        k, ti, tj = qc.beltrami.cell_preimages(values, x0, y0, spacing, shape)
+        i, j = np.divmod(np.arange(shape[0] * shape[1]), shape[1])
+        w = (x0 + i * spacing) + 1j * (y0 + j * spacing)
+        size = np.abs(values).max()
+        assert np.abs(qc.lattice.bilinear(values, ti, tj) - w[k]).max() <= 1e-12 * size
+        # inside the quadrilateral P00 P10 P11 P01 by more than rounding: held;
+        # outside by more than rounding: not held
+        ring = values.ravel()[[0, 2, 3, 1]]
+        edge = np.roll(ring, -1) - ring
+        depth = np.min([(np.conj(e) * (w - p)).imag / abs(e) for e, p in zip(edge, ring)], axis=0)
+        held = np.zeros(w.size, dtype=bool)
+        held[k] = True
+        assert np.all(held[depth > 1e-9 * size]) and not np.any(held[depth < -1e-9 * size])
+        assert np.count_nonzero(depth > 1e-9 * size) > 100
+
+    def test_a_patch_of_cells_holds_every_inner_node_once(self):
+        # a perturbed 7 x 7 lattice: its 36 cells tile the image, and the
+        # nodes the image holds are found, each one at most once
+        rng = np.random.default_rng(5)
+        i, j = np.meshgrid(np.arange(7.0), np.arange(7.0), indexing="ij")
+        values = (i + rng.uniform(-0.25, 0.25, i.shape)) + 1j * (j + rng.uniform(-0.25, 0.25, j.shape))
+        x0, y0, spacing, shape = self.lattice_over(values, rng, size=90)
+        k, ti, tj = qc.beltrami.cell_preimages(values, x0, y0, spacing, shape)
+        assert np.unique(k).size == k.size
+        a, b = np.divmod(k, shape[1])
+        w = (x0 + a * spacing) + 1j * (y0 + b * spacing)
+        assert np.abs(qc.lattice.bilinear(values, ti, tj) - w).max() <= 1e-12 * np.abs(values).max()
+        # every node well inside the inner square [0.25, 5.75]^2 is held
+        a, b = np.divmod(np.arange(shape[0] * shape[1]), shape[1])
+        x, y = x0 + a * spacing, y0 + b * spacing
+        inner = (np.minimum(x, y) > 0.25 + 1e-9) & (np.maximum(x, y) < 5.75 - 1e-9)
+        held = np.zeros(x.size, dtype=bool)
+        held[k] = True
+        assert inner.sum() > 1000 and np.all(held[inner])
+
+    def test_node_outside_every_cell(self):
+        values = np.array([[0.0, 1j], [1.0, 1.0 + 1j]])
+        k, ti, tj = qc.beltrami.cell_preimages(values, 2.0, 2.0, 0.5, (3, 3))
+        assert k.size == ti.size == tj.size == 0
 
 
 class TestSerialization:

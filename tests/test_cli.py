@@ -213,8 +213,8 @@ class TestReparamCommand:
             "df857b25b732703d350f4ba9f0cc7e26d067f04d0df71d0281944d32ab6ba466",
             "dee04bc284ddb3051aae63a2c3d26ab427fdf5890b0a418e10f0c4545b280520")),
         ("random-smooth", 128, (
-            "1cee9461b584c8f51ce6977cf6937a2af78a2b1aebfcce4883f5dad6ac327856",
-            "7fd2c23d1eb711f91182fa7b82128105aeab637fae802ca95fd314962221b535",
+            "24a7e809655a295a678cf5ee1bf2913aae9b1864e8e8ec34ca71f4c0c5538dff",
+            "5070e187cedf96d684aa5cb81a7a627e775213fc31f47a5bc843a122e595450b",
             "585f7d939cbd5901d0c553aec588e74e8f2b7720c27596ca892aeb18197b0085")),
         ("linf-identity", 64, (
             "3b473aff9552ccdf4b48322a19f382f2cee1ad626be8288645c6b15bfe7b0eed",
