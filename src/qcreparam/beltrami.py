@@ -600,15 +600,37 @@ def invert(rho, *, n=256):
                              (p.imag - rho.y0) / rho.spacing)
         return s[:, 0] + 1j * s[:, 1], s[:, 2:].reshape(-1, 2, 2)
 
+    def newton_step(d, rr):
+        det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
+        dx = (d[:, 1, 1] * rr.real - d[:, 0, 1] * rr.imag) / det
+        dy = (-d[:, 1, 0] * rr.real + d[:, 0, 0] * rr.imag) / det
+        # step limiter keeps Newton stable across interpolation kinks
+        step = dx + 1j * dy
+        big = np.abs(step) > 10 * rho.spacing
+        step[big] *= (10 * rho.spacing) / np.abs(step[big])
+        return step
+
     # resid and drho hold the residual and rho's differential at back, the
     # last point of each node that lowered the residual; a step that does not
-    # lower it is halved, back towards back
-    resid = np.full(w.shape, np.inf)
+    # lower it is halved, back towards back.  The first pass checks every
+    # start in whole arrays: a finite residual is kept, and a non-finite one
+    # leaves its node active with resid and drho unset
     back = z.copy()
-    drho = np.zeros(w.shape + (2, 2))
-    active = np.ones(w.shape, dtype=bool)
-    for _ in range(NEWTON_MAX):
+    fval, dfs = sample(z)
+    r = fval - w
+    size = np.abs(r)
+    kept = size < np.inf
+    resid = np.where(kept, size, np.inf)
+    drho = np.where(kept[:, None, None], dfs, 0.0)
+    if not kept.all():
+        z[~kept] = 0.5 * (z[~kept] + back[~kept])
+    active = ~kept | (size > INV_TOL)
+    sub = np.flatnonzero(kept & (size > INV_TOL))
+    z[sub] = z[sub] - newton_step(dfs[sub], r[sub])
+    for _ in range(NEWTON_MAX - 1):
         idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
         fval, dfs = sample(z[idx])
         r = fval - w[idx]
         size = np.abs(r)
@@ -619,20 +641,9 @@ def invert(rho, *, n=256):
         back[kept] = z[kept]
         drho[kept] = dfs[~worse]
         active[idx[~worse & (size <= INV_TOL)]] = False
-        if not np.any(active):
-            break
         move = ~worse & (size > INV_TOL)
         sub = idx[move]
-        d = dfs[move]
-        det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
-        rr = r[move]
-        dx = (d[:, 1, 1] * rr.real - d[:, 0, 1] * rr.imag) / det
-        dy = (-d[:, 1, 0] * rr.real + d[:, 0, 0] * rr.imag) / det
-        # step limiter keeps Newton stable across interpolation kinks
-        step = dx + 1j * dy
-        big = np.abs(step) > 10 * rho.spacing
-        step[big] *= (10 * rho.spacing) / np.abs(step[big])
-        z[sub] = z[sub] - step
+        z[sub] = z[sub] - newton_step(dfs[move], r[move])
     z = back
 
     converged = resid <= INV_TOL

@@ -11,12 +11,14 @@ from qcreparam.errors import (
     CoefficientTooLarge,
     DegenerateDerivative,
     GridTooSmall,
+    NewtonDiverged,
     OrientationViolation,
     SupportTooClose,
 )
 
 from conftest import (
     PIPELINE_MAPS,
+    SOLVED_MAPS,
     bump_coefficient,
     linear_qcmap,
     linear_wirtinger_oracle,
@@ -574,6 +576,149 @@ class TestNewtonStart:
         assert np.array_equal(phi.values.ravel()[free], far.values.ravel()[free])
         assert not np.array_equal(phi.values, far.values)
         assert np.array_equal(phi.mask, far.mask)
+
+
+def invert_reference(rho, n):
+    """qc.invert with every Newton pass, the first included, run through the
+    active nodes' index array: the loop that the whole-array first pass must
+    reproduce bit for bit."""
+    from qcreparam import beltrami as bt
+    from qcreparam import lattice
+
+    img, pad = rho.image_of_circle(), bt.PAD * rho.spacing
+    lo_x, hi_x = img.real.min() - pad, img.real.max() + pad
+    lo_y, hi_y = img.imag.min() - pad, img.imag.max() + pad
+    spacing = max(hi_x - lo_x, hi_y - lo_y) / n
+    shape = (n, n)
+    x0, y0 = lo_x + 0.5 * spacing, lo_y + 0.5 * spacing
+    wx, wy = np.meshgrid(x0 + np.arange(n) * spacing, y0 + np.arange(n) * spacing,
+                         indexing="ij")
+    w = (wx + 1j * wy).ravel()
+    a = rho.meta.get("affine", 0)
+    z = (w - a * np.conj(w)) / (1 - abs(a) ** 2)
+    xr = rho.x0 + np.arange(rho.shape[0]) * rho.spacing
+    yr = rho.y0 + np.arange(rho.shape[1]) * rho.spacing
+    far = ((1 + a) * xr)[:, None] + ((1 - a) * 1j * yr)
+    if np.abs(rho.values - far).max() > bt.INV_TOL:
+        k, ti, tj = bt.cell_preimages(rho.values, x0, y0, spacing, shape)
+        z[k] = (rho.x0 + ti * rho.spacing) + 1j * (rho.y0 + tj * rho.spacing)
+    stack = np.concatenate([rho.values.real[..., None], rho.values.imag[..., None],
+                            rho.df.reshape(rho.shape + (4,))], axis=-1)
+
+    def sample(p):
+        s = lattice.bilinear(stack, (p.real - rho.x0) / rho.spacing,
+                             (p.imag - rho.y0) / rho.spacing)
+        return s[:, 0] + 1j * s[:, 1], s[:, 2:].reshape(-1, 2, 2)
+
+    resid = np.full(w.shape, np.inf)
+    back = z.copy()
+    drho = np.zeros(w.shape + (2, 2))
+    active = np.ones(w.shape, dtype=bool)
+    for _ in range(bt.NEWTON_MAX):
+        idx = np.flatnonzero(active)
+        fval, dfs = sample(z[idx])
+        r = fval - w[idx]
+        size = np.abs(r)
+        worse = ~(size < resid[idx])
+        z[idx[worse]] = 0.5 * (z[idx[worse]] + back[idx[worse]])
+        kept = idx[~worse]
+        resid[kept] = size[~worse]
+        back[kept] = z[kept]
+        drho[kept] = dfs[~worse]
+        active[idx[~worse & (size <= bt.INV_TOL)]] = False
+        if not np.any(active):
+            break
+        move = ~worse & (size > bt.INV_TOL)
+        sub = idx[move]
+        d = dfs[move]
+        det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
+        rr = r[move]
+        dx = (d[:, 1, 1] * rr.real - d[:, 0, 1] * rr.imag) / det
+        dy = (-d[:, 1, 0] * rr.real + d[:, 0, 0] * rr.imag) / det
+        step = dx + 1j * dy
+        big = np.abs(step) > 10 * rho.spacing
+        step[big] *= (10 * rho.spacing) / np.abs(step[big])
+        z[sub] = z[sub] - step
+    z = back
+    converged = resid <= bt.INV_TOL
+    failed_interior = ~converged & (np.abs(z) <= 0.95)
+    if np.any(failed_interior):
+        raise NewtonDiverged(f"{int(failed_interior.sum())} interior nodes failed to invert")
+    mask = (converged & (np.abs(z) < 1.0)).reshape(shape)
+    det = drho[:, 0, 0] * drho[:, 1, 1] - drho[:, 0, 1] * drho[:, 1, 0]
+    det = np.where(det == 0, 1.0, det)
+    dphi = np.stack([drho[:, 1, 1], -drho[:, 0, 1], -drho[:, 1, 0], drho[:, 0, 0]], axis=-1)
+    df = (dphi / det[:, None]).reshape(shape + (2, 2))
+    det_phi, dil = bt.det_dilatation(*qc.mat_to_wirtinger(df[mask]))
+    return dict(values=z.reshape(shape), df=df, mask=mask,
+                K_certified=float(dil.max(initial=1.0)),
+                det_min=float(det_phi.min()) if det_phi.size else 1.0,
+                inv_residual_max=float(resid[mask.ravel()].max()) if mask.any() else 0.0)
+
+
+def nan_spot_identity(centre, radius):
+    """The identity rho, n = 384 over [-1.2, 1.2]^2, with nan at its nodes
+    within radius of the point (centre, 0): the phi nodes whose Newton gathers
+    read them keep a non-finite residual."""
+    rho = linear_qcmap(np.eye(2), box=1.2, n=384)
+    x, y = rho.node_coords()
+    values = rho.values.copy()
+    values[np.hypot(x - centre, y) < radius] = np.nan
+    return replace(rho, values=values)
+
+
+class TestInvertBitIdentity:
+    """invert against invert_reference, bit for bit: values and df on every
+    node, masked or not, the mask and the three certificates."""
+
+    @staticmethod
+    def assert_same(rho, n=64):
+        phi, ref = qc.invert(rho, n=n), invert_reference(rho, n)
+        for name in ("values", "df", "mask"):
+            got, want = getattr(phi, name), ref[name]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        for name in ("K_certified", "det_min", "inv_residual_max"):
+            assert np.float64(getattr(phi, name)).tobytes() == np.float64(ref[name]).tobytes()
+        return phi
+
+    @pytest.mark.parametrize("name", sorted(SOLVED_MAPS))
+    def test_solved_maps(self, name):
+        mu = pipeline_coefficient(name, 64, share=1.0 if name == "half-collapse" else None)
+        self.assert_same(qc.solve_beltrami(mu))
+
+    def test_affine(self):
+        a = 0.6
+        self.assert_same(replace(linear_qcmap(np.diag([1 + a, 1 - a])), meta={"affine": a}))
+
+    def test_starts_that_fail_the_check(self):
+        # diag(2, 1) on [-1.1, 1.1]^2: its cells hold no phi node above its
+        # top node row, so those nodes start from w and take Newton steps
+        rho = linear_qcmap(np.diag([2.0, 1.0]), box=1.1, n=44)
+        phi = qc.invert(rho, n=64)
+        k, _, _ = qc.beltrami.cell_preimages(rho.values, phi.x0, phi.y0, phi.spacing,
+                                             phi.shape)
+        w = (phi.node_coords()[0] + 1j * phi.node_coords()[1]).ravel()
+        start = np.delete(w, k)
+        back = rho.value_at(np.column_stack([start.real, start.imag]))
+        assert np.any(np.abs(back - start) > qc.beltrami.INV_TOL)
+        self.assert_same(rho)
+
+    def test_non_finite_residuals(self):
+        # the gathers that read nan lie within 0.019 of 0.972, beyond |z| =
+        # 0.95, and rho(unit circle) reads none, so invert returns; the nodes
+        # left with an unset differential read the fallback 0 / 1, unmasked
+        phi = self.assert_same(nan_spot_identity(0.972, 0.01), n=128)
+        stuck = np.all(phi.df == 0.0, axis=(-2, -1))
+        assert stuck.any() and not np.any(phi.mask & stuck)
+
+    def test_newton_diverged(self):
+        # a nan spot at 0.5: interior nodes never converge
+        rho = nan_spot_identity(0.5, 0.03)
+        with pytest.raises(NewtonDiverged) as got:
+            qc.invert(rho, n=64)
+        with pytest.raises(NewtonDiverged) as want:
+            invert_reference(rho, 64)
+        assert str(got.value) == str(want.value)
 
 
 class TestCellPreimages:
