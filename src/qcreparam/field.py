@@ -196,7 +196,17 @@ class TargetSpace:
         """Metric distance between row-stacked points (vectorized)."""
         diff = np.atleast_2d(np.asarray(xs, dtype=float) - np.asarray(ys, dtype=float))
         if self.kind == "euclidean":
-            return np.linalg.norm(diff, axis=-1)
+            d = diff.shape[-1]
+            if d >= 8:
+                return np.linalg.norm(diff, axis=-1)
+            # np.linalg.norm squares the block and sums its last axis; under 8
+            # terms numpy adds them in order, so summing the squared
+            # coordinates one by one gives its bits without its strided reduce
+            sq = diff * diff
+            out = sq[..., 0].copy()
+            for k in range(1, d):
+                out += sq[..., k]
+            return np.sqrt(out, out=out)
         if self.kind == "quadratic":
             return np.sqrt(np.maximum(
                 np.einsum("...i,ij,...j->...", diff, self.gram, diff), 0.0))

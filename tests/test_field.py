@@ -68,6 +68,43 @@ class TestTargetSpace:
     def test_euclidean_distance(self):
         assert EUCLID.distance([3.0, 0.0], [0.0, 4.0])[0] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 9])
+    def test_euclidean_distance_has_the_bits_of_norm(self, d):
+        # zeros of both signs, subnormals and entries whose squares or sums
+        # overflow, in blocks of the stencil's shapes: np.linalg.norm's bits,
+        # and its kinds of floating-point warning (numpy names the ufunc in
+        # the message: "overflow encountered in add", not "in reduce")
+        import warnings
+
+        def kinds(caught):
+            return {(w.category, str(w.message).split(" encountered")[0]) for w in caught}
+
+        rng = np.random.default_rng(d)
+        t = qc.TargetSpace.euclidean(d)
+        seen = set()
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                            1e-160, 1e154, 1e155, 1e200, -1e308, 1.7976931348623157e308])
+        for shape in [(1,), (7,), (100_000,), (3, 4096), (2, 5, 7)]:
+            xs = rng.normal(size=shape + (d,)) * np.exp(rng.uniform(-30, 30, shape + (d,)))
+            ys = rng.normal(size=shape + (d,))
+            pick = rng.random(xs.shape) < 0.1
+            xs[pick] = rng.choice(special, pick.sum())
+            ys[pick] = rng.choice([0.0, -0.0], pick.sum())
+            for a, b in ((xs, ys), (xs, xs), (xs[..., :1, :], ys)):
+                with warnings.catch_warnings(record=True) as got:
+                    warnings.simplefilter("always")
+                    mine = t.distance(a, b)
+                with warnings.catch_warnings(record=True) as want:
+                    warnings.simplefilter("always")
+                    ref = np.linalg.norm(np.atleast_2d(a - b), axis=-1)
+                assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes(), shape
+                assert kinds(got) == kinds(want)
+                seen |= kinds(want)
+        assert seen == {(RuntimeWarning, "overflow")}
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                t.distance(np.full(d, 1e200), np.zeros(d))
+
     def test_quadratic_distance(self):
         t = qc.TargetSpace.quadratic(np.diag([4.0, 1.0]))
         assert t.distance([1.0, 0.0], [0.0, 0.0])[0] == pytest.approx(2.0)
