@@ -59,11 +59,21 @@ class DiscGrid:
         clipped to the grid."""
         return lattice.nearest(x, -1.0, self.h, self.n), lattice.nearest(y, -1.0, self.h, self.n)
 
+    def _cached(self, key, make):
+        """The arrays make() returns, built once per grid and made read-only:
+        the file loaders share one grid per n (_shared_grid)."""
+        if key not in self._cache:
+            value = make()
+            for a in value if isinstance(value, tuple) else (value,):
+                a.setflags(write=False)
+            self._cache[key] = value
+        return self._cache[key]
+
     def _grids(self):
-        if "xy" not in self._cache:
+        def make():
             x, y = np.meshgrid(self.centers, self.centers, indexing="ij")
-            self._cache["xy"] = (x, y, np.hypot(x, y))
-        return self._cache["xy"]
+            return x, y, np.hypot(x, y)
+        return self._cached("xy", make)
 
     @property
     def x(self):
@@ -80,12 +90,12 @@ class DiscGrid:
     @property
     def disc_mask(self):
         """Cells whose center lies in the open unit disc (map values live here)."""
-        return self.radius < 1.0
+        return self._cached("disc", lambda: self.radius < 1.0)
 
     @property
     def interior_mask(self):
         """Cells with |z| < 1 - margin (derivative stencils stay in the disc)."""
-        return self.radius < 1.0 - self.margin
+        return self._cached("interior", lambda: self.radius < 1.0 - self.margin)
 
     @property
     def weight(self):
@@ -101,7 +111,7 @@ class DiscGrid:
         n/2 - margin / h - sqrt(2)/2 on its ray is interior, within
         rho - n/2 + margin / h + sqrt(2) < 3.92 cells, so the offsets with
         d^2 <= 15, in (d^2, column, row) order, find it."""
-        if "ext" not in self._cache:
+        def make():
             n, mask = self.n, self.interior_mask
             reach = self.margin / self.h + math.sqrt(2.0)
             w = int(reach)          # the window's half-width; the mask is padded by it
@@ -115,8 +125,8 @@ class DiscGrid:
             first = np.argmax(hit, axis=1)
             ei, ej = np.indices((n, n))
             ei[i, j], ej[i, j] = i + di[first], j + dj[first]
-            self._cache["ext"] = (ei, ej)
-        return self._cache["ext"]
+            return ei, ej
+        return self._cached("ext", make)
 
     def extend(self, arr):
         """Nearest-interior extension of a per-cell array onto the disc cells;
@@ -318,11 +328,18 @@ def _read_cell_file(path):
         return fh.readline().split(), fh.read()
 
 
+@functools.lru_cache(maxsize=4)
+def _shared_grid(n):
+    """One DiscGrid per n for the file loaders, so that the maps and fields
+    of one n share its geometry; its cached arrays are read-only."""
+    return DiscGrid(n)
+
+
 def _file_grid(n, body, what):
     """DiscGrid(n) of a cell file whose body names each of its what cells (disc
     or interior) on a line.  Both kinds hold more than n^2 / 4 of the n x n cells
     at n >= 16, so a shorter body is refused before the grid's masks are built."""
-    grid, lines, need = DiscGrid(n), body.count("\n") + 1, n * n // 4
+    grid, lines, need = _shared_grid(n), body.count("\n") + 1, n * n // 4
     if lines < need:
         raise InputFormatError(f"at least {need - lines} {what} cells missing from file "
                                f"({lines} lines for the {n} x {n} grid)")

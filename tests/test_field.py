@@ -63,6 +63,29 @@ class TestDiscGrid:
             assert got[:, disc].tobytes() == want[:, disc].tobytes(), n
             assert np.array_equal(got[:, ~disc], np.indices((n, n))[:, ~disc]), n
 
+    def test_cached_arrays_are_read_only(self):
+        g = qc.DiscGrid(32)
+        for a in (g.x, g.y, g.radius, g.disc_mask, g.interior_mask, *g.extension_indices()):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = a[1, 1]
+        assert g.disc_mask is g.disc_mask and g.interior_mask is g.interior_mask
+
+    def test_loads_of_one_n_share_a_grid(self, tmp_path):
+        paths = [tmp_path / f"{k}.map" for k in range(3)]
+        identity_map(32).save(paths[0])
+        stretch_map(32).save(paths[1])
+        identity_map(48).save(paths[2])
+        u, v, w = (qc.SampledMap.load(p) for p in paths)
+        assert u.grid is v.grid and u.grid is not w.grid
+        assert qc.DerivativeField.load(_saved_field(tmp_path, v)).grid is v.grid
+
+
+def _saved_field(tmp_path, u):
+    path = tmp_path / "field.txt"
+    qc.estimate_field(u).save(path)
+    return path
+
 
 class TestTargetSpace:
     def test_euclidean_distance(self):
