@@ -311,16 +311,21 @@ class SampledMap:
 def write_cells(path, header, fmt, mask, *columns):
     """Write a cell file or a CSV grid: the header line, then fmt % (i, j, ...)
     per cell (i, j) of mask in np.nonzero order; columns hold one entry, or one
-    row of entries, per cell of mask.  Each printed column is listed as Python
-    numbers and the lines zip them, WRITE_ROWS at a time, so the text in memory
-    stays bounded on large grids."""
+    row of entries, per cell of mask.  A block of WRITE_ROWS lines is one %
+    of the repeated line format over the block's entries, interleaved row by
+    row as Python numbers (ints stay ints), so the text in memory stays
+    bounded on large grids."""
     ii, jj = np.nonzero(mask)
     cols = [ii, jj] + [c for col in columns for c in np.atleast_2d(np.asarray(col).T)]
+    line, width = fmt + "\n", len(cols)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, len(ii), WRITE_ROWS):
-            block = zip(*[c[start:start + WRITE_ROWS].tolist() for c in cols])
-            fh.write("\n".join([fmt % row for row in block]) + "\n")
+            rows = min(WRITE_ROWS, len(ii) - start)
+            flat = [None] * (rows * width)
+            for k, c in enumerate(cols):
+                flat[k::width] = c[start:start + rows].tolist()
+            fh.write(line * rows % tuple(flat))
 
 
 def _read_cell_file(path):

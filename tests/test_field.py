@@ -63,6 +63,7 @@ class TestDiscGrid:
             assert got[:, disc].tobytes() == want[:, disc].tobytes(), n
             assert np.array_equal(got[:, ~disc], np.indices((n, n))[:, ~disc]), n
 
+
     def test_cached_arrays_are_read_only(self):
         g = qc.DiscGrid(32)
         for a in (g.x, g.y, g.radius, g.disc_mask, g.interior_mask, *g.extension_indices()):
@@ -962,7 +963,7 @@ class TestCellFiles:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_writer_matches_table_formatting(self, tmp_path, seed):
-        # lines zipped from per-column lists: the bytes of the float table for
+        # one % per block of lines: the bytes of the float table for
         # map files (2-D float columns), field files and CSV grids (int and
         # 1-D float columns), over more than WRITE_ROWS lines
         rng = np.random.default_rng(seed)
@@ -988,6 +989,31 @@ class TestCellFiles:
         fd.write_cells(tmp_path / "g.csv", "i,j,k,x,v,a,b", fmt, mask, *cols)
         assert (tmp_path / "g.csv").read_text() == self.table_text("i,j,k,x,v,a,b", fmt,
                                                                    mask, *cols)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_writer_matches_per_line_formatting(self, tmp_path, seed):
+        # one % per block of lines: the text of fmt % row, line by line, over
+        # more than WRITE_ROWS lines, with ints beyond 2^53 kept exact and
+        # every kind of float: zeros of both signs, subnormals, extremes, nan
+        # and infinities
+        rng = np.random.default_rng(seed)
+        mask = qc.DiscGrid(48).disc_mask
+        cells = int(mask.sum())
+        assert cells > fd.WRITE_ROWS
+        floats = random_floats(rng, 3 * cells)
+        odd = rng.random(floats.size) < 0.05
+        floats[odd] = rng.choice([np.nan, np.inf, -np.inf, 1e308, -0.0], odd.sum())
+        big = rng.integers(2**53 + 1, 2**62, cells) * rng.choice([-1, 1], cells)
+        cols = (big, floats[:cells], floats[cells:].reshape(cells, 2))
+        fmt = "%d;%d;%d;%.17g;%.17g,%.17g"
+        for sel in (mask, np.zeros_like(mask)):
+            picked = [c[: int(sel.sum())] for c in cols]
+            fd.write_cells(tmp_path / "g.txt", "head", fmt, sel, *picked)
+            ii, jj = np.nonzero(sel)
+            rows = zip(ii.tolist(), jj.tolist(), picked[0].tolist(), picked[1].tolist(),
+                       *picked[2].T.tolist())
+            lines = [fmt % row for row in rows]
+            assert (tmp_path / "g.txt").read_text() == "\n".join(["head"] + lines) + "\n"
 
     @staticmethod
     def edited(path, old, new):
