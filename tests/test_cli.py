@@ -237,6 +237,26 @@ class TestReparamCommand:
                     for name in ("report.txt", "phi.qcmap", "omega_boundary.csv"))
         assert got == want
 
+    @pytest.mark.parametrize("target", [qc.TargetSpace.euclidean(2), qc.TargetSpace.linf()],
+                             ids=["euclidean", "linf"])
+    def test_a_rerun_after_another_map_keeps_its_bytes(self, capsys, tmp_path, target):
+        # the loaders share one grid per n: maps A, B, A of one n in one
+        # process, and A's second run writes the bytes of its first
+        grid = qc.DiscGrid(64)
+        maps = {"a": lambda x, y: np.stack([x + 0.2 * x * y, y + 0.1 * x * x]),
+                "b": lambda x, y: np.stack([2.0 * x, y - 0.15 * x * y])}
+        for name, fn in maps.items():
+            qc.SampledMap.from_function(grid, target, fn).save(tmp_path / f"{name}.map")
+        for k, name in enumerate("aba"):
+            code, _, _ = run(["reparam", "--input", str(tmp_path / f"{name}.map"), "--epsilon",
+                              "0.6283185307179586", "--outdir", str(tmp_path / f"out{k}")],
+                             capsys)
+            assert code == 0
+        for name in ("report.txt", "phi.qcmap", "omega_boundary.csv"):
+            assert (tmp_path / "out0" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
+        assert (tmp_path / "out0" / "report.txt").read_bytes() != (
+            tmp_path / "out1" / "report.txt").read_bytes()
+
     def test_rejects_nonpositive_epsilon(self, fixtures, capsys):
         code, _, err = run(["reparam", "--input", str(fixtures / "st.map"),
                             "--epsilon", "-1.0"], capsys)
