@@ -79,13 +79,8 @@ class TestDiscGrid:
         identity_map(48).save(paths[2])
         u, v, w = (qc.SampledMap.load(p) for p in paths)
         assert u.grid is v.grid and u.grid is not w.grid
-        assert qc.DerivativeField.load(_saved_field(tmp_path, v)).grid is v.grid
-
-
-def _saved_field(tmp_path, u):
-    path = tmp_path / "field.txt"
-    qc.estimate_field(u).save(path)
-    return path
+        qc.estimate_field(v).save(tmp_path / "field.txt")
+        assert qc.DerivativeField.load(tmp_path / "field.txt").grid is v.grid
 
 
 class TestTargetSpace:
