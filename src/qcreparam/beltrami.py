@@ -614,7 +614,8 @@ def invert(rho, *, n=256):
     # last point of each node that lowered the residual; a step that does not
     # lower it is halved, back towards back.  The first pass checks every
     # start in whole arrays: a finite residual is kept, and a non-finite one
-    # leaves its node active with resid and drho unset
+    # leaves its node at its start with resid and drho unset, and inactive:
+    # its halving 0.5 (z + back) would return z, so no later pass moves it
     back = z.copy()
     fval, dfs = sample(z)
     r = fval - w
@@ -622,10 +623,8 @@ def invert(rho, *, n=256):
     kept = size < np.inf
     resid = np.where(kept, size, np.inf)
     drho = np.where(kept[:, None, None], dfs, 0.0)
-    if not kept.all():
-        z[~kept] = 0.5 * (z[~kept] + back[~kept])
-    active = ~kept | (size > INV_TOL)
-    sub = np.flatnonzero(kept & (size > INV_TOL))
+    active = kept & (size > INV_TOL)
+    sub = np.flatnonzero(active)
     z[sub] = z[sub] - newton_step(dfs[sub], r[sub])
     for _ in range(NEWTON_MAX - 1):
         idx = np.flatnonzero(active)

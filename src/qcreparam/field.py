@@ -442,46 +442,41 @@ class DerivativeField:
             self._cache["edges"] = sn.half_edges(self.rows)
         return self._cache["edges"]
 
-    def energy_density(self):
-        """I_+^2 of the cell semi-norm, per cell (extended), computed once per field."""
+    def _energy_rows(self):
+        """I_+^2 per row, computed once per field."""
         if "energy" not in self._cache:
             self._cache["energy"] = (sn.edge_energy(self._edges()) if self.kind == "sampled"
                                      else sn.row_energy(self.kind, self.rows))
-        return self._cache["energy"][self.index]
+        return self._cache["energy"]
+
+    def energy_density(self):
+        """I_+^2 of the cell semi-norm, per cell (extended), computed once per field."""
+        return self._energy_rows()[self.index]
 
     def _ellipse_rows(self, delta):
-        """Packed M per row, solved once per delta (see ellipse_field)."""
-        if delta not in self._cache:
-            self._cache[delta] = sn.row_ellipse(self.kind, self.rows, delta)
-        return self._cache[delta]
+        """Packed M per row (see ellipse_field): solved once at delta = 0, and
+        built from those ellipses and the energies at delta > 0.  The field
+        holds the rows of the last delta > 0 asked for: a delta search asks for
+        many, and the pipeline then reads the one it returned."""
+        key = "regularized" if delta else "ellipses"
+        held = self._cache.get(key)
+        if held is None or held[0] != delta:
+            held = self._cache[key] = (delta, (
+                sn.ellipse_rows(self.kind, sn.row_regularized(self.kind, self.rows, delta),
+                                delta, self._ellipse_rows(0.0), self._energy_rows())
+                if delta else sn.ellipse_rows(self.kind, self.rows)))
+        return held[1]
 
     def ellipse_field(self, delta=0.0):
-        """Packed M of the inscribed ellipse {v : v.Mv <= 1} of the (optionally
-        delta-regularized) cell semi-norm, per cell (extended); M = 0 where the
-        semi-norm is degenerate (see seminorm.row_ellipse)."""
+        """Packed M of the ellipse {v : v.Mv <= 1} in the ball of the (optionally
+        delta-regularized) cell semi-norm, per cell (extended): the inscribed one
+        at delta = 0, with M = 0 where the semi-norm is degenerate (see
+        seminorm.ellipse_rows)."""
         return self._ellipse_rows(delta)[self.index]
 
     def jacobian_intrinsic_density(self, delta=0.0):
         """Inscribed-ellipse jacobian of the (optionally regularized) semi-norm."""
         return sn.ellipse_jacobian(self._ellipse_rows(delta))[self.index]
-
-    def jacobian_estimate(self, delta):
-        """Quadrature over the disc of sqrt(det(M0 + delta^2 I)), for the delta = 0
-        ellipses M0 and without a new solve: an estimate of the quadrature of
-        jacobian_intrinsic_density(delta).  {v.M0v <= 1} lies in the ball of s,
-        so {v.(M0 + delta^2 I)v <= 1} lies in the ball of the regularized
-        sqrt(s^2 + delta^2 |.|^2), and the estimate bounds the jacobian from
-        above, up to the sampling of a polygonal ball; it falls short on
-        degenerate cells, whose M0 is 0.  Summed over the rows, each weighted by
-        its disc cells, as det(M0 + delta^2 I) = det M0 + delta^2 (tr M0 + delta^2)."""
-        if "estimate" not in self._cache:
-            m0 = self._ellipse_rows(0.0)
-            cells = np.bincount(self.index[self.grid.disc_mask], minlength=len(self.rows))
-            self._cache["estimate"] = (cells * self.grid.weight, sn.packed_det(m0),
-                                       m0[:, 0] + m0[:, 2])
-        weight, det, trace = self._cache["estimate"]
-        d2 = delta * delta
-        return float(np.dot(weight, np.sqrt(np.maximum(det + d2 * (trace + d2), 0.0))))
 
     def jacobian_hausdorff_density(self):
         """Unit-ball-area jacobian per cell (extended)."""

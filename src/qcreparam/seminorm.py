@@ -15,9 +15,11 @@ A semi-norm is carried in one of two representations:
   (edge_energy), and I_+^2(s) = max_j |c_j|^2.
 
 The operations: the squared-maximal-stretch energy, the inscribed ellipse of
-maximal area, the two jacobians (inscribed-ellipse normalization and
-unit-ball-area normalization), the isotropy defect, quadratic regularization,
-and the Beltrami coefficient of a linear map rounding the inscribed ellipse.
+maximal area (of a delta-regularized semi-norm: an ellipse in its ball built
+from the delta = 0 one, see ellipse_rows), the two jacobians
+(inscribed-ellipse normalization and unit-ball-area normalization), the
+isotropy defect, quadratic regularization, and the Beltrami coefficient of a
+linear map rounding the ellipse.
 Each is written once, as a row_* function of the kind and a stack of packed
 rows, (q11, q12, q22) or the m gauge values; DerivativeField applies it to
 its stored rows and the SemiNorm2 operations to one row, of the delta that
@@ -28,11 +30,13 @@ hand the inscribed ellipse over as the packed matrix (m11, m12, m22) of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .beltrami import ROUNDING_FLOOR
 from .errors import DegenerateSemiNorm, EllipseNotCertified, InputFormatError
 
 DEGEN_TOL = 1e-10          # relative floor under which a direction counts as collapsed
@@ -127,11 +131,14 @@ class Ellipse2:
 @dataclass(frozen=True, eq=False)
 class SemiNorm2:
     """A semi-norm on R^2 in quadratic or sampled representation, held as one
-    packed row: (q11, q12, q22) or the m gauge values, and the delta regularize applied."""
+    packed row: (q11, q12, q22) or the m gauge values, the delta regularize
+    applied and the semi-norm it started from, whose delta = 0 ellipse the
+    regularized one is built from (see ellipse_rows)."""
 
     kind: str
     row: np.ndarray
     delta: float = 0.0
+    base: SemiNorm2 | None = None       # None where delta = 0
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     # -- constructors -------------------------------------------------------
@@ -209,20 +216,22 @@ class SemiNorm2:
         return float(out[0]) if single else out
 
     def scaled(self, c):
-        """The semi-norm c*s for c > 0, of delta c*delta."""
+        """The semi-norm c*s for c > 0, of delta c*delta (and base c*base)."""
         if c <= 0:
             raise ValueError("scale must be positive")
         row = self.row * (c**2 if self.kind == "quadratic" else c)
-        return replace(SemiNorm2.from_row(self.kind, row), delta=self.delta * c)
+        return replace(SemiNorm2.from_row(self.kind, row), delta=self.delta * c,
+                       base=self.base and self.base.scaled(c))
 
     def rotated(self, alpha):
-        """The semi-norm v -> s(R_alpha v), of the same delta."""
+        """The semi-norm v -> s(R_alpha v), of the same delta (and base rotated)."""
         c, s = math.cos(alpha), math.sin(alpha)
         r = np.array([[c, -s], [s, c]])
         if self.kind == "quadratic":
-            return replace(SemiNorm2.quadratic(r.T @ self.matrix @ r), delta=self.delta)
-        dirs = half_circle_directions(self.m) @ r.T
-        return replace(SemiNorm2.sampled(self.__call__(dirs)), delta=self.delta)
+            out = SemiNorm2.quadratic(r.T @ self.matrix @ r)
+        else:
+            out = SemiNorm2.sampled(self.__call__(half_circle_directions(self.m) @ r.T))
+        return replace(out, delta=self.delta, base=self.base and self.base.rotated(alpha))
 
     # -- unit-ball polygon (sampled representation) --------------------------
 
@@ -354,18 +363,35 @@ def convex_rows(values):
 def half_edges(values):
     """Edge rows c_i (R, m, 2) of the gauge rows values (R, m), for edge_gauge and
     edge_energy: one antipodal half of the edges of each ball {|c_i . x| <= 1}."""
-    def edges(rows):
-        # c_i solves c.d_i = v_i and c.d_(i+1) = v_(i+1) for consecutive sample
-        # directions d (d_m = -d_0), so it is formed from the values and not
-        # from the vertices d_i / v_i, whose differences cancel when a value is
-        # tiny; a zero value gives finite edge rows
-        d = half_circle_directions(rows.shape[-1])
-        d1 = np.concatenate([d[1:], -d[:1]])
-        v = rows[..., None]
-        c = v * d1[:, ::-1] - np.roll(v, -1, axis=-2) * d[:, ::-1]
-        c *= [1.0, -1.0] / (d[:, :1] * d1[:, 1:] - d[:, 1:] * d1[:, :1])
-        return c
-    return _live_rows(values, np.ones(len(values), dtype=bool), edges, values.shape[1:] + (2,))
+    out = np.empty(values.shape + (2,))
+    for k in range(0, len(values), _CHUNK):
+        out[k:k + _CHUNK, :, 0], out[k:k + _CHUNK, :, 1] = _edge_xy(values[k:k + _CHUNK])
+    return out
+
+
+def _edge_xy(values):
+    """The two components (R, m) of half_edges of the gauge rows values (R, m).
+
+    c_i solves c.d_i = v_i and c.d_(i+1) = v_(i+1) for consecutive sample
+    directions d (d_m = -d_0), so it is formed from the values and not from
+    the vertices d_i / v_i, whose differences cancel when a value is tiny; a
+    zero value gives finite edge rows."""
+    (ax, ay), (bx, by), (sx, sy) = _edge_factors(values.shape[-1])
+    nxt = np.concatenate([values[:, 1:], values[:, :1]], axis=1)
+    return (values * ax - nxt * bx) * sx, (values * ay - nxt * by) * sy
+
+
+@functools.cache
+def _edge_factors(m):
+    """The factors (3, 2, m) of _edge_xy, per component and sample direction:
+    d_(i+1) and d_i with their components swapped, and (1, -1) / det [d_i d_(i+1)].
+    Read-only."""
+    d = half_circle_directions(m)
+    d1 = np.concatenate([d[1:], -d[:1]])
+    out = np.stack([d1[:, ::-1], d[:, ::-1],
+                    [1.0, -1.0] / (d[:, :1] * d1[:, 1:] - d[:, 1:] * d1[:, :1])]).transpose(0, 2, 1).copy()
+    out.setflags(write=False)
+    return out
 
 
 # -- inscribed ellipses of sampled unit balls ---------------------------------------
@@ -531,16 +557,68 @@ def row_regularized(kind, rows, delta):
 
 
 def row_ellipse(kind, rows, delta=0.0):
-    """ellipse_rows of the delta-regularized rows (R, .), norms at delta > 0."""
-    return ellipse_rows(kind, row_regularized(kind, rows, delta) if delta else rows, delta > 0)
+    """ellipse_rows of the rows (R, .) regularized at delta, from their delta = 0
+    ellipses and energies."""
+    m0 = ellipse_rows(kind, rows)
+    if not delta:
+        return m0
+    return ellipse_rows(kind, row_regularized(kind, rows, delta), delta, m0, row_energy(kind, rows))
 
 
-def ellipse_rows(kind, rows, norm):
-    """Packed M (R, 3) of the inscribed ellipses {v.Mv <= 1} of rows (R, .), M = 0 on
-    degenerate rows unless norm: a row regularized at delta > 0 is a norm even where
-    it tests degenerate.  A quadratic ball is its own ellipse."""
-    m = rows if norm else np.where(row_degenerate(kind, rows)[..., None], 0.0, rows)
-    return inscribed_ellipses(m) if kind == "sampled" else m
+def ellipse_rows(kind, rows, delta=0.0, m0=None, e0=None):
+    """Packed M (R, 3) of centred ellipses {v.Mv <= 1} in the unit balls of rows (R, .).
+
+    delta = 0: the inscribed ellipses of maximal area, M = 0 on degenerate rows;
+    a quadratic ball is its own ellipse.
+
+    delta > 0: rows are the delta-regularized rows of semi-norms s whose delta = 0
+    ellipses are m0 (R, 3) and whose I_+^2(s) are e0 (R,); they are norms, also
+    where they test degenerate.  The lemma's bound J(E) (1 + m) / (1 - m) needs E
+    inside the ball, not E maximal.  A quadratic row is its own ellipse
+    Q + delta^2 I.  A sampled row takes M = lam P, P = m0 + delta^2 I and
+    lam = max(1, max_i c_i.P^-1 c_i) over its edge rows c_i: inside its ball by
+    construction, with no solve.  Two kinds of row take another ellipse:
+
+    * where m0 = 0 (a degenerate row, whose lam reaches 1e3) or det P <= 0 in
+      rounding, the certified inscribed_ellipses solve;
+    * where s is isotropic, its inscribed disc {|v| <= 1 / sqrt(e0)} meeting the
+      log-det certificate of m0 (2 log(e0 / J(m0)) <= GAP_TOL), and yet the
+      coefficient of m0 exceeds beltrami.ROUNDING_FLOOR, the disc
+      {|v| <= 1 / max_i |c_i|} inside the regularized ball: there the shape of
+      m0 is the tie-break of a flat-sided maximal ellipse (|mu| 4.7e-12 on a row
+      of the l-inf identity), which lam P would carry into mu as support.
+    """
+    if not delta:
+        m = np.where(row_degenerate(kind, rows)[..., None], 0.0, rows)
+        return inscribed_ellipses(m) if kind == "sampled" else m
+    if kind == "quadratic":
+        return rows
+    m = m0 + [delta * delta, 0.0, delta * delta]
+    det = packed_det(m)
+    exact = ~(m0.any(axis=-1) & (det > 0))
+    disc = e0 <= ellipse_jacobian(m0) * math.exp(0.5 * GAP_TOL)
+    if disc.any():
+        disc[disc] = np.abs(ellipse_beltrami(m0[disc])) > ROUNDING_FLOOR
+    live = np.flatnonzero(~exact)
+    for k in range(0, live.size, _CHUNK):
+        r = live[k:k + _CHUNK]
+        p, d = m[r], det[r]
+        x, y = _edge_xy(rows[r])
+        i = np.flatnonzero(disc[r])
+        # J of the disc: max_i |c_i|^2, as edge_energy reads it
+        e = np.max(x[i] * x[i] + y[i] * y[i], axis=-1)
+        # c.P^-1 c = c.(adj P) c / det P, maximal over the edges
+        load = p[:, 2:] * x
+        load -= 2.0 * p[:, 1:2] * y
+        load *= x
+        y *= y
+        y *= p[:, :1]
+        load += y
+        m[r] = np.maximum(load.max(axis=-1) / d, 1.0)[:, None] * p
+        m[r[i]] = e[:, None] * [1.0, 0.0, 1.0]
+    if exact.any():
+        m[exact] = inscribed_ellipses(rows[exact])
+    return m
 
 
 def row_ball_jacobian(kind, rows):
@@ -567,11 +645,21 @@ def energy_plus(s):
     return float(row_energy(s.kind, s.row))
 
 
+def _ellipse(s):
+    """Packed M of s, the one-row ellipse_rows at s.delta, from the delta = 0
+    ellipse and energy of the semi-norm regularize started from."""
+    if not s.delta:
+        return ellipse_rows(s.kind, s.row[None])[0]
+    base = s.base.row[None]
+    return ellipse_rows(s.kind, s.row[None], s.delta, ellipse_rows(s.kind, base),
+                        row_energy(s.kind, base))[0]
+
+
 def john_ellipse(s):
-    """Maximal-area centered ellipse inscribed in the unit ball of s, as the one-row
-    ellipse_rows finds it (DegenerateSemiNorm where M = 0); a = inf where M has
-    lost its small eigenvalue, as in ellipse_beltrami."""
-    if not (m := ellipse_rows(s.kind, s.row[None], s.delta > 0)[0]).any():
+    """Centered ellipse in the unit ball of s, as the one-row ellipse_rows finds
+    it: of maximal area at delta = 0 (DegenerateSemiNorm where M = 0); a = inf
+    where M has lost its small eigenvalue, as in ellipse_beltrami."""
+    if not (m := _ellipse(s)).any():
         raise DegenerateSemiNorm("no inscribed ellipse: semi-norm is degenerate")
     lmin, lmax, phi = packed_eig(m)
     return Ellipse2(a=1.0 / math.sqrt(lmin) if lmin > 0 else math.inf,
@@ -579,8 +667,9 @@ def john_ellipse(s):
 
 
 def jacobian_intrinsic(s):
-    """pi / (area of the inscribed ellipse); 0 where its M = 0 (see ellipse_rows)."""
-    return float(ellipse_jacobian(ellipse_rows(s.kind, s.row[None], s.delta > 0))[0])
+    """pi / (area of the ellipse of s, inscribed at delta = 0); 0 where its M = 0
+    (see ellipse_rows)."""
+    return float(ellipse_jacobian(_ellipse(s)))
 
 
 def jacobian_hausdorff(s):
@@ -595,16 +684,18 @@ def isotropy_defect(s):
 
 def regularize(s, delta):
     """The semi-norm h -> sqrt(s(h)^2 + delta^2 |h|^2), of delta hypot(s.delta,
-    delta): a norm, with an ellipse though it may test degenerate at tiny delta."""
+    delta) and base s.base or s: a norm, with an ellipse though it may test
+    degenerate at tiny delta."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     return replace(SemiNorm2.from_row(s.kind, row_regularized(s.kind, s.row, delta)),
-                   delta=math.hypot(s.delta, delta))
+                   delta=math.hypot(s.delta, delta), base=s.base or s)
 
 
 def beltrami_of(s):
     """Beltrami coefficient of an orientation-preserving linear map rounding the
-    inscribed ellipse of s (see ellipse_beltrami); DegenerateSemiNorm where M = 0."""
-    if not (m := ellipse_rows(s.kind, s.row[None], s.delta > 0)[0]).any():
+    ellipse of s (see ellipse_rows and ellipse_beltrami); DegenerateSemiNorm
+    where M = 0."""
+    if not (m := _ellipse(s)).any():
         raise DegenerateSemiNorm("Beltrami coefficient needs a non-degenerate norm")
     return complex(ellipse_beltrami(m))

@@ -711,6 +711,26 @@ class TestInvertBitIdentity:
         stuck = np.all(phi.df == 0.0, axis=(-2, -1))
         assert stuck.any() and not np.any(phi.mask & stuck)
 
+    def test_non_finite_starts_are_gathered_once(self, monkeypatch):
+        # a node whose first residual is non-finite never moves, as its
+        # halving 0.5 (z + back) returns its start, so only the first gather
+        # reads it: no later gather of rho's values and differential takes
+        # one of those points again
+        gathers, bilinear = [], qc.lattice.bilinear
+
+        def spy(values, tx, ty):
+            out = bilinear(values, tx, ty)
+            if values.shape[-1:] == (6,):
+                gathers.append((tx + 1j * ty, np.isfinite(out[:, :2]).all(axis=-1)))
+            return out
+
+        monkeypatch.setattr(qc.beltrami.lattice, "bilinear", spy)
+        qc.invert(nan_spot_identity(0.972, 0.01), n=128)
+        (first, finite), *later = gathers
+        stuck = first[~finite]
+        assert first.size == 128 * 128 and stuck.size > 0
+        assert sum(int(np.isin(p, stuck).sum()) for p, _ in later) == 0
+
     def test_newton_diverged(self):
         # a nan spot at 0.5: interior nodes never converge
         rho = nan_spot_identity(0.5, 0.03)

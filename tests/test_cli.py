@@ -217,9 +217,9 @@ class TestReparamCommand:
             "5070e187cedf96d684aa5cb81a7a627e775213fc31f47a5bc843a122e595450b",
             "585f7d939cbd5901d0c553aec588e74e8f2b7720c27596ca892aeb18197b0085")),
         ("linf-identity", 64, (
-            "3b473aff9552ccdf4b48322a19f382f2cee1ad626be8288645c6b15bfe7b0eed",
-            "97f49daf34ad36ccfe0cbf1f7c34cbc7708b89ad85b3a154366bfbd8410f74b4",
-            "5481d5e9b85473e6a8b46dc9d56fb5826d04316c4d00704e6293a4606b7df9ad")),
+            "9d9183b42d2e41e293c4af32a309a963b281f02e5a6707cf83d1046cbd03d43b",
+            "306554076fa36d04fb03d2d9da87f50dc069c54a50fd83385e39ae0bde68b759",
+            "0766d4e00e17fcbea8bda5c9023ef95af2d3e177802452dfc643b9f9440ec268")),
     ])
     def test_reparam_keeps_its_bytes(self, capsys, tmp_path, kind, n, want):
         # the fixture (seed 0) through reparam at eps = 0.2 pi: report.txt,

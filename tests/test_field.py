@@ -668,15 +668,22 @@ class TestFieldInvariants:
         assert len(uniq) == len(unique(a, axis=0))
 
     def test_one_ellipse_solve_per_delta(self, monkeypatch):
-        calls = []
-        solve = sn.inscribed_ellipses
+        # the ellipses of a delta are built once while it is the one in use,
+        # and only the delta = 0 ones by the exact solve: the others are built
+        # from them
+        solves, built = [], []
+        solve, build = sn.inscribed_ellipses, sn.ellipse_rows
         monkeypatch.setattr(sn, "inscribed_ellipses",
-                            lambda rows: calls.append(len(rows)) or solve(rows))
+                            lambda rows: solves.append(len(rows)) or solve(rows))
+        monkeypatch.setattr(sn, "ellipse_rows",
+                            lambda kind, rows, delta=0.0, *args: built.append(delta)
+                            or build(kind, rows, delta, *args))
         f = qc.estimate_field(identity_map(48, qc.TargetSpace.linf()))
         for delta in (0.5, 0.25, 0.5):
             f.jacobian_intrinsic_density(delta)
             f.beltrami_density(delta)
-        assert len(calls) == 2
+        assert built == [0.0, 0.5, 0.25, 0.5]
+        assert solves == [len(f.rows)]
 
     def test_area_comparison_two_sided(self):
         for target in (qc.TargetSpace.linf(), qc.TargetSpace.l1()):

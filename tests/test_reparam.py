@@ -13,7 +13,7 @@ from qcreparam import lattice
 from qcreparam import reparam as rp
 from qcreparam.errors import AuditFailed, CoefficientTooLarge, QcreparamError, SearchExhausted
 
-from conftest import PIPELINE_MAPS, edge_max_reference, sector_reference
+from conftest import PIPELINE_MAPS, SOLVED_MAPS, edge_max_reference, sector_reference
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -82,8 +82,8 @@ class TestChooseDelta:
 
 
 def choose_delta_reference(field_, eps):
-    """choose_delta as an exact solve at every delta from 1 downward: the first
-    delta whose regularized jacobian integral fits area + eps."""
+    """choose_delta as a scan from delta = 1 downward over the field's ellipses:
+    the first delta whose regularized jacobian integral fits area + eps."""
     target = qc.area_intrinsic(field_) + eps
     delta = 1.0
     for _ in range(rp.DELTA_MAX_HALVINGS + 1):
@@ -124,33 +124,48 @@ def delta_field(request):
 
 
 class TestChooseDeltaSearch:
+    @staticmethod
+    def counted_solves(monkeypatch):
+        """The row counts of every inscribed_ellipses call from here on."""
+        solves, solve = [], fd.sn.inscribed_ellipses
+        monkeypatch.setattr(fd.sn, "inscribed_ellipses",
+                            lambda rows: solves.append(len(rows)) or solve(rows))
+        return solves
+
     @pytest.mark.parametrize("epsilon", [0.2 * np.pi, 0.05])
     def test_matches_top_down_search(self, delta_field, epsilon, monkeypatch):
-        # the estimate from the delta = 0 ellipses, then at most two exact
-        # solves, give the delta of a solve at every delta from 1 downward
+        # the delta of the top-down reference over the same ellipses, and past
+        # the delta = 0 solve, an exact solve only of the rows whose delta = 0
+        # ellipse is zero: none on a field without such rows
         eps = rp.epsilon_internal(qc.area_intrinsic(delta_field), epsilon)
         want = choose_delta_reference(fresh(delta_field), eps)
-        solves, row_ellipse = [], rp.fd.sn.row_ellipse
-        monkeypatch.setattr(rp.fd.sn, "row_ellipse",
-                            lambda kind, rows, delta=0.0: solves.append(delta)
-                            or row_ellipse(kind, rows, delta))
         field_ = fresh(delta_field)
+        zeroed = int(np.count_nonzero(~fd.sn.ellipse_rows(field_.kind, field_.rows).any(axis=-1)))
+        qc.area_intrinsic(field_)
+        solves = self.counted_solves(monkeypatch)
         assert rp.choose_delta(field_, eps) == want
-        assert len([d for d in solves if d > 0]) <= 2
-        # the exact check of the returned delta is the one the report shows
+        if field_.kind == "quadratic" or not zeroed:
+            assert solves == []
+        else:
+            assert solves == [zeroed] * int(round(-np.log2(want) + 1))
+        # the check of the returned delta is the one the report shows
         val = field_.grid.integrate(field_.jacobian_intrinsic_density(want))
         assert val <= qc.area_intrinsic(field_) + eps
 
     @pytest.mark.parametrize("scale", [0.25, 4.0])
     def test_walks_from_a_wrong_estimate(self, delta_field, scale, monkeypatch):
-        # an estimate read at 4 delta or delta / 4 starts the search two halvings
-        # off; the walk down or up from there still ends at the largest fit
+        # ellipses built first at 4 delta or delta / 4, two halvings off, where
+        # a search from a wrong estimate would look, leave the scan as it is:
+        # it ends at the largest fit, with no further exact solve where the
+        # field has no zeroed rows
         eps = rp.epsilon_internal(qc.area_intrinsic(delta_field), 0.05)
         want = choose_delta_reference(fresh(delta_field), eps)
-        estimate = fd.DerivativeField.jacobian_estimate
-        monkeypatch.setattr(fd.DerivativeField, "jacobian_estimate",
-                            lambda self, delta: estimate(self, scale * delta))
-        assert rp.choose_delta(fresh(delta_field), eps) == want
+        field_ = fresh(delta_field)
+        field_.jacobian_intrinsic_density(min(1.0, scale * want))
+        zeroed = np.count_nonzero(~fd.sn.ellipse_rows(field_.kind, field_.rows).any(axis=-1))
+        solves = self.counted_solves(monkeypatch)
+        assert rp.choose_delta(field_, eps) == want
+        assert zeroed or solves == []
 
     @pytest.mark.parametrize("target, rank", [(EUCLID, 0), (EUCLID, 1),
                                               (qc.TargetSpace.linf(), 0)])
@@ -163,6 +178,28 @@ class TestChooseDeltaSearch:
         with pytest.raises(SearchExhausted) as got:
             rp.choose_delta(fresh(f), 1e-300)
         assert got.value.achieved == want.value.achieved
+
+
+LINF_ORACLE_MAPS = {**{f"{name}-linf": fn for name, fn in SOLVED_MAPS.items()},
+                    "rank1-linf": lambda x, y: np.stack([x, 0 * y]),
+                    "thin-linf": lambda x, y: np.stack([x, 0.05 * y])}
+
+
+class TestRegularizedAreaOracle:
+    @pytest.mark.parametrize("name", sorted(LINF_ORACLE_MAPS))
+    def test_term_is_at_least_the_exact_solve(self, name):
+        # the report's regularized area reads ellipses built from the delta = 0
+        # ones, each inside its regularized ball, so it is no smaller than the
+        # integral of the exact solve at the report's delta (the oracle); the
+        # run ends status ok and its case audit passes on every disc cell
+        field_ = qc.estimate_field(make_map(64, LINF_ORACLE_MAPS[name], qc.TargetSpace.linf()))
+        phi, _, rep = rp.epsilon_conformal_from_field(field_, 0.2 * np.pi)
+        reg = fd.sn.row_regularized(field_.kind, field_.rows, rep.delta)
+        exact = fd.sn.ellipse_jacobian(fd.sn.inscribed_ellipses(reg))[field_.index]
+        assert rep.term_regularized_area >= field_.grid.integrate(exact)
+        assert rep.failures() == []
+        disc = int(field_.grid.disc_mask.sum())
+        assert rp.audit_cases(rep, phi, np.random.default_rng(0), num=disc) == disc
 
 
 class TestChooseThreshold:

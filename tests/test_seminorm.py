@@ -354,6 +354,76 @@ class TestRegularize:
         assert not s.degenerate
 
 
+class TestRegularizedEllipse:
+    """ellipse_rows at delta > 0 builds each ellipse from the delta = 0 one,
+    lam (M0 + delta^2 I), or takes the disc or the exact solve: whichever, it
+    lies in the regularized ball, and no ellipse in it is larger than the
+    exact solve's."""
+
+    @staticmethod
+    def rows(seed):
+        r = np.random.default_rng(seed)
+        return np.array([rand_sampled_norm(r).values,
+                         rand_sampled_norm(r, stretch=r.uniform(1.0, 8.0)).values,
+                         LINF.values, L1.values, LINF.rotated(r.uniform(0, np.pi)).values,
+                         np.abs(D64[:, 0])])                  # last: M0 = 0
+
+    @staticmethod
+    def regularized(rows, delta):
+        m0, e0 = sn.ellipse_rows("sampled", rows), sn.row_energy("sampled", rows)
+        reg = sn.row_regularized("sampled", rows, delta)
+        return m0, reg, sn.ellipse_rows("sampled", reg, delta, m0, e0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), k=st.integers(0, 60))
+    def test_contained_and_no_smaller_than_the_exact_solve(self, seed, k):
+        delta = 2.0**-k
+        m0, reg, m = self.regularized(self.rows(seed), delta)
+        exact = sn.inscribed_ellipses(reg)
+        # max_i c_i.M^-1 c_i <= 1 on the regularized edges, M^-1 = adj M / det M
+        x, y = np.moveaxis(sn.half_edges(reg), -1, 0)
+        load = ((m[:, 2:] * x - 2.0 * m[:, 1:2] * y) * x + m[:, :1] * y * y).max(axis=-1)
+        live = m0.any(axis=-1)
+        assert np.all(load[live] <= (1.0 + 1e-12) * sn.packed_det(m[live]))
+        # the exact solve is maximal up to its certificate's log-det gap
+        assert np.all(sn.ellipse_jacobian(m) >= (1.0 - sn.GAP_TOL) * sn.ellipse_jacobian(exact))
+        # a row whose delta = 0 ellipse is zero gets the exact solve itself
+        assert not live[-1] and np.array_equal(m[~live], exact[~live])
+
+    def test_scaled_rows_are_lam_p(self):
+        # away from M0 = 0 and isotropic rows, M = lam P with lam >= 1 the
+        # largest load of P = M0 + delta^2 I on the regularized edges
+        rows = self.rows(7)[:2]
+        for delta in (1.0, 2.0**-5, 2.0**-30):
+            m0, reg, m = self.regularized(rows, delta)
+            p = m0 + [delta**2, 0.0, delta**2]
+            x, y = np.moveaxis(sn.half_edges(reg), -1, 0)
+            inv = np.stack([p[:, 2], -p[:, 1], p[:, 0]], axis=-1) / sn.packed_det(p)[:, None]
+            lam = np.maximum((inv[:, :1] * x * x + 2 * inv[:, 1:2] * x * y
+                              + inv[:, 2:] * y * y).max(axis=-1), 1.0)
+            assert m == pytest.approx(lam[:, None] * p, rel=1e-13, abs=0)
+
+    def test_isotropic_tie_breaks_take_the_disc(self):
+        # the l-inf identity's field holds two rows that differ in their
+        # 12-decimal rounding; the maximal ellipse of one is the tie-break of
+        # its flat sides, |mu| 4.7e-12, and lam P would keep that at every
+        # delta, while the exact solve reads rounding once the regularized
+        # ball's curvature breaks the tie.  The disc keeps both rows'
+        # coefficients at rounding
+        u = qc.SampledMap.from_function(qc.DiscGrid(64), qc.TargetSpace.linf(),
+                                        lambda x, y: np.stack([x, y]))
+        rows = qc.estimate_field(u).rows
+        m0 = sn.ellipse_rows("sampled", rows)
+        assert len(rows) == 2 and np.abs(sn.ellipse_beltrami(m0)).max() > 1e-12
+        for delta in (1.0, 2.0**-5, 2.0**-40):
+            _, reg, m = self.regularized(rows, delta)
+            assert np.abs(sn.ellipse_beltrami(m)).max() < 1e-14
+            if delta >= 2.0**-5:
+                assert np.abs(sn.ellipse_beltrami(sn.inscribed_ellipses(reg))).max() < 1e-14
+            disc = m[:, 1] == 0.0
+            assert disc.any() and np.all(m[disc, 0] == m[disc, 2])
+
+
 class TestBeltrami:
     def test_isotropic_zero(self):
         assert qc.beltrami_of(qc.SemiNorm2.euclidean()) == 0
