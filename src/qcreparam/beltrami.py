@@ -54,7 +54,6 @@ ITER_TOL = 1e-12
 K_MARGIN = 0.02
 DET_FLOOR = 1e-12
 INV_TOL = 1e-8
-NEWTON_MAX = 50
 PAD = 2.0          # invert's margin around rho(unit circle), in rho's grid spacings
 CELL_TOL = 1e-12   # rounding allowance on a cell preimage's offsets s, t in [0, 1]
 CELL_BLOCK = 8192  # rho cells per pass of cell_preimages, which bounds its candidates
@@ -548,26 +547,25 @@ def cell_preimages(values, x0, y0, spacing, shape):
 
 
 def invert(rho, *, n=256):
-    """Newton inversion of rho restricted to the image of the unit disc.
+    """Inversion of rho restricted to the image of the unit disc.
 
     Returns phi sampled on an n x n cell grid over the padded bounding box of
     rho(unit circle); cells whose preimage falls outside the disc are
     unmasked.  Per masked node, |rho(phi(w)) - w| <= INV_TOL and
     Dphi(w) = Drho(phi(w))^{-1}.
 
-    Newton starts each node w at its exact preimage under rho's bilinear
-    interpolant, solved in closed form in the rho cell whose image holds w
-    (`cell_preimages`), so that its first gather finds it converged.  A node
-    that no cell holds starts at the inverse (w - a conj(w)) / (1 - |a|^2)
-    of rho's far field z + a conj(z), a = meta["affine"] (0 for a map
-    without one).  Where rho lies within INV_TOL of its far field on every
-    node, as an affine rho does, every node starts there and the cell pass
-    is skipped: bilinear interpolation reproduces the affine part, so that
-    start is within tolerance too.  A step that does not lower a node's
-    residual |rho(z) - w| is halved instead of taken, so the residual falls
-    monotonically: from the far field, plain steps cycle on strongly
-    compressed regions.  rho's value and differential come from one bilinear
-    gather per step, and Dphi from the differential at the accepted point.
+    Each node w takes its exact preimage under rho's bilinear interpolant,
+    solved in closed form in the rho cell whose image holds w
+    (`cell_preimages`).  Where rho lies within INV_TOL of its far field
+    z + a conj(z), a = meta["affine"] (0 for a map without one), on every
+    node, as an affine rho does, every node takes that far field's inverse
+    (w - a conj(w)) / (1 - |a|^2) instead and the cell pass is skipped:
+    bilinear interpolation reproduces the affine part, so that start is
+    within tolerance too.  A node that no cell holds keeps the far field's
+    inverse: the cells tile rho's box, which holds the disc, so such a node
+    lies outside rho(disc).  One bilinear gather checks every node: rho's
+    value gives its residual |rho(z) - w| and the mask, and rho's
+    differential, left 0 where the residual is not finite, gives Dphi.
     """
     img, pad = rho.image_of_circle(), PAD * rho.spacing
     lo_x, hi_x = img.real.min() - pad, img.real.max() + pad
@@ -587,71 +585,27 @@ def invert(rho, *, n=256):
     xr = rho.x0 + np.arange(rho.shape[0]) * rho.spacing
     yr = rho.y0 + np.arange(rho.shape[1]) * rho.spacing
     far = ((1 + a) * xr)[:, None] + ((1 - a) * 1j * yr)
+    held = np.ones(w.size, dtype=bool)          # every node of an affine rho
     if np.abs(rho.values - far).max() > INV_TOL:
         k, ti, tj = cell_preimages(rho.values, x0, y0, spacing, shape)
         z[k] = (rho.x0 + ti * rho.spacing) + 1j * (rho.y0 + tj * rho.spacing)
+        held = np.zeros(w.size, dtype=bool)
+        held[k] = True
 
     # value (real, imag) and differential of rho in one (N, M, 6) stack
     stack = np.concatenate([rho.values.real[..., None], rho.values.imag[..., None],
                             rho.df.reshape(rho.shape + (4,))], axis=-1)
-
-    def sample(p):
-        s = lattice.bilinear(stack, (p.real - rho.x0) / rho.spacing,
-                             (p.imag - rho.y0) / rho.spacing)
-        return s[:, 0] + 1j * s[:, 1], s[:, 2:].reshape(-1, 2, 2)
-
-    def newton_step(d, rr):
-        det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
-        dx = (d[:, 1, 1] * rr.real - d[:, 0, 1] * rr.imag) / det
-        dy = (-d[:, 1, 0] * rr.real + d[:, 0, 0] * rr.imag) / det
-        # step limiter keeps Newton stable across interpolation kinks
-        step = dx + 1j * dy
-        big = np.abs(step) > 10 * rho.spacing
-        step[big] *= (10 * rho.spacing) / np.abs(step[big])
-        return step
-
-    # resid and drho hold the residual and rho's differential at back, the
-    # last point of each node that lowered the residual; a step that does not
-    # lower it is halved, back towards back.  The first pass checks every
-    # start in whole arrays: a finite residual is kept, and a non-finite one
-    # leaves its node at its start with resid and drho unset, and inactive:
-    # its halving 0.5 (z + back) would return z, so no later pass moves it
-    back = z.copy()
-    fval, dfs = sample(z)
-    r = fval - w
-    size = np.abs(r)
-    kept = size < np.inf
-    resid = np.where(kept, size, np.inf)
-    drho = np.where(kept[:, None, None], dfs, 0.0)
-    active = kept & (size > INV_TOL)
-    sub = np.flatnonzero(active)
-    z[sub] = z[sub] - newton_step(dfs[sub], r[sub])
-    for _ in range(NEWTON_MAX - 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        fval, dfs = sample(z[idx])
-        r = fval - w[idx]
-        size = np.abs(r)
-        worse = ~(size < resid[idx])
-        z[idx[worse]] = 0.5 * (z[idx[worse]] + back[idx[worse]])
-        kept = idx[~worse]
-        resid[kept] = size[~worse]
-        back[kept] = z[kept]
-        drho[kept] = dfs[~worse]
-        active[idx[~worse & (size <= INV_TOL)]] = False
-        move = ~worse & (size > INV_TOL)
-        sub = idx[move]
-        z[sub] = z[sub] - newton_step(dfs[move], r[move])
-    z = back
+    s = lattice.bilinear(stack, (z.real - rho.x0) / rho.spacing,
+                         (z.imag - rho.y0) / rho.spacing)
+    resid = np.abs(s[:, 0] + 1j * s[:, 1] - w)
+    drho = np.where((resid < np.inf)[:, None, None], s[:, 2:].reshape(-1, 2, 2), 0.0)
 
     converged = resid <= INV_TOL
-    inside = np.abs(z) < 1.0
-    failed_interior = ~converged & (np.abs(z) <= 0.95)
+    failed_interior = held & ~converged & (np.abs(z) <= 0.95)
     if np.any(failed_interior):
         raise NewtonDiverged(
             f"{int(failed_interior.sum())} interior nodes failed to invert")
-    mask = (converged & inside).reshape(shape)
+    mask = (converged & (np.abs(z) < 1.0)).reshape(shape)
 
     det = drho[:, 0, 0] * drho[:, 1, 1] - drho[:, 0, 1] * drho[:, 1, 0]
     det = np.where(det == 0, 1.0, det)

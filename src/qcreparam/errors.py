@@ -55,7 +55,9 @@ class NoConvergence(QcreparamError):
 
 
 class NewtonDiverged(QcreparamError):
-    """Pointwise Newton inversion failed to converge."""
+    """The inverse left a node inside the disc off its round trip: a node
+    held by a rho cell (or any node of an affine rho), with |z| <= 0.95,
+    whose residual |rho(z) - w| exceeds INV_TOL."""
 
 
 class SearchExhausted(QcreparamError):

@@ -23,7 +23,7 @@ inequality with explicit left/right values:
 4. a mollified coefficient (nu mollified, mu_0 kept) and the cell set B on
    which it is uniformly close to the raw one, with the off-B energy within
    e / K;
-5. a solved Beltrami map rho, its Newton inverse phi on Omega = rho(disc),
+5. a solved Beltrami map rho, its inverse phi on Omega = rho(disc),
    and the composed energy, integrated over the disc cells by the change of
    variables w = rho(z): E(u . phi) = integral of I_+^2(s_z . Drho^-1) det Drho.
 
@@ -52,8 +52,8 @@ SEARCH_SHARE e first: the excess over the area is then a small fraction of
 epsilon on every map, instead of wandering up to e with the step each map
 lands on, and the reported inequalities keep the full allowances.  A smaller
 delta makes the coefficient of a nearly degenerate derivative more
-eccentric; where the solver refuses it or does not converge, or Newton does
-not invert rho, steps 1 to 5 run again with the full e, whose delta is the
+eccentric; where the solver refuses it or does not converge, or the inverse
+fails its check (NewtonDiverged), steps 1 to 5 run again with the full e, whose delta is the
 largest the budget admits.
 
 The box.  Step 5 solves on the periodic box that pads the disc grid by

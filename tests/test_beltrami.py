@@ -558,30 +558,35 @@ class TestNewtonStart:
             start = (rho.x0 + ti * rho.spacing) + 1j * (rho.y0 + tj * rho.spacing)
             assert np.array_equal(values[k], start)
 
-    def test_nodes_no_cell_holds_start_from_the_far_field(self, monkeypatch):
-        # rho = diag(2, 1) on [-1.1, 1.1]^2, with no far field: its cells hold
-        # the phi nodes up to its top node row only.  Newton moves each node on
-        # its own, so the others end where a start from w alone ends
-        rho = linear_qcmap(np.diag([2.0, 1.0]), box=1.1, n=44)
+    def test_nodes_no_cell_holds_start_from_the_far_field(self):
+        # the half collapse: rho's far field is z + a conj(z), a about -0.37,
+        # and its cells hold 1 988 of phi's 4 096 nodes; every other node keeps
+        # the far field's inverse of w, exactly, and is unmasked
+        rho = qc.solve_beltrami(pipeline_coefficient("half-collapse", 64, share=1.0))
         phi = qc.invert(rho, n=64)
-        k, _, _ = qc.beltrami.cell_preimages(rho.values, phi.x0, phi.y0, phi.spacing,
-                                             phi.shape)
-        free = np.ones(phi.values.size, dtype=bool)
-        free[k] = False
-        w = (phi.node_coords()[0] + 1j * phi.node_coords()[1]).ravel()
-        assert free.any() and np.array_equal(free, np.abs(w.imag) > rho.values.imag.max())
-        monkeypatch.setattr(qc.beltrami, "cell_preimages",
-                            lambda *args: (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)))
-        far = qc.invert(rho, n=64)
-        assert np.array_equal(phi.values.ravel()[free], far.values.ravel()[free])
-        assert not np.array_equal(phi.values, far.values)
-        assert np.array_equal(phi.mask, far.mask)
+        assert_far_nodes_unmasked(rho, phi, rho.meta["affine"])
+
+
+def assert_far_nodes_unmasked(rho, phi, a):
+    """Every node of phi that no rho cell holds equals the inverse of the far
+    field z + a conj(z) at w, bit for bit, and is unmasked."""
+    k, _, _ = qc.beltrami.cell_preimages(rho.values, phi.x0, phi.y0, phi.spacing, phi.shape)
+    free = np.ones(phi.values.size, dtype=bool)
+    free[k] = False
+    w = (phi.node_coords()[0] + 1j * phi.node_coords()[1]).ravel()[free]
+    assert free.any() and phi.mask.any()
+    assert np.array_equal(phi.values.ravel()[free], (w - a * np.conj(w)) / (1 - abs(a) ** 2))
+    assert not np.any(phi.mask.ravel()[free])
+
+
+NEWTON_MAX = 50     # the reference's cap on Newton passes
 
 
 def invert_reference(rho, n):
-    """qc.invert with every Newton pass, the first included, run through the
-    active nodes' index array: the loop that the whole-array first pass must
-    reproduce bit for bit."""
+    """The Newton loop that qc.invert replaced: every node starts where invert
+    puts it and takes at most NEWTON_MAX steps, a step that does not lower
+    its residual halved back towards its last point instead.  Its mask,
+    masked values and df and certificates are the ones invert must give."""
     from qcreparam import beltrami as bt
     from qcreparam import lattice
 
@@ -614,7 +619,7 @@ def invert_reference(rho, n):
     back = z.copy()
     drho = np.zeros(w.shape + (2, 2))
     active = np.ones(w.shape, dtype=bool)
-    for _ in range(bt.NEWTON_MAX):
+    for _ in range(NEWTON_MAX):
         idx = np.flatnonzero(active)
         fval, dfs = sample(z[idx])
         r = fval - w[idx]
@@ -658,8 +663,8 @@ def invert_reference(rho, n):
 
 def nan_spot_identity(centre, radius):
     """The identity rho, n = 384 over [-1.2, 1.2]^2, with nan at its nodes
-    within radius of the point (centre, 0): the phi nodes whose Newton gathers
-    read them keep a non-finite residual."""
+    within radius of the point (centre, 0): the phi nodes whose gathers read
+    them get a non-finite residual."""
     rho = linear_qcmap(np.eye(2), box=1.2, n=384)
     x, y = rho.node_coords()
     values = rho.values.copy()
@@ -668,40 +673,45 @@ def nan_spot_identity(centre, radius):
 
 
 class TestInvertBitIdentity:
-    """invert against invert_reference, bit for bit: values and df on every
-    node, masked or not, the mask and the three certificates."""
+    """invert against invert_reference, bit for bit: the mask, values and df
+    on the masked nodes, and the three certificates.  Only unmasked nodes
+    may differ, where the reference walks on from the far field."""
 
     @staticmethod
     def assert_same(rho, n=64):
         phi, ref = qc.invert(rho, n=n), invert_reference(rho, n)
-        for name in ("values", "df", "mask"):
+        assert phi.mask.tobytes() == ref["mask"].tobytes()
+        for name in ("values", "df"):
             got, want = getattr(phi, name), ref[name]
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert got.dtype == want.dtype, name
+            assert got[phi.mask].tobytes() == want[phi.mask].tobytes(), name
         for name in ("K_certified", "det_min", "inv_residual_max"):
             assert np.float64(getattr(phi, name)).tobytes() == np.float64(ref[name]).tobytes()
         return phi
 
-    @pytest.mark.parametrize("name", sorted(SOLVED_MAPS))
-    def test_solved_maps(self, name):
-        mu = pipeline_coefficient(name, 64, share=1.0 if name == "half-collapse" else None)
-        self.assert_same(qc.solve_beltrami(mu))
+    @pytest.mark.parametrize("name, n", [pytest.param(name, n, id=name if n == 64 else f"{name}-{n}")
+                                         for n in (64, 128) for name in sorted(SOLVED_MAPS)])
+    def test_solved_maps(self, name, n):
+        mu = pipeline_coefficient(name, n, share=1.0 if name == "half-collapse" else None)
+        self.assert_same(qc.solve_beltrami(mu), n=n)
 
     def test_affine(self):
         a = 0.6
         self.assert_same(replace(linear_qcmap(np.diag([1 + a, 1 - a])), meta={"affine": a}))
 
     def test_starts_that_fail_the_check(self):
-        # diag(2, 1) on [-1.1, 1.1]^2: its cells hold no phi node above its
-        # top node row, so those nodes start from w and take Newton steps
+        # diag(2, 1) on [-1.1, 1.1]^2, with no far field: its cells hold no
+        # phi node above its top node row, and there the start w fails the
+        # check; those nodes keep w and are unmasked
         rho = linear_qcmap(np.diag([2.0, 1.0]), box=1.1, n=44)
-        phi = qc.invert(rho, n=64)
+        phi = self.assert_same(rho)
         k, _, _ = qc.beltrami.cell_preimages(rho.values, phi.x0, phi.y0, phi.spacing,
                                              phi.shape)
         w = (phi.node_coords()[0] + 1j * phi.node_coords()[1]).ravel()
         start = np.delete(w, k)
         back = rho.value_at(np.column_stack([start.real, start.imag]))
         assert np.any(np.abs(back - start) > qc.beltrami.INV_TOL)
-        self.assert_same(rho)
+        assert_far_nodes_unmasked(rho, phi, 0)
 
     def test_non_finite_residuals(self):
         # the gathers that read nan lie within 0.019 of 0.972, beyond |z| =
@@ -711,25 +721,27 @@ class TestInvertBitIdentity:
         stuck = np.all(phi.df == 0.0, axis=(-2, -1))
         assert stuck.any() and not np.any(phi.mask & stuck)
 
-    def test_non_finite_starts_are_gathered_once(self, monkeypatch):
-        # a node whose first residual is non-finite never moves, as its
-        # halving 0.5 (z + back) returns its start, so only the first gather
-        # reads it: no later gather of rho's values and differential takes
-        # one of those points again
+    @pytest.mark.parametrize("name", ["nan-spot", "diag21-box", "half-collapse"])
+    def test_gathers_the_stack_once(self, monkeypatch, name):
+        # one gather of rho's (value, differential) stack at every node, on a
+        # rho with non-finite values, one whose cells miss nodes near the
+        # disc, and one that many nodes lie beyond
+        if name == "nan-spot":
+            rho = nan_spot_identity(0.972, 0.01)
+        elif name == "diag21-box":
+            rho = linear_qcmap(np.diag([2.0, 1.0]), box=1.1, n=44)
+        else:
+            rho = qc.solve_beltrami(pipeline_coefficient("half-collapse", 64, share=1.0))
         gathers, bilinear = [], qc.lattice.bilinear
 
         def spy(values, tx, ty):
-            out = bilinear(values, tx, ty)
             if values.shape[-1:] == (6,):
-                gathers.append((tx + 1j * ty, np.isfinite(out[:, :2]).all(axis=-1)))
-            return out
+                gathers.append(tx.size)
+            return bilinear(values, tx, ty)
 
         monkeypatch.setattr(qc.beltrami.lattice, "bilinear", spy)
-        qc.invert(nan_spot_identity(0.972, 0.01), n=128)
-        (first, finite), *later = gathers
-        stuck = first[~finite]
-        assert first.size == 128 * 128 and stuck.size > 0
-        assert sum(int(np.isin(p, stuck).sum()) for p, _ in later) == 0
+        qc.invert(rho, n=64)
+        assert gathers == [64 * 64]
 
     def test_newton_diverged(self):
         # a nan spot at 0.5: interior nodes never converge
@@ -739,6 +751,46 @@ class TestInvertBitIdentity:
         with pytest.raises(NewtonDiverged) as want:
             invert_reference(rho, 64)
         assert str(got.value) == str(want.value)
+
+
+def smooth_qcmap(c, box=1.5, n=96):
+    """rho = (x + c0 sin(pi x) cos(pi y) + c1 xy, y + c2 cos(pi x) sin(pi y)
+    + c3 x^2) sampled with its exact differential on a box grid."""
+    d = 2.0 * box / n
+    coords = -box + (np.arange(n) + 0.5) * d
+    x, y = np.meshgrid(coords, coords, indexing="ij")
+    sx, cx, sy, cy = np.sin(np.pi * x), np.cos(np.pi * x), np.sin(np.pi * y), np.cos(np.pi * y)
+    values = (x + c[0] * sx * cy + c[1] * x * y) + 1j * (y + c[2] * cx * sy + c[3] * x * x)
+    df = np.stack([np.stack([1 + c[0] * np.pi * cx * cy + c[1] * y,
+                             -c[0] * np.pi * sx * sy + c[1] * x], axis=-1),
+                   np.stack([-c[2] * np.pi * sx * sy + 2 * c[3] * x,
+                             1 + c[2] * np.pi * cx * cy], axis=-1)], axis=-2)
+    return qc.QCMap(x0=float(coords[0]), y0=float(coords[0]), spacing=d,
+                    values=values, df=df)
+
+
+def assert_held_starts_exact(rho, n=64):
+    """Every node of invert's lattice that a rho cell holds takes a start whose
+    residual under rho's bilinear interpolant is at most 1e-12: the premise
+    on which invert checks its starts once and takes no Newton step."""
+    phi = qc.invert(rho, n=n)
+    k, _, _ = qc.beltrami.cell_preimages(rho.values, phi.x0, phi.y0, phi.spacing, phi.shape)
+    z = phi.values.ravel()[k]
+    w = (phi.node_coords()[0] + 1j * phi.node_coords()[1]).ravel()[k]
+    assert k.size > 0
+    assert np.abs(rho.value_at(np.column_stack([z.real, z.imag])) - w).max() <= 1e-12
+
+
+class TestHeldStarts:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-0.1, 0.1), min_size=4, max_size=4))
+    def test_smooth_maps(self, c):
+        assert_held_starts_exact(smooth_qcmap(c))
+
+    @pytest.mark.parametrize("name", sorted(SOLVED_MAPS))
+    def test_solved_maps(self, name):
+        mu = pipeline_coefficient(name, 64, share=1.0 if name == "half-collapse" else None)
+        assert_held_starts_exact(qc.solve_beltrami(mu))
 
 
 class TestCellPreimages:

@@ -214,7 +214,7 @@ class TestReparamCommand:
             "dee04bc284ddb3051aae63a2c3d26ab427fdf5890b0a418e10f0c4545b280520")),
         ("random-smooth", 128, (
             "24a7e809655a295a678cf5ee1bf2913aae9b1864e8e8ec34ca71f4c0c5538dff",
-            "5070e187cedf96d684aa5cb81a7a627e775213fc31f47a5bc843a122e595450b",
+            "58e56f62d85ead1d0cc03b97e9fb882770542e2868c4f7b0bf1cdb413630d66b",
             "585f7d939cbd5901d0c553aec588e74e8f2b7720c27596ca892aeb18197b0085")),
         ("linf-identity", 64, (
             "9d9183b42d2e41e293c4af32a309a963b281f02e5a6707cf83d1046cbd03d43b",
@@ -589,8 +589,8 @@ class TestNumericalExit:
 
 
 def test_euclidean_pipeline_leaves_out_scipy_spatial():
-    # the Newton start is a lattice scatter, the extension a fixed window over
-    # the interior mask: the pipeline loads no scipy module
+    # the inverse starts from closed-form cell preimages, the extension is a
+    # fixed window over the interior mask: the pipeline loads no scipy module
     src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
     script = """
 import sys
