@@ -24,7 +24,7 @@ from .beltrami import wirtinger_to_mat
 from .errors import InputFormatError, InputOutOfRange, StencilOutOfDomain
 from .seminorm import SemiNorm2, half_circle_directions
 
-QUADRATIC_STENCIL_DIRECTIONS = 8
+QUADRATIC_STENCIL_DIRECTIONS = 8    # directions of the derivative stencil, for every target
 WRITE_ROWS = 1 << 10        # rows formatted per block by write_cells
 
 
@@ -527,10 +527,13 @@ class DerivativeField:
 
 # -- derivative estimation -----------------------------------------------------
 
-def _stencil_directions(target):
-    mdir = 2 * target.gauge.size if target.kind == "polygonal" else QUADRATIC_STENCIL_DIRECTIONS
-    ang = np.arange(mdir) * (2.0 * np.pi / mdir)
-    return np.column_stack([np.cos(ang), np.sin(ang)])
+# the stencil's unit directions, and the least-squares pseudo-inverses that fit
+# Du (polygonal targets) and (q11, q12, q22) of g^2 (the others) to them
+_ANGLES = np.arange(QUADRATIC_STENCIL_DIRECTIONS) * (2.0 * np.pi / QUADRATIC_STENCIL_DIRECTIONS)
+_STENCIL = np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
+_STENCIL_PINV = np.linalg.pinv(_STENCIL)
+_FIT_PINV = np.linalg.pinv(np.column_stack([_STENCIL[:, 0] ** 2, 2 * _STENCIL[:, 0] * _STENCIL[:, 1],
+                                            _STENCIL[:, 1] ** 2]))
 
 
 def estimate_derivative(u, i, j):
@@ -554,65 +557,45 @@ def estimate_field(u):
 def _estimate_rows(u, ii, jj):
     """(kind, rows, inv): cell k of (ii, jj) carries the packed row rows[inv[k]].
 
-    For each unit direction v, g(v) = d(u(z + h v), u(z)) / h with the
-    off-center value interpolated bilinearly.  Euclidean and quadratic
-    targets get the least-squares fit (q11, q12, q22) of g^2, projected to
-    positive semi-definite, one row per cell; polygonal targets get sampled
-    gauge rows, symmetrized over antipodes, rounded relative to their size,
-    then deduplicated, and each distinct row convexified.
-
-    z + h v sits at offset v from each cell's node, so the directions that
-    share the lattice offset floor(v) (runs of consecutive ones: 6 runs of 128
-    directions, 6 of 8) blend the same four corners of each cell, and a run
-    gathers them once (lattice.corners); only one run's corners are held at a
-    time.  Within a run the N cells go through the directions in blocks of
-    B = floor(GAUGE_BLOCK / N) directions (at least one): a block is one
-    lattice.mix with (B, 1, 1) weights and one target.distance of its B N
-    points against the N base values, broadcast.  Each entry of g sees the
-    same operations as a one-direction lattice.blend, so neither the runs nor
-    the blocks change a bit of it.
+    The stencil takes the differences D_v = u(z + h v) - u(z) at the 8 unit
+    directions v of _STENCIL, the off-center value interpolated bilinearly
+    (one lattice.blend per direction).  Euclidean and quadratic targets fit
+    (q11, q12, q22) to g(v)^2 = (d(D_v, 0) / h)^2 by least squares, projected
+    to positive semi-definite, one row per cell.  Polygonal targets fit Du(z)
+    to D_v / h by least squares, central differences that carry no O(h)
+    curvature term, and a row is the target's gauge at Du d_j for the m
+    half-circle directions d_j: the metric differential v -> |Du v| sampled,
+    whose ball is convex by construction.  Those rows are rounded relative
+    to their size, then deduplicated.
     """
     n, h = u.grid.n, u.grid.h
     flat, k = u.values.reshape(n * n, -1), ii * n + jj
-    dirs = _stencil_directions(u.target)
     base = flat.take(k, axis=0)
-    o = np.floor(dirs)
-    shift = o[:, 0].astype(np.intp) * n + o[:, 1].astype(np.intp)
-    tx, ty = (dirs - o).T[..., None, None]
-    g = np.empty((len(dirs), len(ii)))
-    step = max(1, sn.GAUGE_BLOCK // len(ii))
-
-    def run(a, z):
-        # directions a .. z - 1 share one offset: their corners, gathered once,
-        # go on return
-        c = tuple(lattice.corners(flat, k + shift[a], n))
-        for b in range(a, z, step):
-            e = min(b + step, z)
-            g[b:e] = u.target.distance(lattice.mix(c, tx[b:e], ty[b:e]), base).reshape(
-                e - b, -1) / h
-
-    cuts = np.flatnonzero(np.diff(shift)) + 1
-    with np.errstate(over="ignore"):        # an overflowing distance is refused below
-        for a, z in zip([0, *cuts], [*cuts, len(dirs)]):
-            run(a, z)
-
-    if u.target.kind == "polygonal":
-        m = len(dirs) // 2
-        sym = 0.5 * (g[:m] + g[m:]).T
-        # 12 decimals relative to the power of two 2^e <= the row's max, so
-        # the rule is scale-covariant and the scaling is exact
-        e = np.frexp(sym.max(axis=1, keepdims=True))[1] - 1
-        uniq, inv = distinct_rows(np.ldexp(np.round(np.ldexp(sym, -e), 12), e))
-        return "sampled", _convexify_gauges(uniq), inv
-
-    design = np.column_stack([dirs[:, 0] ** 2, 2 * dirs[:, 0] * dirs[:, 1], dirs[:, 1] ** 2])
-    pinv = np.linalg.pinv(design)
-    # a fixed-order sum over the directions: a matmul would round by batch
-    # near the float range: a fit that overflows is refused here, and a fit
-    # whose eigenvalues overflow by the energy's quadrature
+    diff = np.empty((len(_STENCIL),) + base.shape)
+    # overflow quiet: a non-finite row is refused by the quadratures
     with np.errstate(over="ignore", invalid="ignore"):
-        coef = finite("energy", sum(g[kdir, :, None] ** 2 * pinv[:, kdir]
-                                    for kdir in range(len(dirs))))
+        for kdir, v in enumerate(_STENCIL):
+            o = np.floor(v)
+            diff[kdir] = lattice.blend(flat, k + int(o[0]) * n + int(o[1]), n, *(v - o)) - base
+        if u.target.kind == "polygonal":
+            # Du (N, 2, 2) from the pseudo-inverse of the stencil, in a fixed
+            # order, then Du d_j by two explicit products per coordinate
+            du = sum(diff[kdir, :, :, None] * _STENCIL_PINV[:, kdir] for kdir in range(len(_STENCIL)))
+            dx, dy = half_circle_directions(u.target.gauge.size).T / h
+            pts = np.stack([du[:, c, 0, None] * dx + du[:, c, 1, None] * dy for c in (0, 1)], axis=-1)
+            rows = u.target.distance(pts, 0.0).reshape(len(ii), -1)
+            # 12 decimals relative to the power of two 2^e <= 1.5 max(row), so
+            # the rule is scale-covariant and the scaling is exact; the factor
+            # keeps rows whose max is a power of two (exact laws) off the flip
+            e = np.frexp(1.5 * rows.max(axis=1, keepdims=True))[1] - 1
+            return "sampled", *distinct_rows(np.ldexp(np.round(np.ldexp(rows, -e), 12), e))
+
+        g = u.target.distance(diff, 0.0) / h
+        # a fixed-order sum over the directions: a matmul would round by batch
+        # near the float range: a fit that overflows is refused here, and a fit
+        # whose eigenvalues overflow by the energy's quadrature
+        coef = finite("energy", sum(g[kdir, :, None] ** 2 * _FIT_PINV[:, kdir]
+                                    for kdir in range(len(_STENCIL))))
         return "quadratic", _project_psd(coef), np.arange(len(ii))
 
 
@@ -658,55 +641,6 @@ def _project_psd(coef):
     out[need, 0] = lmaxc * c * c
     out[need, 1] = lmaxc * c * s
     out[need, 2] = lmaxc * s * s
-    return out
-
-
-def _convexify_gauges(rows):
-    """Convex-hull correction of sampled gauge rows (R, m): noise can dent the
-    ball.  Degenerate rows stay as measured; one batched test finds the dented
-    rows, and only those get a hull.
-
-    The vertices +-d_j / v_j of a ball polygon come sorted by angle around 0;
-    the farthest (least v_j) and its antipode are hull vertices.  One Graham
-    pass over the m + 1 vertices from the one to the other finds the hull
-    between them, popping a vertex while its turn fails the test of
-    seminorm.convex_rows; the other half mirrors it.  A kept sample keeps v_j, a
-    dropped one gets c.d_j, where c.d_p = v_p and c.d_q = v_q for its kept
-    neighbours p and q (the edge of seminorm.half_edges).
-    """
-    out = rows.copy()
-    dented = np.flatnonzero(~(sn.convex_rows(rows) | sn.row_degenerate("sampled", rows)))
-    m = rows.shape[1]
-    pos = np.arange(m + 1)
-    # chain[r, b]: vertex b of the pass on dented row r, of direction d[r, b]
-    chain = (np.argmin(rows[dented], axis=1)[:, None] + pos) % (2 * m)
-    dirs = half_circle_directions(m)
-    d = np.concatenate([dirs, -dirs])[chain]
-    v = rows[dented[:, None], chain % m]
-    kept = np.zeros(chain.shape, dtype=bool)
-    for r, (x, y) in enumerate(np.moveaxis(d * (1.0 / v)[..., None], -1, 1).tolist()):
-        hull = [0]
-        for b in range(1, m + 1):
-            while len(hull) > 1:
-                p, q = hull[-2], hull[-1]
-                ax, ay, bx, by = x[q] - x[p], y[q] - y[p], x[b] - x[q], y[b] - y[q]
-                cross = ax * by - ay * bx
-                if cross >= 0 or cross >= -sn.CONVEX_TOL * max(
-                        math.sqrt(ax * ax + ay * ay) * math.sqrt(bx * bx + by * by), 1e-300):
-                    break
-                hull.pop()
-            hull.append(b)
-        kept[r, hull] = True
-    # each dropped vertex b lies between its kept neighbours p < b < q
-    p = np.maximum.accumulate(np.where(kept, pos, 0), axis=1)
-    q = np.minimum.accumulate(np.where(kept, pos, m)[:, ::-1], axis=1)[:, ::-1]
-    r, b = np.nonzero(~kept)
-    p, q = p[r, b], q[r, b]
-    dp, dq = d[r, p], d[r, q]
-    det = dp[:, 0] * dq[:, 1] - dp[:, 1] * dq[:, 0]
-    cx = (v[r, p] * dq[:, 1] - v[r, q] * dp[:, 1]) / det
-    cy = (v[r, q] * dp[:, 0] - v[r, p] * dq[:, 0]) / det
-    out[dented[r], chain[r, b] % m] = cx * d[r, b, 0] + cy * d[r, b, 1]
     return out
 
 

@@ -38,28 +38,16 @@ def bilinear(values, ti, tj):
 
 def blend(flat, k, nj, tx, ty):
     """Bilinear blend at fractional offsets (tx, ty), arrays or scalars, of the
-    nodes k, k + 1, k + nj and k + nj + 1 of a flattened lattice of nj columns."""
-    return mix(corners(flat, k, nj), tx, ty)
-
-
-def corners(flat, k, nj):
-    """The values at the nodes k, k + nj, k + 1 and k + nj + 1 of a flattened
-    lattice of nj columns, in the order that mix weights them, each gathered
-    as it is read, so that a blend holds one corner at a time."""
-    # each corner is one take along the flat node axis, several times
-    # cheaper than a 2-D fancy index when trailing dimensions ride along
-    return (flat.take(k + s, axis=0) for s in (0, nj, 1, nj + 1))
-
-
-def mix(c, tx, ty):
-    """Bilinear blend of the four corners c (any iterable, read in order) at
-    fractional offsets (tx, ty), arrays or scalars: weight 1 - tx falls on the
-    first and third corner, 1 - ty on the first two."""
+    nodes k, k + nj, k + 1 and k + nj + 1 of a flattened lattice of nj
+    columns: weight 1 - tx falls on the first and third, 1 - ty on the first
+    two."""
     sx, sy = 1 - tx, 1 - ty
-    # summed in place, left to right: the bits of the plain four-term sum
-    c = iter(c)
-    out = sx * sy * next(c)
-    out += tx * sy * next(c)
-    out += sx * ty * next(c)
-    out += tx * ty * next(c)
+    # each corner is one take along the flat node axis, several times cheaper
+    # than a 2-D fancy index when trailing dimensions ride along, gathered as
+    # it is read and summed in place, left to right: the bits of the plain
+    # four-term sum, holding one corner at a time
+    out = sx * sy * flat.take(k, axis=0)
+    out += tx * sy * flat.take(k + nj, axis=0)
+    out += sx * ty * flat.take(k + 1, axis=0)
+    out += tx * ty * flat.take(k + nj + 1, axis=0)
     return out

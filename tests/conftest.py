@@ -57,30 +57,31 @@ def sector_reference(half, pts):
 
 
 def estimate_rows_reference(u, ii, jj):
-    """field._estimate_rows with its stencil run one direction at a time: one
-    lattice.blend with scalar weights and one target.distance per direction,
-    then the same rows from g."""
+    """field._estimate_rows one direction at a time: one lattice.blend and one
+    target.distance(at, base) per stencil direction for Euclidean and
+    quadratic targets; for polygonal ones the fitted Du, then one
+    target.distance per gauge direction d_j; then the same rows."""
     from qcreparam import field as fd
     from qcreparam import lattice
 
-    n = u.grid.n
+    n, h = u.grid.n, u.grid.h
     flat, k = u.values.reshape(n * n, -1), ii * n + jj
-    dirs = fd._stencil_directions(u.target)
     base = flat.take(k, axis=0)
-    g = np.empty((len(dirs), len(ii)))
-    for kdir, v in enumerate(dirs):
+    at = []
+    for v in fd._STENCIL:
         o = np.floor(v)
-        at = lattice.blend(flat, k + int(o[0]) * n + int(o[1]), n, *(v - o))
-        g[kdir] = u.target.distance(at, base) / u.grid.h
+        at.append(lattice.blend(flat, k + int(o[0]) * n + int(o[1]), n, *(v - o)))
     if u.target.kind == "polygonal":
-        m = len(dirs) // 2
-        sym = 0.5 * (g[:m] + g[m:]).T
-        e = np.frexp(sym.max(axis=1, keepdims=True))[1] - 1
-        uniq, inv = fd.distinct_rows(np.ldexp(np.round(np.ldexp(sym, -e), 12), e))
-        return "sampled", fd._convexify_gauges(uniq), inv
-    design = np.column_stack([dirs[:, 0] ** 2, 2 * dirs[:, 0] * dirs[:, 1], dirs[:, 1] ** 2])
-    pinv = np.linalg.pinv(design)
-    coef = sum(g[kdir, :, None] ** 2 * pinv[:, kdir] for kdir in range(len(dirs)))
+        du = sum((a - base)[:, :, None] * fd._STENCIL_PINV[:, kdir] for kdir, a in enumerate(at))
+        dirs = half_circle_directions(u.target.gauge.size)
+        rows = np.empty((len(ii), len(dirs)))
+        for j, (dx, dy) in enumerate(dirs / h):
+            p = np.column_stack([du[:, c, 0] * dx + du[:, c, 1] * dy for c in (0, 1)])
+            rows[:, j] = u.target.distance(p, np.zeros(2))
+        e = np.frexp(1.5 * rows.max(axis=1, keepdims=True))[1] - 1
+        return "sampled", *fd.distinct_rows(np.ldexp(np.round(np.ldexp(rows, -e), 12), e))
+    g = [u.target.distance(a, base) / h for a in at]
+    coef = sum(gk[:, None] ** 2 * fd._FIT_PINV[:, kdir] for kdir, gk in enumerate(g))
     return "quadratic", fd._project_psd(coef), np.arange(len(ii))
 
 
@@ -90,18 +91,22 @@ def edge_max_reference(half, pts):
     return np.max(np.abs(pts @ half.T), axis=1)
 
 
-def rand_sampled_norm(rng, m=64, bump=0.3, stretch=None):
-    """Random convex sampled norm: perturbed gauge of a random ellipse, of
-    axis ratio stretch if given."""
-    from qcreparam.field import _convexify_gauges
-
+def rand_sampled_norm(rng, m=64, bump=0.3, stretch=None, sides=16):
+    """Random sampled norm, convex by construction: the gauge max_i |c_i . p|
+    of a centrally symmetric polygon sampled at the m half-circle directions.
+    Its edge rows are c_i = (1 + b_i) R w_i, with b_i in [0, bump), w_i one
+    jittered unit vector per 1/sides of the half circle, and R the square
+    root of a random ellipse's form, of axis ratio stretch if given."""
     if stretch is None:
         q = rand_spd(rng, 0.5, 3.0)
     else:
         r = rotation(rng.uniform(0, np.pi))
         q = r @ np.diag([stretch**2, 1.0]) @ r.T
-    base = qc.SemiNorm2.quadratic(q)(half_circle_directions(m))
-    return qc.SemiNorm2.sampled(_convexify_gauges((base * (1.0 + rng.uniform(0, bump, m)))[None])[0])
+    lam, vec = np.linalg.eigh(q)
+    root = vec @ np.diag(np.sqrt(lam)) @ vec.T
+    ang = (np.arange(sides) + rng.uniform(0, 1, sides)) * (np.pi / sides)
+    c = np.column_stack([np.cos(ang), np.sin(ang)]) @ root * (1.0 + rng.uniform(0, bump, sides))[:, None]
+    return qc.SemiNorm2.sampled(np.max(np.abs(half_circle_directions(m) @ c.T), axis=1))
 
 
 def linear_qcmap(m, box=2.0, n=192):

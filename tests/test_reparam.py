@@ -190,13 +190,18 @@ class TestRegularizedAreaOracle:
     def test_term_is_at_least_the_exact_solve(self, name):
         # the report's regularized area reads ellipses built from the delta = 0
         # ones, each inside its regularized ball, so it is no smaller than the
-        # integral of the exact solve at the report's delta (the oracle); the
-        # run ends status ok and its case audit passes on every disc cell
+        # integral of the maximal ellipses' jacobians.  The exact solve at the
+        # report's delta (the oracle) certifies its ellipse maximal to its
+        # log-det gap GAP_TOL, so J_max >= J_exact exp(-GAP_TOL / 2): on the
+        # half-collapse one near-kink row's exact ellipse, inside its ball to
+        # rounding, is 1.1e-11 short of maximal in J.  The run ends status ok
+        # and its case audit passes on every disc cell
         field_ = qc.estimate_field(make_map(64, LINF_ORACLE_MAPS[name], qc.TargetSpace.linf()))
         phi, _, rep = rp.epsilon_conformal_from_field(field_, 0.2 * np.pi)
         reg = fd.sn.row_regularized(field_.kind, field_.rows, rep.delta)
         exact = fd.sn.ellipse_jacobian(fd.sn.inscribed_ellipses(reg))[field_.index]
-        assert rep.term_regularized_area >= field_.grid.integrate(exact)
+        assert (rep.term_regularized_area
+                >= field_.grid.integrate(exact) * np.exp(-0.5 * fd.sn.GAP_TOL))
         assert rep.failures() == []
         disc = int(field_.grid.disc_mask.sum())
         assert rp.audit_cases(rep, phi, np.random.default_rng(0), num=disc) == disc
@@ -1037,11 +1042,15 @@ class TestSampledLayerDifferential:
     def test_report_near_edge_max_gauge(self, monkeypatch, name):
         # the fields' rows are convex or degenerate, so the two gauges differ
         # by rounding: 1e-9 relative on every number, 1e-7 on the slacks
-        # (differences of near values) and on phi_inv_residual (a Newton
-        # residual at the 1e-8 tolerance)
+        # (differences of near values).  phi_inv_residual is itself rounding,
+        # a few 1e-16 against the inverse's INV_TOL = 1e-8, so it is held to
+        # 4 eps absolute: the two runs' residuals differed by 2 % of it
         fast, ref = (report_numbers(r) for r in self._reports(monkeypatch, name,
                                                               edge_max_reference))
         assert fast.keys() == ref.keys()
         for key, value in fast.items():
-            loose = key.endswith(".slack") or key == "phi_inv_residual"
+            if key == "phi_inv_residual":
+                assert abs(value - ref[key]) <= 4 * np.finfo(float).eps, key
+                continue
+            loose = key.endswith(".slack")
             assert value == pytest.approx(ref[key], rel=1e-7 if loose else 1e-9, abs=0.0), key

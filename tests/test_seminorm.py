@@ -137,10 +137,8 @@ class TestEnergy:
         # the longest a^T c_i, a sweep of 10^5 directions stays below it by at
         # most the sweep's step, and the max over the m sample directions (the
         # formula it replaced) is never above it
-        from qcreparam.field import _convexify_gauges
-
-        m = 64
-        rows = _convexify_gauges(rng.uniform(0.2, 2.0, size=(200, m)))
+        rows = np.array([rand_sampled_norm(rng, bump=1.0, sides=int(rng.integers(2, 33))).values
+                         for _ in range(200)])
         a = rng.normal(size=(200, 2, 2))
         edges = sn.half_edges(rows)
         got = sn.edge_energy(edges, None, a)
@@ -404,15 +402,14 @@ class TestRegularizedEllipse:
             assert m == pytest.approx(lam[:, None] * p, rel=1e-13, abs=0)
 
     def test_isotropic_tie_breaks_take_the_disc(self):
-        # the l-inf identity's field holds two rows that differ in their
-        # 12-decimal rounding; the maximal ellipse of one is the tie-break of
-        # its flat sides, |mu| 4.7e-12, and lam P would keep that at every
-        # delta, while the exact solve reads rounding once the regularized
-        # ball's curvature breaks the tie.  The disc keeps both rows'
-        # coefficients at rounding
-        u = qc.SampledMap.from_function(qc.DiscGrid(64), qc.TargetSpace.linf(),
-                                        lambda x, y: np.stack([x, y]))
-        rows = qc.estimate_field(u).rows
+        # the l-inf gauge rounded to 12 decimals of 1 and of 1/2, the two rows
+        # that the stencil's rounding once split the l-inf identity's field
+        # into; the maximal ellipse of the second is the tie-break of its flat
+        # sides, |mu| 4.7e-12, and lam P would keep that at every delta, while
+        # the exact solve reads rounding once the regularized ball's curvature
+        # breaks the tie.  The disc keeps both rows' coefficients at rounding
+        linf = np.abs(half_circle_directions(64)).max(axis=1)
+        rows = np.array([np.ldexp(np.round(np.ldexp(linf, -e), 12), e) for e in (0, -1)])
         m0 = sn.ellipse_rows("sampled", rows)
         assert len(rows) == 2 and np.abs(sn.ellipse_beltrami(m0)).max() > 1e-12
         for delta in (1.0, 2.0**-5, 2.0**-40):
