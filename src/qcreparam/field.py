@@ -455,16 +455,14 @@ class DerivativeField:
 
     def _ellipse_rows(self, delta):
         """Packed M per row (see ellipse_field): solved once at delta = 0, and
-        built from those ellipses and the energies at delta > 0.  The field
-        holds the rows of the last delta > 0 asked for: a delta search asks for
-        many, and the pipeline then reads the one it returned."""
+        built from those ellipses at delta > 0.  The field holds the rows of
+        the last delta > 0 asked for: a delta search asks for many, and the
+        pipeline then reads the one it returned."""
         key = "regularized" if delta else "ellipses"
         held = self._cache.get(key)
         if held is None or held[0] != delta:
-            held = self._cache[key] = (delta, (
-                sn.ellipse_rows(self.kind, sn.row_regularized(self.kind, self.rows, delta),
-                                delta, self._ellipse_rows(0.0), self._energy_rows())
-                if delta else sn.ellipse_rows(self.kind, self.rows)))
+            held = self._cache[key] = (delta, sn.ellipse_rows(
+                self.kind, self.rows, delta, self._ellipse_rows(0.0) if delta else None))
         return held[1]
 
     def ellipse_field(self, delta=0.0):

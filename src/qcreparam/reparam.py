@@ -120,11 +120,10 @@ def choose_delta(field_, eps):
     scan from delta = 1 down.
 
     J_delta integrates the jacobian of the ellipse that seminorm.ellipse_rows
-    builds at delta from the delta = 0 ellipses area_intrinsic solved: one pass
-    over the regularized rows' edge rows per delta, and an exact solve only on
-    rows whose delta = 0 ellipse is zero.  The report's soundness needs only
-    that the returned delta fits, which the scan checked on the ellipses the
-    report reads.
+    builds at delta from the delta = 0 ellipses M0 area_intrinsic solved:
+    M0 + delta^2 I, a few flops per row, and an exact solve only on rows whose
+    M0 is zero.  The report's soundness needs only that the returned delta
+    fits, which the scan checked on the ellipses the report reads.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -153,8 +152,8 @@ def choose_threshold(field_, delta, eps):
     sqrt(I_+^2) is at most L; K_L = (1 + k_L) / (1 - k_L), with k_L the
     largest |mu| over A of the delta-regularized Beltrami density, charges
     the cells off A, which carry mu_0 (see build_coefficient).  The
-    eccentricity of the inscribed ellipse of the delta-regularized
-    derivative on A is at most K_ecc = sqrt(2 L^2 / delta^2 + 2).
+    eccentricity of the ellipse of the delta-regularized derivative on A
+    (see seminorm.ellipse_rows) is at most K_ecc = sqrt(2 L^2 / delta^2 + 2).
     """
     grid = field_.grid
     dens = field_.energy_density()

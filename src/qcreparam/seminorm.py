@@ -439,9 +439,15 @@ def _solve3(a, b):
 
 
 def _solve_rows(values):
-    """Certified packed M of the inscribed ellipses of bounded rows."""
+    """Certified packed M of the inscribed ellipses of bounded rows.  An
+    isotropic row, whose inscribed disc {|v| <= 1 / max_i |c_i|} meets the
+    log-det certificate, takes that disc where the solved shape has a
+    coefficient above beltrami.ROUNDING_FLOOR: there the shape is the
+    tie-break of a flat-sided ball's maximal ellipse (|mu| 4.7e-12 on a row of
+    the l-inf identity), not the semi-norm's."""
     R, m = values.shape
     verts, c = _vertices(values), half_edges(values)      # one edge per antipodal pair
+    e0 = np.max(c[..., 0] * c[..., 0] + c[..., 1] * c[..., 1], axis=-1)     # as edge_energy
     # solve for P' = L^-1 P L^-T, with L L^T the vertex scatter: the ball is
     # about round for P', and containment, multipliers and gap are unchanged
     vx, vy = verts[..., 0], verts[..., 1]
@@ -485,8 +491,12 @@ def _solve_rows(values):
     # be invertible in floating point (a thin ball off the axes)
     m0, m1, m2 = np.split(_inv2(p), 3, axis=-1)
     i11, i21, i22 = 1.0 / l11, -l21 / (l11 * l22), 1.0 / l22      # L^-1
-    return np.concatenate([i11 * (i11 * m0 + i21 * m1) + i21 * (i11 * m1 + i21 * m2),
-                           i22 * (i11 * m1 + i21 * m2), i22 * i22 * m2], axis=-1)
+    out = np.concatenate([i11 * (i11 * m0 + i21 * m1) + i21 * (i11 * m1 + i21 * m2),
+                          i22 * (i11 * m1 + i21 * m2), i22 * i22 * m2], axis=-1)
+    disc = e0 <= ellipse_jacobian(out) * math.exp(0.5 * GAP_TOL)
+    disc[disc] = np.abs(ellipse_beltrami(out[disc])) > ROUNDING_FLOOR
+    out[disc] = e0[disc, None] * [1.0, 0.0, 1.0]
+    return out
 
 
 def _exchange(c, a, basis, enter):
@@ -556,68 +566,35 @@ def row_regularized(kind, rows, delta):
     return np.hypot(np.maximum(rows, 0.0), delta)
 
 
-def row_ellipse(kind, rows, delta=0.0):
-    """ellipse_rows of the rows (R, .) regularized at delta, from their delta = 0
-    ellipses and energies."""
-    m0 = ellipse_rows(kind, rows)
-    if not delta:
-        return m0
-    return ellipse_rows(kind, row_regularized(kind, rows, delta), delta, m0, row_energy(kind, rows))
-
-
-def ellipse_rows(kind, rows, delta=0.0, m0=None, e0=None):
-    """Packed M (R, 3) of centred ellipses {v.Mv <= 1} in the unit balls of rows (R, .).
+def ellipse_rows(kind, rows, delta=0.0, m0=None):
+    """Packed M (R, 3) of centred ellipses {v.Mv <= 1} for the semi-norms s of
+    rows (R, .), regularized at delta, given their delta = 0 ellipses m0 (R, 3)
+    or solving those where m0 is None.
 
     delta = 0: the inscribed ellipses of maximal area, M = 0 on degenerate rows;
     a quadratic ball is its own ellipse.
 
-    delta > 0: rows are the delta-regularized rows of semi-norms s whose delta = 0
-    ellipses are m0 (R, 3) and whose I_+^2(s) are e0 (R,); they are norms, also
-    where they test degenerate.  The lemma's bound J(E) (1 + m) / (1 - m) needs E
-    inside the ball, not E maximal.  A quadratic row is its own ellipse
-    Q + delta^2 I.  A sampled row takes M = lam P, P = m0 + delta^2 I and
-    lam = max(1, max_i c_i.P^-1 c_i) over its edge rows c_i: inside its ball by
-    construction, with no solve.  Two kinds of row take another ellipse:
-
-    * where m0 = 0 (a degenerate row, whose lam reaches 1e3) or det P <= 0 in
-      rounding, the certified inscribed_ellipses solve;
-    * where s is isotropic, its inscribed disc {|v| <= 1 / sqrt(e0)} meeting the
-      log-det certificate of m0 (2 log(e0 / J(m0)) <= GAP_TOL), and yet the
-      coefficient of m0 exceeds beltrami.ROUNDING_FLOOR, the disc
-      {|v| <= 1 / max_i |c_i|} inside the regularized ball: there the shape of
-      m0 is the tie-break of a flat-sided maximal ellipse (|mu| 4.7e-12 on a row
-      of the l-inf identity), which lam P would carry into mu as support.
+    delta > 0: the regularized semi-norms are norms, also where they test
+    degenerate.  A quadratic row is its own ellipse Q + delta^2 I.  The lemma's
+    bound J(E) (1 + m) / (1 - m) needs E inside the ball of s, not E maximal,
+    so a sampled row takes M = m0 + delta^2 I: M >= m0 puts {v.Mv <= 1} inside
+    {v.m0 v <= 1}, inside the ball of s, and since that ball lies in sqrt(2)
+    times its maximal ellipse (John), m0 <= 2 I_+^2(s) I, so the axis ratio of
+    M is at most sqrt(2 I_+^2(s) / delta^2 + 1).  Where m0 = 0 (a degenerate
+    row) or det M <= 0 in rounding, M is the certified inscribed_ellipses solve
+    of the regularized row.
     """
+    if delta and kind == "quadratic":
+        return row_regularized(kind, rows, delta)
+    if m0 is None:
+        m0 = np.where(row_degenerate(kind, rows)[..., None], 0.0, rows)
+        m0 = inscribed_ellipses(m0) if kind == "sampled" else m0
     if not delta:
-        m = np.where(row_degenerate(kind, rows)[..., None], 0.0, rows)
-        return inscribed_ellipses(m) if kind == "sampled" else m
-    if kind == "quadratic":
-        return rows
+        return m0
     m = m0 + [delta * delta, 0.0, delta * delta]
-    det = packed_det(m)
-    exact = ~(m0.any(axis=-1) & (det > 0))
-    disc = e0 <= ellipse_jacobian(m0) * math.exp(0.5 * GAP_TOL)
-    if disc.any():
-        disc[disc] = np.abs(ellipse_beltrami(m0[disc])) > ROUNDING_FLOOR
-    live = np.flatnonzero(~exact)
-    for k in range(0, live.size, _CHUNK):
-        r = live[k:k + _CHUNK]
-        p, d = m[r], det[r]
-        x, y = _edge_xy(rows[r])
-        i = np.flatnonzero(disc[r])
-        # J of the disc: max_i |c_i|^2, as edge_energy reads it
-        e = np.max(x[i] * x[i] + y[i] * y[i], axis=-1)
-        # c.P^-1 c = c.(adj P) c / det P, maximal over the edges
-        load = p[:, 2:] * x
-        load -= 2.0 * p[:, 1:2] * y
-        load *= x
-        y *= y
-        y *= p[:, :1]
-        load += y
-        m[r] = np.maximum(load.max(axis=-1) / d, 1.0)[:, None] * p
-        m[r[i]] = e[:, None] * [1.0, 0.0, 1.0]
+    exact = ~(m0.any(axis=-1) & (packed_det(m) > 0))
     if exact.any():
-        m[exact] = inscribed_ellipses(rows[exact])
+        m[exact] = inscribed_ellipses(row_regularized(kind, rows[exact], delta))
     return m
 
 
@@ -625,7 +602,7 @@ def row_ball_jacobian(kind, rows):
     """pi / (area of the unit ball) per row (R, .); 0 where degenerate.  A
     sampled ball is 2m triangles with vertex radii 1/values."""
     if kind == "quadratic":
-        return ellipse_jacobian(row_ellipse(kind, rows))
+        return ellipse_jacobian(ellipse_rows(kind, rows))
     v = np.maximum(rows, 0.0)
     with np.errstate(divide="ignore"):
         r = 1.0 / v
@@ -646,13 +623,9 @@ def energy_plus(s):
 
 
 def _ellipse(s):
-    """Packed M of s, the one-row ellipse_rows at s.delta, from the delta = 0
-    ellipse and energy of the semi-norm regularize started from."""
-    if not s.delta:
-        return ellipse_rows(s.kind, s.row[None])[0]
-    base = s.base.row[None]
-    return ellipse_rows(s.kind, s.row[None], s.delta, ellipse_rows(s.kind, base),
-                        row_energy(s.kind, base))[0]
+    """Packed M of s, the one-row ellipse_rows at s.delta of the semi-norm
+    regularize started from."""
+    return ellipse_rows(s.kind, (s.base or s).row[None], s.delta)[0]
 
 
 def john_ellipse(s):

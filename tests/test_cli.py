@@ -217,8 +217,8 @@ class TestReparamCommand:
             "58e56f62d85ead1d0cc03b97e9fb882770542e2868c4f7b0bf1cdb413630d66b",
             "585f7d939cbd5901d0c553aec588e74e8f2b7720c27596ca892aeb18197b0085")),
         ("linf-identity", 64, (
-            "953bca3ffeff0c4e62297e8d1a41169fdc37ea84fc64ad5855bd7bedefda78c2",
-            "3ab137cfda7e9780792e1b37ca9245dad91b23e8f0664f755676b11a9342aec8",
+            "702d9d6fcb413fb462d88d6c2c5276c5d6bf50d620c84e8a542f49e790ece70d",
+            "54443ccac09bf25d2e9a756a4d697d554fc54ca24b783859b540ae9c1ffda249",
             "e053879439c646dd0210d4dc9192cf335438843758e96f230fc14ecc35591b90")),
     ])
     def test_reparam_keeps_its_bytes(self, capsys, tmp_path, kind, n, want):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -1171,6 +1173,22 @@ class TestScalarFieldAgreement:
                     want = 1.0 / np.sqrt(np.maximum([lmin, lmax], 0.0))
                 assert self.same([e.a, e.b], want)
 
+    @pytest.mark.parametrize("kind", ["quadratic", "sampled"])
+    def test_twice_regularized_is_one_regularization(self, rng, kind):
+        # the ellipse of a regularized semi-norm is built from the one
+        # regularize started from, at the delta it carries: a row regularized
+        # at a, then at b, gives the bits of one regularization at hypot(a, b)
+        def ellipse(r):
+            e = qc.john_ellipse(r)
+            mu = qc.beltrami_of(r)
+            return [qc.jacobian_intrinsic(r), mu.real, mu.imag, e.a, e.b, e.theta]
+
+        for row in self.rows(rng)[kind]:
+            s = qc.SemiNorm2.from_row(kind, row)
+            for a, b in ((0.5, 0.25), (0.3, 0.7), (2.0**-20, 2.0**-3), (0.1, 2.0**-40)):
+                twice = qc.regularize(qc.regularize(s, a), b)
+                assert self.same(ellipse(twice), ellipse(qc.regularize(s, math.hypot(a, b))))
+
     def test_delta_is_carried(self):
         # regularize keeps the delta it applied, scaled keeps c * delta and
         # rotated keeps delta, so the rank-1 row at delta = 2^-20 stays a norm:
@@ -1220,7 +1238,7 @@ class TestRowLayoutDifferential:
         self.same(field_.energy_density(), energy)
         self.same(field_.jacobian_hausdorff_density(), sn.row_ball_jacobian(kind, cells))
         for delta in self.DELTAS:
-            m = sn.row_ellipse(kind, cells.reshape(-1, cells.shape[-1]), delta)
+            m = sn.ellipse_rows(kind, cells.reshape(-1, cells.shape[-1]), delta)
             m = m.reshape(cells.shape[:2] + (3,))
             self.same(field_.ellipse_field(delta), m)
             self.same(field_.jacobian_intrinsic_density(delta), sn.ellipse_jacobian(m))

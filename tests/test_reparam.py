@@ -188,20 +188,25 @@ LINF_ORACLE_MAPS = {**{f"{name}-linf": fn for name, fn in SOLVED_MAPS.items()},
 class TestRegularizedAreaOracle:
     @pytest.mark.parametrize("name", sorted(LINF_ORACLE_MAPS))
     def test_term_is_at_least_the_exact_solve(self, name):
-        # the report's regularized area reads ellipses built from the delta = 0
-        # ones, each inside its regularized ball, so it is no smaller than the
-        # integral of the maximal ellipses' jacobians.  The exact solve at the
-        # report's delta (the oracle) certifies its ellipse maximal to its
-        # log-det gap GAP_TOL, so J_max >= J_exact exp(-GAP_TOL / 2): on the
-        # half-collapse one near-kink row's exact ellipse, inside its ball to
-        # rounding, is 1.1e-11 short of maximal in J.  The run ends status ok
-        # and its case audit passes on every disc cell
+        # the report's regularized area reads M0 + delta^2 I on every row whose
+        # exact delta = 0 ellipse M0 is not zero: inside the ball of the
+        # cell's semi-norm, as the lemma's bound needs, and no smaller in J
+        # than M0, so the term is no less than area_before.  A row with M0 = 0
+        # takes the exact solve of its regularized row.  The run ends status
+        # ok and its case audit passes on every disc cell
         field_ = qc.estimate_field(make_map(64, LINF_ORACLE_MAPS[name], qc.TargetSpace.linf()))
         phi, _, rep = rp.epsilon_conformal_from_field(field_, 0.2 * np.pi)
-        reg = fd.sn.row_regularized(field_.kind, field_.rows, rep.delta)
-        exact = fd.sn.ellipse_jacobian(fd.sn.inscribed_ellipses(reg))[field_.index]
-        assert (rep.term_regularized_area
-                >= field_.grid.integrate(exact) * np.exp(-0.5 * fd.sn.GAP_TOL))
+        assert rep.term_regularized_area >= rep.area_before
+        rows = field_.rows
+        m0 = fd.sn.ellipse_rows(field_.kind, rows)
+        m = fd.sn.ellipse_rows(field_.kind, rows, rep.delta, m0)
+        x, y = np.moveaxis(fd.sn.half_edges(rows), -1, 0)
+        load = ((m[:, 2:] * x - 2.0 * m[:, 1:2] * y) * x + m[:, :1] * y * y).max(axis=-1)
+        assert np.all(load <= (1.0 + fd.sn.FEAS_TOL) * fd.sn.packed_det(m))
+        assert np.all(fd.sn.ellipse_jacobian(m) >= fd.sn.ellipse_jacobian(m0))
+        zero = ~m0.any(axis=-1)
+        reg = fd.sn.row_regularized(field_.kind, rows[zero], rep.delta)
+        assert np.array_equal(m[zero], fd.sn.inscribed_ellipses(reg))
         assert rep.failures() == []
         disc = int(field_.grid.disc_mask.sum())
         assert rp.audit_cases(rep, phi, np.random.default_rng(0), num=disc) == disc
