@@ -65,11 +65,16 @@ def half_circle_directions(m):
 
 def packed_eig(p):
     """(lmin, lmax, angle of the lmax eigenvector) of packed symmetric 2x2
-    matrices p[..., :3] = (q11, q12, q22), elementwise."""
+    matrices p[..., :3] = (q11, q12, q22), elementwise.  lmin = det / lmax
+    where lmax > 0, written so that det does not overflow: (tr - gap) / 2
+    cancels for a thin ellipse, even on the axes."""
     q11, q12, q22 = p[..., 0], p[..., 1], p[..., 2]
     tr = q11 + q22
     gap = np.hypot(q11 - q22, 2.0 * q12)
-    return 0.5 * (tr - gap), 0.5 * (tr + gap), 0.5 * np.arctan2(2.0 * q12, q11 - q22)
+    lmax = 0.5 * (tr + gap)
+    top = np.where(lmax > 0, lmax, 1.0)
+    lmin = np.where(lmax > 0, q11 / top * q22 - q12 / top * q12, 0.5 * (tr - gap))
+    return lmin, lmax, 0.5 * np.arctan2(2.0 * q12, q11 - q22)
 
 
 def packed_det(p):

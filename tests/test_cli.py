@@ -209,13 +209,13 @@ class TestReparamCommand:
 
     @pytest.mark.parametrize("kind, n, want", [
         ("stretch", 64, (
-            "07c6cc10fb1d3cde78d525db6fac32d72487a53c59c88da0f8c684523aff4951",
-            "df857b25b732703d350f4ba9f0cc7e26d067f04d0df71d0281944d32ab6ba466",
-            "dee04bc284ddb3051aae63a2c3d26ab427fdf5890b0a418e10f0c4545b280520")),
+            "ab3d72fbd4166c1a3dbe58e361efac522ce55e848a966f18bea2c1dfdbb32f43",
+            "0930cac9b30516b607cf380680de3fd16527d644d004677b0687e1f1424cfbd1",
+            "5b202b4a066b70cd5dd9a9c35f15e3c20a3424be10c6af56a1bcac1bc5ccc8b4")),
         ("random-smooth", 128, (
-            "24a7e809655a295a678cf5ee1bf2913aae9b1864e8e8ec34ca71f4c0c5538dff",
-            "58e56f62d85ead1d0cc03b97e9fb882770542e2868c4f7b0bf1cdb413630d66b",
-            "585f7d939cbd5901d0c553aec588e74e8f2b7720c27596ca892aeb18197b0085")),
+            "d56c4984a7187e63ca0303e93362480d77e0a450ba9dda53b2e8e6432d5b8e4b",
+            "1b4f34fc9c1e98f02ea88d4a1310a431b7df3d50b588d51db50be8b25a24bbd4",
+            "e3b5ec7fda1b6f54372847d29ae220e81457935933a7cdfdec590f0560309972")),
         ("linf-identity", 64, (
             "702d9d6fcb413fb462d88d6c2c5276c5d6bf50d620c84e8a542f49e790ece70d",
             "54443ccac09bf25d2e9a756a4d697d554fc54ca24b783859b540ae9c1ffda249",

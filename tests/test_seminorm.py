@@ -448,6 +448,15 @@ class TestBeltrami:
         with pytest.raises(DegenerateSemiNorm):
             qc.beltrami_of(qc.SemiNorm2.zero())
 
+    def test_thin_ellipse_keeps_its_small_eigenvalue(self):
+        # M = (1, 0, 2^-60) holds its small eigenvalue exactly, but
+        # (tr - gap) / 2 cancelled it to 0, so mu read 1 and the major
+        # semi-axis inf, while J read 2^-30
+        s = qc.regularize(qc.SemiNorm2.quadratic(np.diag([1.0, 0.0])), 2.0**-30)
+        assert abs(qc.beltrami_of(s)) == pytest.approx((1 - 2.0**-30) / (1 + 2.0**-30), rel=1e-15)
+        assert qc.john_ellipse(s).a == 2.0**30
+        assert sn.packed_eig(np.array([1.0, 0.0, 2.0**-60]))[0] == 2.0**-60
+
 
 class TestInvariants:
     def test_jacobian_below_energy_quadratic(self, rng):
