@@ -449,8 +449,12 @@ def _solve_rows(values):
     log-det certificate, takes that disc where the solved shape has a
     coefficient above beltrami.ROUNDING_FLOOR: there the shape is the
     tie-break of a flat-sided ball's maximal ellipse (|mu| 4.7e-12 on a row of
-    the l-inf identity), not the semi-norm's."""
+    the l-inf identity), not the semi-norm's.  Each row is solved scaled by
+    a power of two to a max in [1/2, 1), and M scaled back: the solve is exact
+    under such a scaling, and the scaled rows neither over- nor underflow."""
     R, m = values.shape
+    scale = np.frexp(values.max(axis=-1, keepdims=True))[1]
+    values = np.ldexp(values, -scale)
     verts, c = _vertices(values), half_edges(values)      # one edge per antipodal pair
     e0 = np.max(c[..., 0] * c[..., 0] + c[..., 1] * c[..., 1], axis=-1)     # as edge_energy
     # solve for P' = L^-1 P L^-T, with L L^T the vertex scatter: the ball is
@@ -501,7 +505,7 @@ def _solve_rows(values):
     disc = e0 <= ellipse_jacobian(out) * math.exp(0.5 * GAP_TOL)
     disc[disc] = np.abs(ellipse_beltrami(out[disc])) > ROUNDING_FLOOR
     out[disc] = e0[disc, None] * [1.0, 0.0, 1.0]
-    return out
+    return np.ldexp(out, 2 * scale)
 
 
 def _exchange(c, a, basis, enter):

@@ -523,6 +523,26 @@ class TestErrors:
         assert f"error: input: the map's {what} is not finite" in err
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("target", ["linf", "l1"])
+    @pytest.mark.parametrize("command, what", [("area", "area_intrinsic"),
+                                               ("defect-map", "max_defect")])
+    def test_map_too_large_for_its_ellipses(self, capsys, tmp_path, target, command, what):
+        # (x + 0.1 xy, y) times 1e300: its gauge rows are finite, but the
+        # inscribed-ellipse solve squared their vertices (about 1e-300), which
+        # underflowed, so its certificate read nan and both commands exited 3
+        # (EllipseNotCertified).  The ellipses overflow, an input error (exit
+        # 2) as the energy's is, with no RuntimeWarning
+        path = tmp_path / "huge.map"
+        qc.SampledMap.from_function(
+            qc.DiscGrid(32), getattr(qc.TargetSpace, target)(),
+            lambda x, y: 1e300 * np.stack([x + 0.1 * x * y, y])).save(path)
+        code, out, err = run([command, "--input", str(path), "--csv", str(tmp_path / "d.csv")],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: input: the map's {what} is not finite" in err
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", [["energy"], ["reparam", "--epsilon", "0.6283"]])
     def test_huge_euclidean_map(self, capsys, tmp_path, command):
         # (x + 0.1 xy, y) times 1e160 into R^2: the squared stencil differences

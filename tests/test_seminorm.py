@@ -211,6 +211,19 @@ class TestInscribedEllipses:
         assert np.array_equal(sn.inscribed_ellipses(batch[perm]), together[perm])
         assert np.all(together[3] == 0.0)             # degenerate row: unbounded ball
 
+    def test_power_of_two_scaling_is_exact(self, rng):
+        # each row is solved scaled to a max in [1/2, 1), which is exact: 2^k
+        # times a row gives 2^2k times its M bit for bit, wherever 2^2k M is
+        # a normal number, and a row at 1e300 is solved, not refused
+        rows = [LINF.values, L1.values, np.hypot(LINF.values, 0.5), np.ones(64)]
+        rows += [rand_sampled_norm(rng, stretch=s).values for s in (1.0, 3.0, 20.0)]
+        batch = np.array(rows)
+        want = sn.inscribed_ellipses(batch)
+        for k in (-505, -60, -1, 1, 2, 37, 505):
+            assert np.array_equal(sn.inscribed_ellipses(np.ldexp(batch, k)), np.ldexp(want, 2 * k))
+        with np.errstate(over="ignore"):
+            assert np.all(np.isinf(sn.inscribed_ellipses(1e300 * batch)[:, 0]))
+
     @staticmethod
     def exact_rows(m, r):
         """The sampled l-inf and l1 balls and their images under
@@ -390,18 +403,17 @@ class TestRegularizedEllipse:
         # that the stencil's rounding once split the l-inf identity's field
         # into.  The basis exchange solves the second's maximal ellipse as the
         # tie-break of its flat sides, |mu| 4.7e-12, and M0 + delta^2 I would
-        # keep that at every delta; the delta = 0 solve gives it the inscribed
-        # disc instead, so both rows' coefficients stay at rounding at every
-        # delta, as the exact solve of the regularized row reads once its
-        # curvature breaks the tie
+        # keep that at every delta; the solve gives it the inscribed disc
+        # instead, so both rows' coefficients stay at rounding at every delta,
+        # and so does the exact solve of the regularized row, also at 2^-40,
+        # where its curvature is too small to break the tie
         linf = np.abs(half_circle_directions(64)).max(axis=1)
         rows = np.array([np.ldexp(np.round(np.ldexp(linf, -e), 12), e) for e in (0, -1)])
         for delta in (0.0, 1.0, 2.0**-5, 2.0**-40):
             m = sn.ellipse_rows("sampled", rows, delta)
             assert np.abs(sn.ellipse_beltrami(m)).max() < 1e-14
-            if delta >= 2.0**-5:
-                reg = sn.row_regularized("sampled", rows, delta)
-                assert np.abs(sn.ellipse_beltrami(sn.inscribed_ellipses(reg))).max() < 1e-14
+            reg = sn.row_regularized("sampled", rows, delta)
+            assert np.abs(sn.ellipse_beltrami(sn.inscribed_ellipses(reg))).max() < 1e-14
             disc = m[:, 1] == 0.0
             assert disc.any() and np.all(m[disc, 0] == m[disc, 2])
         monkeypatch.setattr(sn, "ROUNDING_FLOOR", 1.0)          # no row takes the disc
