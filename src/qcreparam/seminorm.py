@@ -367,28 +367,25 @@ def convex_rows(values):
 
 def half_edges(values):
     """Edge rows c_i (R, m, 2) of the gauge rows values (R, m), for edge_gauge and
-    edge_energy: one antipodal half of the edges of each ball {|c_i . x| <= 1}."""
-    out = np.empty(values.shape + (2,))
-    for k in range(0, len(values), _CHUNK):
-        out[k:k + _CHUNK, :, 0], out[k:k + _CHUNK, :, 1] = _edge_xy(values[k:k + _CHUNK])
-    return out
-
-
-def _edge_xy(values):
-    """The two components (R, m) of half_edges of the gauge rows values (R, m).
+    edge_energy: one antipodal half of the edges of each ball {|c_i . x| <= 1}.
 
     c_i solves c.d_i = v_i and c.d_(i+1) = v_(i+1) for consecutive sample
     directions d (d_m = -d_0), so it is formed from the values and not from
     the vertices d_i / v_i, whose differences cancel when a value is tiny; a
     zero value gives finite edge rows."""
     (ax, ay), (bx, by), (sx, sy) = _edge_factors(values.shape[-1])
-    nxt = np.concatenate([values[:, 1:], values[:, :1]], axis=1)
-    return (values * ax - nxt * bx) * sx, (values * ay - nxt * by) * sy
+    out = np.empty(values.shape + (2,))
+    for k in range(0, len(values), _CHUNK):
+        v = values[k:k + _CHUNK]
+        nxt = np.concatenate([v[:, 1:], v[:, :1]], axis=1)
+        out[k:k + _CHUNK, :, 0] = (v * ax - nxt * bx) * sx
+        out[k:k + _CHUNK, :, 1] = (v * ay - nxt * by) * sy
+    return out
 
 
 @functools.cache
 def _edge_factors(m):
-    """The factors (3, 2, m) of _edge_xy, per component and sample direction:
+    """The factors (3, 2, m) of half_edges, per component and sample direction:
     d_(i+1) and d_i with their components swapped, and (1, -1) / det [d_i d_(i+1)].
     Read-only."""
     d = half_circle_directions(m)
